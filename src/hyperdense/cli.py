@@ -250,9 +250,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solution_payload(text: str) -> dict:
+    """Decoded solution JSON: an object with an int parameter and lists of ints."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise HypergraphFormatError("solution file must hold a JSON object")
+    if type(payload.get("parameter")) is not int:
+        raise HypergraphFormatError("solution 'parameter' must be an integer")
+    for key in ("vertices", "edge_indices"):
+        value = payload.get(key)
+        if not isinstance(value, list) or any(type(x) is not int for x in value):
+            raise HypergraphFormatError(f"solution '{key}' must be a list of integers")
+    return payload
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     text = _read(args.instance)
-    payload = json.loads(_read(args.solution))
+    payload = _solution_payload(_read(args.solution))
     problem = payload.get("problem")
     if problem not in ("mpu", "dksh"):
         raise ValueError("solution file must carry problem 'mpu' or 'dksh'")
@@ -358,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_interval.set_defaults(func=_cmd_gen)
 
     bench = sub.add_parser("bench", help="run the built-in benchmark suite")
-    bench.add_argument("--suite", choices=("small",), default="small")
     bench.add_argument("--with-oracle", action="store_true")
     bench.set_defaults(func=_cmd_bench)
 

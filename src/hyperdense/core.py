@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 
 class HypergraphFormatError(ValueError):
-    """Malformed instance text; the message carries a 1-based line number."""
+    """Malformed instance or solution text; instance messages carry a 1-based line number."""
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,6 @@ def degrees(h: Hypergraph, edge_indices: Iterable[int] | None = None) -> tuple[i
             for v in h.edges[i]:
                 counts[v] += 1
     return tuple(counts)
-
-
-def degree(h: Hypergraph, v: int) -> int:
-    """Number of hyperedges containing v, duplicates counted."""
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex id {v} out of range [0, {h.n})")
-    return sum(1 for e in h.edges if v in e)
 
 
 def top_by_degree(

@@ -38,19 +38,6 @@ FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite incidence view: left nodes are edge indices, right nodes are vertices."""
-
-    hypergraph: Hypergraph
-
-    def left_degree(self, edge_index: int) -> int:
-        return len(self.hypergraph.edges[edge_index])
-
-    def neighborhood(self, edge_indices: Iterable[int]) -> tuple[int, ...]:
-        return union_of(self.hypergraph, edge_indices)
-
-
-@dataclass(frozen=True)
 class ExpansionCertificate:
     """A nonempty edge subset with its neighborhood and exact ratio |E'| / |Gamma(E')|.
 

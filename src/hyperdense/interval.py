@@ -1,14 +1,20 @@
 """Exact polynomial-time minimum p-union and densest k-set on interval hypergraphs.
 
-Intervals are sorted by right endpoint (ties: left endpoint, then input
-order).  A table cell (i, j) holds the minimum union size over solutions that
-pick j intervals among the first i+1 sorted ones and force interval i in.
-With C_i the intervals contained in interval i (including i itself), cells
-with j <= |C_i| cost exactly the length of interval i; larger j extend a
-predecessor cell at the last chosen interval outside C_i, paying only for the
-part of interval i that predecessor does not reach.  Answers for every p come
-from one fill, and the densest k-set query inverts the table: the largest p
-whose optimal union fits in k vertices.
+Intervals are sorted by (right end, left end, input index).  A table cell
+(i, j) holds the minimum union size over solutions that pick j intervals
+among sorted positions 0..i and force position i in.  Everything follows from
+one rule: C_i, the intervals inside interval i, is the set of positions
+q <= i with a_q >= a_i.  Cells with j <= |C_i| cost exactly the length of
+interval i.  A larger j extends a predecessor cell at the last chosen position
+istar outside C_i; then C_i minus C_istar is the slice of C_i after istar, so
+the step adds |C_i| minus (the positions of C_i up to istar) intervals and
+pays only for the part of interval i that istar does not reach.
+
+Every cell is feasible: with istar the last position before i outside C_i,
+all positions after istar lie in C_i, so jstar = j - (i - istar) lies in
+[1, istar + 1] for every j in (|C_i|, i + 1].  Answers for every p come from
+one fill, and the densest k-set query inverts the table: the largest p whose
+optimal union fits in k vertices.
 """
 
 from __future__ import annotations
@@ -97,46 +103,16 @@ def to_hypergraph(inst: IntervalInstance) -> Hypergraph:
     return Hypergraph(inst.n, edges)
 
 
-def sorted_order(inst: IntervalInstance) -> tuple[int, ...]:
-    """Positions of the intervals sorted by (right end, left end, input index)."""
-    return tuple(
-        sorted(range(inst.m), key=lambda i: (inst.intervals[i][1], inst.intervals[i][0], i))
-    )
-
-
-def partition_sets(
-    intervals: tuple[tuple[int, int], ...], i: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split positions 0..i into (disjoint-left, overlapping, contained) classes.
-
-    ``intervals`` must already be sorted by right endpoint.  Relative to
-    interval i: class A holds intervals ending before it starts, class B those
-    that straddle its left end, class C those contained in it (always
-    including i itself).
-    """
-    a_i, b_i = intervals[i]
-    disjoint, straddling, contained = [], [], []
-    for j in range(i + 1):
-        a_j, b_j = intervals[j]
-        if b_j > b_i or (b_j == b_i and (a_j, j) > (a_i, i)):
-            raise ValueError("intervals must be sorted by right endpoint")
-        if b_j < a_i:
-            disjoint.append(j)
-        elif a_j < a_i:
-            straddling.append(j)
-        else:
-            contained.append(j)
-    return tuple(disjoint), tuple(straddling), tuple(contained)
-
-
 @dataclass(frozen=True)
 class DPTable:
     """Filled table with backpointers; queries and reconstruction read from it.
 
     values[i][j-1] is the minimum union size choosing j intervals among sorted
-    positions 0..i with position i forced in; the sentinel infinity is n + 1.
-    back[i][j-1] is None for infeasible cells, ("base",) for contained-class
-    cells, and ("rec", i*, j*) for cells extending a predecessor.
+    positions 0..i with position i forced in.  contained[i] is C_i, the sorted
+    positions q <= i with a_q >= a_i.  back[i][j-1] is None for base cells
+    (j <= |C_i|, answered by C_i alone) and (istar, jstar) for cells that
+    extend predecessor cell (istar, jstar) by the positions of C_i after istar.
+    Every cell is filled: no cell of the table is infeasible.
     """
 
     instance: IntervalInstance
@@ -144,109 +120,67 @@ class DPTable:
     sorted_intervals: tuple[tuple[int, int], ...]
     contained: tuple[tuple[int, ...], ...]
     values: tuple[tuple[int, ...], ...]
-    back: tuple[tuple[tuple | None, ...], ...]
+    back: tuple[tuple[tuple[int, int] | None, ...], ...]
 
-    @property
-    def infinity(self) -> int:
-        return self.instance.n + 1
-
-    def optimum(self, p: int) -> int | None:
-        """Minimum union size over all p-subsets, or None if p > m."""
-        if not 1 <= p <= self.instance.m:
-            return None
-        best = min(
-            (self.values[i][p - 1] for i in range(p - 1, self.instance.m)),
-            default=self.infinity,
-        )
-        return None if best >= self.infinity else best
+    def best_cell(self, p: int) -> tuple[int, int]:
+        """(sorted position, value) of the first cell minimizing the union for p."""
+        column = [self.values[i][p - 1] for i in range(p - 1, self.instance.m)]
+        best = min(column)
+        return p - 1 + column.index(best), best
 
     def reconstruct(self, i: int, j: int) -> tuple[int, ...]:
         """Original indices of one optimal j-subset realizing cell (i, j)."""
         picked: list[int] = []
-        while True:
-            pointer = self.back[i][j - 1]
-            if pointer is None:
-                raise ValueError(f"cell ({i}, {j}) is infeasible")
-            if pointer[0] == "base":
-                inside = [q for q in self.contained[i] if q != i]
-                picked.append(i)
-                picked.extend(inside[: j - 1])
-                break
-            _, istar, jstar = pointer
-            added = sorted(set(self.contained[i]) - set(self.contained[istar]))
-            picked.extend(added)
-            i, j = istar, jstar
-        positions = sorted(picked)
-        if len(set(positions)) != len(positions):
-            raise RuntimeError("reconstruction picked a duplicate interval")
-        return tuple(sorted(self.order[q] for q in positions))
+        while (pointer := self.back[i][j - 1]) is not None:
+            istar = pointer[0]
+            picked.extend(q for q in self.contained[i] if q > istar)
+            i, j = pointer
+        picked.extend(self.contained[i][: j - 1])
+        picked.append(i)
+        return tuple(sorted(self.order[q] for q in picked))
 
 
 def fill_table(inst: IntervalInstance) -> DPTable:
     """Fill every cell bottom-up; one fill answers all p at once."""
-    order = sorted_order(inst)
-    ivs = tuple(inst.intervals[i] for i in order)
-    m = inst.m
-    inf = inst.n + 1
-    contained: list[tuple[int, ...]] = []
-    for i in range(m):
-        _, _, c = partition_sets(ivs, i)
-        contained.append(c)
-    contained_sets = [set(c) for c in contained]
-
-    values: list[list[int]] = []
-    back: list[list[tuple | None]] = []
-    for i in range(m):
-        a_i, b_i = ivs[i]
-        length = b_i - a_i + 1
-        row_v: list[int] = []
-        row_b: list[tuple | None] = []
-        for j in range(1, i + 2):
-            if j <= len(contained[i]):
-                row_v.append(length)
-                row_b.append(("base",))
-                continue
-            best, best_ptr = inf, None
-            for istar in range(i):
-                if istar in contained_sets[i]:
-                    continue
-                newly = len(contained_sets[i] - contained_sets[istar])
-                jstar = j - newly
-                if not 1 <= jstar <= istar + 1:
-                    continue
-                prev = values[istar][jstar - 1]
-                if prev >= inf:
-                    continue
-                a_s, b_s = ivs[istar]
-                tail = length if b_s < a_i else b_i - b_s
-                cand = prev + tail
-                if cand < best:
-                    best, best_ptr = cand, ("rec", istar, jstar)
-            row_v.append(best)
-            row_b.append(best_ptr)
-        values.append(row_v)
-        back.append(row_b)
-
-    return DPTable(
-        inst,
-        order,
-        ivs,
-        tuple(contained),
-        tuple(tuple(r) for r in values),
-        tuple(tuple(r) for r in back),
+    order = tuple(
+        sorted(range(inst.m), key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
+    )
+    ivs = tuple(inst.intervals[q] for q in order)
+    contained = tuple(
+        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
     )
 
+    values: list[tuple[int, ...]] = []
+    back: list[tuple[tuple[int, int] | None, ...]] = []
+    for i, (a_i, b_i) in enumerate(ivs):
+        length = b_i - a_i + 1
+        # rec_v[r] is cell j = |C_i| + 1 + r.  A predecessor istar outside C_i
+        # adds the positions of C_i after it, so with `inside` the positions of
+        # C_i before it, it reaches column r from jstar = inside + 1 + r.  Each
+        # such istar opens exactly one new column (jstar = istar + 1), so all
+        # i + 1 - |C_i| columns are filled.
+        rec_v: list[int] = []
+        rec_b: list[tuple[int, int]] = []
+        inside = 0
+        for istar in range(i):
+            a_s, b_s = ivs[istar]
+            if a_s >= a_i:
+                inside += 1
+                continue
+            tail = length if b_s < a_i else b_i - b_s
+            prev = values[istar]
+            for r in range(len(rec_v)):
+                cand = prev[inside + r] + tail
+                if cand < rec_v[r]:
+                    rec_v[r] = cand
+                    rec_b[r] = (istar, inside + r + 1)
+            rec_v.append(prev[istar] + tail)
+            rec_b.append((istar, istar + 1))
+        base = len(contained[i])
+        values.append((length,) * base + tuple(rec_v))
+        back.append((None,) * base + tuple(rec_b))
 
-def _best_cell(table: DPTable, p: int) -> tuple[int, int] | None:
-    """Sorted position realizing the optimum for p, or None when infeasible."""
-    best, best_i = table.infinity, None
-    for i in range(p - 1, table.instance.m):
-        v = table.values[i][p - 1]
-        if v < best:
-            best, best_i = v, i
-    if best_i is None or best >= table.infinity:
-        return None
-    return best_i, best
+    return DPTable(inst, order, ivs, contained, tuple(values), tuple(back))
 
 
 def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
@@ -254,9 +188,7 @@ def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
     if not 1 <= p <= inst.m:
         raise ValueError(f"p must be in [1, {inst.m}], got {p}")
     table = fill_table(inst)
-    cell = _best_cell(table, p)
-    assert cell is not None, "every p in [1, m] has a feasible cell"
-    best_i, best_value = cell
+    best_i, best_value = table.best_cell(p)
     indices = table.reconstruct(best_i, p)
     sol = EdgeSolution.from_indices(to_hypergraph(inst), indices, "interval-dp")
     if sol.union_size != best_value:
@@ -278,10 +210,7 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
     h = to_hypergraph(inst)
     table = fill_table(inst)
     for p in range(inst.m, 0, -1):
-        cell = _best_cell(table, p)
-        if cell is None:
-            continue
-        best_i, best_value = cell
+        best_i, best_value = table.best_cell(p)
         if best_value <= k:
             indices = table.reconstruct(best_i, p)
             span = set()

@@ -77,15 +77,11 @@ class MpU3Params:
     khat: int
 
     @classmethod
-    def for_guess(
-        cls, h: Hypergraph, p: int, k: int, scale: float | None = None
-    ) -> "MpU3Params":
+    def for_guess(cls, h: Hypergraph, p: int, k: int) -> "MpU3Params":
         _check_p(h, p)
         if not 1 <= k <= h.n:
             raise ValueError(f"k must be in [1, {h.n}], got {k}")
-        if scale is None:
-            scale = h.n ** 0.4
-        anchor_size = min(math.ceil(k * scale), h.n)
+        anchor_size = min(math.ceil(k * h.n ** 0.4), h.n)
         anchors = top_by_degree(h, anchor_size)
         deg = degrees(h)
         delta = min((deg[v] for v in anchors), default=0)
@@ -224,10 +220,9 @@ def mpu_3uniform(
     """
     _require_three_uniform(h)
     _check_p(h, p)
-    scale = h.n ** 0.4
     best: EdgeSolution | None = None
     for k in range(1, h.n + 1):
-        params = MpU3Params.for_guess(h, p, k, scale=scale)
+        params = MpU3Params.for_guess(h, p, k)
 
         def generator(residual: Hypergraph, _budget: int, _p=params) -> VertexSolution:
             return candidate_generator_3u(residual, _p, spes_sub)

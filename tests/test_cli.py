@@ -166,7 +166,7 @@ class TestGen:
 
 class TestBench:
     def test_rows_have_ratio_with_oracle(self, capsys):
-        code, out, _ = run(capsys, "bench", "--suite", "small", "--with-oracle")
+        code, out, _ = run(capsys, "bench", "--with-oracle")
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 6
@@ -209,6 +209,24 @@ class TestVerify:
         code, verdict, _ = run(capsys, "verify", "--intervals", interval_file, str(sol))
         assert code == 0
         assert json.loads(verdict)["valid"] is True
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1, 2]",
+            '{"problem": "mpu", "vertices": [0], "edge_indices": [0]}',
+            '{"problem": "dksh", "parameter": 1, "vertices": ["x"], "edge_indices": []}',
+            '{"problem": "mpu", "parameter": 1, "vertices": [0], "edge_indices": [0.5]}',
+        ],
+        ids=["array", "missing-parameter", "non-int-vertex", "non-int-edge"],
+    )
+    def test_malformed_solution_exits_3(self, capsys, tmp_path, uniform_file, payload):
+        sol = tmp_path / "sol.json"
+        sol.write_text(payload)
+        code, out, err = run(capsys, "verify", uniform_file, str(sol))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ")
 
 
 class TestDeterminismViaSubprocess:

@@ -7,7 +7,6 @@ from hyperdense import (
     HypergraphFormatError,
     VertexSolution,
     covered_edges,
-    degree,
     degrees,
     induced,
     parse_hypergraph,
@@ -122,15 +121,15 @@ class TestInduced:
 class TestDegrees:
     def test_degree(self):
         h = Hypergraph(3, ((0, 1), (0, 2)))
-        assert degree(h, 0) == 2
+        assert degrees(h)[0] == 2
 
     def test_duplicates_count(self):
         h = Hypergraph(2, ((0, 1), (0, 1)))
-        assert degree(h, 1) == 2
+        assert degrees(h)[1] == 2
 
     def test_isolated_vertex(self):
         h = Hypergraph(3, ((0, 1),))
-        assert degree(h, 2) == 0
+        assert degrees(h)[2] == 0
 
     @given(hypergraphs())
     def test_degrees_match_direct_scan(self, h):

@@ -6,7 +6,6 @@ import pytest
 from hyperdense import (
     EmptyHypergraphError,
     Hypergraph,
-    IncidenceGraph,
     InfeasibleSolutionError,
     build_expansion_lp,
     build_expansion_network,
@@ -131,11 +130,6 @@ class TestMinExpansionFlow:
     def test_matches_brute_force_on_corpus(self):
         for h in corpus(80, seed0=400):
             assert min_expansion_flow(h).ratio == brute_min_expansion(h).ratio
-
-    def test_incidence_graph_view(self):
-        g = IncidenceGraph(TWIN)
-        assert g.left_degree(2) == 3
-        assert g.neighborhood((0, 2)) == (0, 1, 2, 3, 4)
 
 
 class TestExpansionLP:

@@ -1,0 +1,66 @@
+"""Byte-identity of solver answers across commits.
+
+``tests/fixtures/golden.jsonl`` holds one line per (instance, solver,
+parameter): the case label and the solver's ``solution_json`` bytes.  A
+refactor that keeps every answer must leave the file unchanged.  To rebuild
+it after a declared behaviour change, run
+``PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.jsonl``.
+"""
+
+from pathlib import Path
+
+from hyperdense import (
+    dksh_3uniform,
+    dksh_interval,
+    mpu_3uniform,
+    mpu_interval,
+    mpu_sqrt_m,
+    solution_json,
+)
+from hyperdense.oracle import generate_intervals, generate_uniform
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden.jsonl"
+
+# (n, m, seed).  The second case has duplicate intervals and cells whose
+# optimum several predecessors reach, so it pins the first-istar tie-break.
+INTERVAL_CASES = ((8, 5, 1), (5, 6, 17))
+UNIFORM_CASES = ((7, 8, 11), (8, 10, 12))
+UNIFORM_P = (2, 4)
+UNIFORM_K = (4,)
+
+
+def golden_lines() -> list[str]:
+    lines = []
+
+    def add(case: str, problem: str, parameter: int, sol) -> None:
+        lines.append(
+            f'{{"case":"{case}","solution":{solution_json(problem, parameter, sol)}}}'
+        )
+
+    for n, m, seed in INTERVAL_CASES:
+        inst = generate_intervals(n, m, seed)
+        name = f"interval n={n} m={m} seed={seed}"
+        for p in range(1, m + 1):
+            add(f"{name} mpu_interval", "mpu", p, mpu_interval(inst, p))
+        for k in range(1, n + 1):
+            add(f"{name} dksh_interval", "dksh", k, dksh_interval(inst, k))
+    for n, m, seed in UNIFORM_CASES:
+        h = generate_uniform(n, m, seed)
+        name = f"uniform n={n} m={m} seed={seed}"
+        for p in UNIFORM_P:
+            add(f"{name} mpu_sqrt_m", "mpu", p, mpu_sqrt_m(h, p))
+            add(f"{name} mpu_3uniform", "mpu", p, mpu_3uniform(h, p))
+        for k in UNIFORM_K:
+            add(f"{name} dksh_3uniform", "dksh", k, dksh_3uniform(h, k))
+    return lines
+
+
+def test_answers_match_golden_bytes():
+    expected = FIXTURE.read_bytes()
+    actual = "".join(line + "\n" for line in golden_lines()).encode("utf-8")
+    assert actual == expected
+
+
+if __name__ == "__main__":
+    for line in golden_lines():
+        print(line)

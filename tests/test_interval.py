@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,6 @@ from hyperdense import (
     fill_table,
     mpu_interval,
     parse_intervals,
-    partition_sets,
     serialize_intervals,
     to_hypergraph,
     union_of,
@@ -56,35 +57,27 @@ class TestInstance:
 
 
 class TestPartition:
+    """C_i from fill_table: sorted positions q <= i with a_q >= a_i."""
+
     IVS = ((0, 2), (1, 3), (4, 5))
 
     def test_mixed_position(self):
-        disjoint, straddling, contained = partition_sets(self.IVS, 1)
-        assert disjoint == ()
-        assert straddling == (0,)
-        assert contained == (1,)
+        table = fill_table(IntervalInstance(6, self.IVS))
+        assert table.contained[1] == (1,)
 
     def test_all_left_disjoint(self):
-        disjoint, straddling, contained = partition_sets(self.IVS, 2)
-        assert disjoint == (0, 1)
-        assert straddling == ()
-        assert contained == (2,)
+        table = fill_table(IntervalInstance(6, self.IVS))
+        assert table.contained[2] == (2,)
 
     def test_nested(self):
-        ivs = ((1, 2), (0, 5))
-        _, _, contained = partition_sets(ivs, 1)
-        assert contained == (0, 1)
+        table = fill_table(IntervalInstance(6, ((1, 2), (0, 5))))
+        assert table.contained[1] == (0, 1)
 
     def test_self_always_contained(self):
         for inst in (generate_intervals(9, 6, s) for s in range(10)):
-            ivs = tuple(sorted(inst.intervals, key=lambda t: (t[1], t[0])))
-            for i in range(len(ivs)):
-                _, _, contained = partition_sets(ivs, i)
-                assert i in contained
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            partition_sets(((3, 4), (0, 1)), 1)
+            table = fill_table(inst)
+            for i in range(inst.m):
+                assert i in table.contained[i]
 
 
 class TestMpUInterval:
@@ -120,17 +113,26 @@ class TestMpUInterval:
     @given(interval_instances())
     def test_monotone_in_p(self, inst):
         table = fill_table(inst)
-        values = [table.optimum(p) for p in range(1, inst.m + 1)]
+        values = [table.best_cell(p)[1] for p in range(1, inst.m + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_base_case_tightness(self):
-        for seed in range(20):
-            inst = generate_intervals(10, 6, seed)
+        # Every cell (i, j <= i+1) is filled and equals the brute-force minimum
+        # union over j-subsets of sorted positions 0..i that contain i.
+        for seed in range(40):
+            inst = generate_intervals(3 + seed % 8, 1 + seed % 8, seed)
             table = fill_table(inst)
+            ivs = table.sorted_intervals
             for i in range(inst.m):
-                a, b = table.sorted_intervals[i]
-                for j in range(1, len(table.contained[i]) + 1):
-                    if j <= i + 1:
+                assert len(table.values[i]) == len(table.back[i]) == i + 1
+                for j in range(1, i + 2):
+                    brute = min(
+                        len({v for q in (*rest, i) for v in range(ivs[q][0], ivs[q][1] + 1)})
+                        for rest in combinations(range(i), j - 1)
+                    )
+                    assert table.values[i][j - 1] == brute
+                    if j <= len(table.contained[i]):
+                        a, b = ivs[i]
                         assert table.values[i][j - 1] == b - a + 1
 
     def test_reconstruction_fidelity(self):
@@ -141,8 +143,6 @@ class TestMpUInterval:
             for i in range(inst.m):
                 a, b = table.sorted_intervals[i]
                 for j in range(1, i + 2):
-                    if table.values[i][j - 1] >= table.infinity:
-                        continue
                     assert table.values[i][j - 1] >= b - a + 1
                     picked = table.reconstruct(i, j)
                     assert len(picked) == j
