@@ -251,12 +251,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _solution_payload(text: str) -> dict:
-    """Decoded solution JSON: an object with an int parameter and lists of ints."""
+    """Decoded solution JSON: an object with problem 'mpu' or 'dksh', int
+    parameter, union_size and covered_count, and lists of ints."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise HypergraphFormatError("solution file must hold a JSON object")
-    if type(payload.get("parameter")) is not int:
-        raise HypergraphFormatError("solution 'parameter' must be an integer")
+    if payload.get("problem") not in ("mpu", "dksh"):
+        raise HypergraphFormatError("solution 'problem' must be 'mpu' or 'dksh'")
+    for key in ("parameter", "union_size", "covered_count"):
+        if type(payload.get(key)) is not int:
+            raise HypergraphFormatError(f"solution '{key}' must be an integer")
     for key in ("vertices", "edge_indices"):
         value = payload.get(key)
         if not isinstance(value, list) or any(type(x) is not int for x in value):
@@ -267,9 +271,7 @@ def _solution_payload(text: str) -> dict:
 def _cmd_verify(args: argparse.Namespace) -> int:
     text = _read(args.instance)
     payload = _solution_payload(_read(args.solution))
-    problem = payload.get("problem")
-    if problem not in ("mpu", "dksh"):
-        raise ValueError("solution file must carry problem 'mpu' or 'dksh'")
+    problem = payload["problem"]
     if args.intervals:
         h = to_hypergraph(parse_intervals(text))
     else:
@@ -289,7 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             union = list(union_of(h, edge_indices))
             if union != sorted(vertices):
                 problems.append("vertices differ from the recomputed union")
-            if payload.get("union_size") != len(union):
+            if payload["union_size"] != len(union):
                 problems.append("union_size differs from the recomputed union")
     else:
         if len(vertices) != parameter:
@@ -300,7 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             covered = list(covered_edges(h, vertices))
             if covered != sorted(edge_indices):
                 problems.append("edge indices differ from the recomputed cover")
-            if payload.get("covered_count") != len(covered):
+            if payload["covered_count"] != len(covered):
                 problems.append("covered_count differs from the recomputed cover")
     valid = not problems
     _emit({"valid": valid, "problem": problem, "issues": problems}, args.format)

@@ -82,9 +82,8 @@ class MpU3Params:
         if not 1 <= k <= h.n:
             raise ValueError(f"k must be in [1, {h.n}], got {k}")
         anchor_size = min(math.ceil(k * h.n ** 0.4), h.n)
-        anchors = top_by_degree(h, anchor_size)
-        deg = degrees(h)
-        delta = min((deg[v] for v in anchors), default=0)
+        # The least degree among the top anchor_size vertices (anchor_size >= 1).
+        delta = sorted(degrees(h), reverse=True)[anchor_size - 1]
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
         return cls(k, p, h.n, anchor_size, delta, Fraction(3 * p, k), khat)
 
@@ -204,6 +203,20 @@ def candidate_generator_3u(
     return VertexSolution.from_vertices(residual, best[1], best[0])
 
 
+def _cover_for_guess(
+    h: Hypergraph, p: int, params: MpU3Params, spes_sub: SpESSubroutine
+) -> EdgeSolution | None:
+    """The iterative cover for one guess, or None when its generator stalls."""
+
+    def generator(residual: Hypergraph, _budget: int) -> VertexSolution:
+        return candidate_generator_3u(residual, params, spes_sub)
+
+    try:
+        return iterative_cover(h, p, params.anchor_size, generator)
+    except StalledGeneratorError:
+        return None
+
+
 def mpu_3uniform(
     h: Hypergraph,
     p: int,
@@ -216,20 +229,24 @@ def mpu_3uniform(
     Tries every k in 1..n, runs the iterative cover with that guess's
     parameters, keeps the smallest union, and finally takes the better of that
     and mpu_sqrt_m so the general guarantee always transfers.  When ``trace``
-    is a list, one row per guess is appended: {k, khat, delta, union}.
+    is a list, one row per guess is appended: {k, khat, delta, union}; a guess
+    whose generator stalls appends none.
+
+    A saturated guess (anchor_size == n) runs once: every residual keeps all n
+    vertices, so every vertex is an anchor, the probe outside the anchors is
+    empty and the cover depends only on (h, p, spes_sub).  Each later k reuses
+    that outcome with its own khat and delta in the trace.
     """
     _require_three_uniform(h)
     _check_p(h, p)
     best: EdgeSolution | None = None
+    saturated = False
     for k in range(1, h.n + 1):
         params = MpU3Params.for_guess(h, p, k)
-
-        def generator(residual: Hypergraph, _budget: int, _p=params) -> VertexSolution:
-            return candidate_generator_3u(residual, _p, spes_sub)
-
-        try:
-            sol = iterative_cover(h, p, params.anchor_size, generator)
-        except StalledGeneratorError:
+        if not saturated:
+            saturated = params.anchor_size == h.n
+            sol = _cover_for_guess(h, p, params, spes_sub)
+        if sol is None:
             continue
         if trace is not None:
             trace.append(

@@ -38,7 +38,13 @@ class OracleBudgetError(RuntimeError):
 def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_SUBSET_BUDGET))
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SUBSET_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _check_budget(count: int, budget: int | None, what: str) -> None:

@@ -110,6 +110,16 @@ class TestErrors:
         assert code == 4
         assert "budget" in err
 
+    def test_non_integer_budget_names_the_variable(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERDENSE_ORACLE_BUDGET", "lots")
+        path = tmp_path / "inst.hg"
+        path.write_text(THREE_UNIFORM)
+        code, out, err = run(capsys, "oracle", "mpu", "--p", "2", str(path))
+        assert code == 2
+        assert out == ""
+        assert "HYPERDENSE_ORACLE_BUDGET" in err
+        assert "'lots'" in err
+
     def test_bad_parameter_exits_2(self, capsys, simple_file):
         code, _, err = run(capsys, "solve", "mpu", "--p", "9", simple_file)
         assert code == 2
@@ -217,8 +227,18 @@ class TestVerify:
             '{"problem": "mpu", "vertices": [0], "edge_indices": [0]}',
             '{"problem": "dksh", "parameter": 1, "vertices": ["x"], "edge_indices": []}',
             '{"problem": "mpu", "parameter": 1, "vertices": [0], "edge_indices": [0.5]}',
+            '{"parameter": 1, "vertices": [0], "edge_indices": [0], "union_size": 1,'
+            ' "covered_count": 1}',
+            '{"problem": "mvc", "parameter": 1, "vertices": [0], "edge_indices": [0],'
+            ' "union_size": 1, "covered_count": 1}',
+            '{"problem": "mpu", "parameter": 1, "vertices": [0], "edge_indices": [0],'
+            ' "union_size": "1", "covered_count": 1}',
+            '{"problem": "dksh", "parameter": 1, "vertices": [0], "edge_indices": [],'
+            ' "union_size": 1}',
         ],
-        ids=["array", "missing-parameter", "non-int-vertex", "non-int-edge"],
+        ids=["array", "missing-parameter", "non-int-vertex", "non-int-edge",
+             "missing-problem", "unknown-problem", "string-union-size",
+             "missing-covered-count"],
     )
     def test_malformed_solution_exits_3(self, capsys, tmp_path, uniform_file, payload):
         sol = tmp_path / "sol.json"

@@ -17,7 +17,12 @@ from hyperdense import (
     mpu_sqrt_m,
     solution_json,
 )
-from hyperdense.oracle import generate_intervals, generate_uniform
+from hyperdense.oracle import (
+    PlantedSpec,
+    generate_intervals,
+    generate_planted,
+    generate_uniform,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden.jsonl"
 
@@ -27,6 +32,10 @@ INTERVAL_CASES = ((8, 5, 1), (5, 6, 17))
 UNIFORM_CASES = ((7, 8, 11), (8, 10, 12))
 UNIFORM_P = (2, 4)
 UNIFORM_K = (4,)
+# A planted 3-uniform instance on which every guess k >= 6 has an anchor budget
+# of n (saturated) and the three-layer candidate covers p edges in one round.
+PLANTED_SPEC = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
+PLANTED_P = (4, 12, 20)
 
 
 def golden_lines() -> list[str]:
@@ -52,6 +61,10 @@ def golden_lines() -> list[str]:
             add(f"{name} mpu_3uniform", "mpu", p, mpu_3uniform(h, p))
         for k in UNIFORM_K:
             add(f"{name} dksh_3uniform", "dksh", k, dksh_3uniform(h, k))
+    h = generate_planted(PLANTED_SPEC).hypergraph
+    name = f"planted n={h.n} m={h.m} seed={PLANTED_SPEC.seed}"
+    for p in PLANTED_P:
+        add(f"{name} mpu_3uniform", "mpu", p, mpu_3uniform(h, p))
     return lines
 
 

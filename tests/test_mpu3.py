@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+import hyperdense.mpu3 as mpu3_module
 from hyperdense import (
     Hypergraph,
     MpU3Params,
@@ -12,7 +14,15 @@ from hyperdense import (
     mpu_sqrt_m,
     union_of,
 )
+from hyperdense.core import (
+    EdgeSolution,
+    VertexSolution,
+    degrees,
+    solution_json,
+    top_by_degree,
+)
 from hyperdense.mpu3 import _ceil_sqrt_fraction
+from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
     brute_mpu,
@@ -177,8 +187,6 @@ class TestMpU3Uniform:
             calls_per_guess[params.k] = calls_per_guess.get(params.k, 0) + 1
             return original(residual, params, spes_sub)
 
-        import hyperdense.mpu3 as mpu3_module
-
         try:
             mpu3_module.candidate_generator_3u = counting
             sol = mpu_3uniform(h, 12)
@@ -186,11 +194,86 @@ class TestMpU3Uniform:
             mpu3_module.candidate_generator_3u = original
         assert sol.union_size <= 6
         # 12^(2/5) > 2.7, so every guess k >= 5 caps its anchor budget at n and
-        # the three-layer candidate covers all 12 edges in one shot.
-        for k in range(5, h.n + 1):
-            assert calls_per_guess[k] == 1
+        # the three-layer candidate covers all 12 edges in one shot.  Guess 5 is
+        # the first saturated one; guesses 6..12 reuse its outcome.
+        assert calls_per_guess[5] == 1
+        assert not set(calls_per_guess) & set(range(6, h.n + 1))
 
     def test_rejects_non_uniform(self):
         h = Hypergraph(4, ((0, 1),))
         with pytest.raises(ValueError):
             mpu_3uniform(h, 1)
+
+
+def reference_mpu_3uniform(h, p, trace):
+    """The guess loop without reuse: parameters from the top-degree anchors and
+    one iterative cover for every k, then the best-of with mpu_sqrt_m."""
+    best = None
+    for k in range(1, h.n + 1):
+        anchor_size = min(math.ceil(k * h.n**0.4), h.n)
+        deg = degrees(h)
+        delta = min((deg[v] for v in top_by_degree(h, anchor_size)), default=0)
+        khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
+        params = MpU3Params(k, p, h.n, anchor_size, delta, Fraction(3 * p, k), khat)
+
+        def generator(residual, _budget, _p=params):
+            return mpu3_module.candidate_generator_3u(residual, _p, greedy_weighted_spes)
+
+        try:
+            sol = iterative_cover(h, p, anchor_size, generator)
+        except StalledGeneratorError:
+            continue
+        trace.append({"k": k, "khat": khat, "delta": delta, "union": sol.union_size})
+        if best is None or sol.union_size < best.union_size:
+            best = sol
+    candidates = []
+    if best is not None:
+        candidates.append(EdgeSolution.from_indices(h, best.edge_indices, "three-uniform"))
+    candidates.append(mpu_sqrt_m(h, p))
+    return mpu_best_of(h, p, candidates)
+
+
+def _differential_instances():
+    for seed in range(60):
+        n = 6 + seed % 7
+        yield generate_uniform(n, 4 + seed % 11, 5000 + seed)
+    for seed in range(50):
+        n = 10 + seed % 5
+        spec = PlantedSpec(n=n, noise_edges=2 + seed % 6, block_size=5,
+                           block_edges=4 + seed % 6, seed=6000 + seed)
+        yield generate_planted(spec).hypergraph
+
+
+def _assert_same_as_reference(h, p):
+    trace, expected_trace = [], []
+    got = solution_json("mpu", p, mpu_3uniform(h, p, trace=trace))
+    expected = solution_json("mpu", p, reference_mpu_3uniform(h, p, expected_trace))
+    assert got == expected
+    assert trace == expected_trace
+    return trace
+
+
+class TestSaturatedGuessReuse:
+    def test_matches_loop_without_reuse(self):
+        cases = 0
+        for h in _differential_instances():
+            for p in sorted({1, (h.m + 1) // 2, h.m}):
+                _assert_same_as_reference(h, p)
+                cases += 1
+        assert cases >= 300
+
+    def test_reused_stall_skips_saturated_rows(self, monkeypatch):
+        original = candidate_generator_3u
+
+        def stall_when_saturated(residual, params, spes_sub=greedy_weighted_spes):
+            if params.anchor_size == residual.n:
+                return VertexSolution.from_vertices(residual, ())
+            return original(residual, params, spes_sub)
+
+        monkeypatch.setattr(mpu3_module, "candidate_generator_3u", stall_when_saturated)
+        spec = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
+        h = generate_planted(spec).hypergraph
+        for p in (4, 12, 20):
+            trace = _assert_same_as_reference(h, p)
+            # 20^(2/5) > 3.3: guesses 1..5 are unsaturated, 6..20 all stall.
+            assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
