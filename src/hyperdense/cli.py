@@ -25,7 +25,12 @@ from hyperdense.core import (
     solution_json,
     union_of,
 )
-from hyperdense.dksh3 import dksh_3uniform, dksh_candidates, greedy_weighted_dks
+from hyperdense.dksh3 import (
+    dksh_3uniform,
+    dksh_best_of,
+    dksh_candidates,
+    greedy_weighted_dks,
+)
 from hyperdense.interval import (
     IntervalInstance,
     dksh_interval,
@@ -138,16 +143,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         base = parse_hypergraph(text)
         sub = exact_weighted_dks if args.sub == "exact" else greedy_weighted_dks
         if args.explain:
+            candidates = dksh_candidates(base, args.k, sub)
             breakdown = [
                 {"algorithm": cand.algorithm, "covered": cand.covered_count}
-                for cand in dksh_candidates(base, args.k, sub)
+                for cand in candidates
             ]
             if args.format == "tsv":
                 for row in breakdown:
                     _emit(row, "tsv")
             else:
                 print(json.dumps(breakdown, sort_keys=True, separators=(",", ":")))
-        sol = dksh_3uniform(base, args.k, sub)
+            sol = dksh_best_of(candidates)
+        else:
+            sol = dksh_3uniform(base, args.k, sub)
     _reverify(base, sol)
     print(solution_json("dksh", args.k, sol))
     return EXIT_OK

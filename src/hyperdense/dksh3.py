@@ -5,17 +5,21 @@ Several incomparable strategies run side by side and the densest output wins:
 - a three-layer greedy anchored on the top-degree vertices,
 - a case split that scores vertices against the anchor set and also feeds a
   pair-weight graph into a pluggable dense-subgraph subroutine,
-- a per-vertex neighborhood search over iteratively pruned link graphs (with
-  either built-in greedy selection or a plugged subroutine),
+- a per-vertex neighborhood search over iteratively pruned link graphs: one
+  sweep over the edges lists every vertex's companion pairs, each link graph
+  is pruned once, and at every threshold both the built-in greedy selection
+  and a plugged subroutine pick from the same pruned graph,
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
 Every candidate is padded to exactly k vertices with the smallest unused ids
 (padding never uncovers an edge) and its covered count is always recomputed by
-an independent containment scan.
+an independent containment scan.  One best-of rule picks every winner: the
+candidate covering the most edges, the earliest on a tie.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -107,6 +111,26 @@ def _pad_to_k(n: int, base: Iterable[int], k: int) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
+    """The candidate ``base`` padded to exactly k vertices, with its cover recounted."""
+    return VertexSolution.from_vertices(h, _pad_to_k(h.n, base, k), algorithm)
+
+
+def _denser(best: VertexSolution | None, sol: VertexSolution) -> VertexSolution:
+    """The best-of rule: a candidate replaces the best only if it covers more edges."""
+    return sol if best is None or sol.covered_count > best.covered_count else best
+
+
+def dksh_best_of(candidates: Iterable[VertexSolution]) -> VertexSolution:
+    """The candidate covering the most edges; the earliest one wins a tie."""
+    best: VertexSolution | None = None
+    for sol in candidates:
+        best = _denser(best, sol)
+    if best is None:
+        raise ValueError("best-of needs at least one candidate")
+    return best
+
+
 def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSolution:
     """Three anchored greedy layers of floor(k/3) vertices each.
 
@@ -138,29 +162,30 @@ def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSoluti
     k3 = _top_scoring(deg2, k // 3)
 
     base = k1set | k2set | set(k3)
-    return VertexSolution.from_vertices(h, _pad_to_k(h.n, base, k), "greedy-three-layer")
+    return _padded(h, base, k, "greedy-three-layer")
 
 
-def _link_graph(h: Hypergraph, v: int) -> dict[int, set[int]]:
-    """Neighborhood graph of v: one edge (u, x) per hyperedge {v, u, x}."""
+def _link_pairs(h: Hypergraph) -> list[list[tuple[int, int]]]:
+    """Every vertex's companion pairs in one sweep: (u, x) per hyperedge {v, u, x}.
+
+    Pairs are listed in edge order, one per incident edge (duplicate edges
+    repeat their pair), each ordered u < x.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+    for a, b, c in h.edges:
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+    return pairs
+
+
+def _link_graph(pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Neighborhood graph of a vertex from its companion pairs."""
     adj: dict[int, set[int]] = {}
-    for e in h.edges:
-        if v in e:
-            u, x = (w for w in e if w != v)
-            adj.setdefault(u, set()).add(x)
-            adj.setdefault(x, set()).add(u)
+    for u, x in pairs:
+        adj.setdefault(u, set()).add(x)
+        adj.setdefault(x, set()).add(u)
     return adj
-
-
-def _link_pair_counts(h: Hypergraph, v: int) -> dict[tuple[int, int], int]:
-    """Multiplicity of each companion pair of v, counting duplicate hyperedges."""
-    counts: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        if v in e:
-            u, x = (w for w in e if w != v)
-            pair = (u, x) if u < x else (x, u)
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
 
 
 def _pruned_link_graphs(
@@ -216,54 +241,45 @@ def neighborhood_search(h: Hypergraph, k: int) -> VertexSolution:
     k-1 companion vertices from the pruned link graph; the candidate covering
     the most hyperedges wins.
     """
-
-    def factory(_v: int) -> Callable[[dict[int, set[int]]], set[int]]:
-        return lambda g: _st_pick(g, k - 1)
-
-    return _neighborhood_best(h, k, factory, "neighborhood")
+    return neighborhood_searches(h, k)[0]
 
 
 def neighborhood_search_plugged(
     h: Hypergraph, k: int, sub: DkSSubroutine = greedy_weighted_dks
 ) -> VertexSolution:
     """Neighborhood search with the companion selection delegated to ``sub``."""
+    return neighborhood_searches(h, k, sub)[1]
 
-    def factory(v: int) -> Callable[[dict[int, set[int]]], set[int]]:
-        counts = _link_pair_counts(h, v)
 
-        def select(g: dict[int, set[int]]) -> set[int]:
+def neighborhood_searches(
+    h: Hypergraph, k: int, sub: DkSSubroutine = greedy_weighted_dks
+) -> tuple[VertexSolution, VertexSolution]:
+    """Both neighborhood searches in one pass: (built-in greedy, plugged ``sub``).
+
+    Each vertex's link graph is pruned once, and at every threshold both
+    selectors pick k-1 companions from the same pruned graph.  Each search
+    keeps its own best over candidates in order of vertex, then threshold.
+    """
+    _require_three_uniform(h)
+    _check_k(h, k)
+    plain: VertexSolution | None = None
+    plugged: VertexSolution | None = None
+    for v, pairs in enumerate(_link_pairs(h)):
+        if not pairs:
+            continue
+        counts = Counter(pairs)
+        for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
+            cand = {v} | _st_pick(g, k - 1)
+            plain = _denser(plain, _padded(h, cand, k, "neighborhood"))
             picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
             if len(picked) > k - 1 or not set(picked) <= set(g):
                 raise ValueError("subroutine returned an invalid vertex set")
-            return set(picked)
-
-        return select
-
-    return _neighborhood_best(h, k, factory, "neighborhood-plugged")
-
-
-def _neighborhood_best(
-    h: Hypergraph,
-    k: int,
-    select_factory: Callable[[int], Callable[[dict[int, set[int]]], set[int]]],
-    tag: str,
-) -> VertexSolution:
-    _require_three_uniform(h)
-    _check_k(h, k)
-    best: VertexSolution | None = None
-    for v in range(h.n):
-        adj = _link_graph(h, v)
-        if not adj:
-            continue
-        select = select_factory(v)
-        for _, g in _pruned_link_graphs(adj, k - 1):
-            cand = {v} | select(g)
-            sol = VertexSolution.from_vertices(h, _pad_to_k(h.n, cand, k), tag)
-            if best is None or sol.covered_count > best.covered_count:
-                best = sol
-    if best is None:
-        best = VertexSolution.from_vertices(h, _pad_to_k(h.n, set(), k), tag)
-    return best
+            cand = {v} | set(picked)
+            plugged = _denser(plugged, _padded(h, cand, k, "neighborhood-plugged"))
+    if plain is None or plugged is None:
+        plain = _padded(h, (), k, "neighborhood")
+        plugged = _padded(h, (), k, "neighborhood-plugged")
+    return plain, plugged
 
 
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:
@@ -311,18 +327,14 @@ def k1_case_split(
     budget = (2 * k) // 3
 
     top = _top_scoring(k1_pair_weights(h, anchors), budget)
-    cand1 = VertexSolution.from_vertices(
-        h, _pad_to_k(h.n, anchors | set(top), k), "k1-case-split"
-    )
+    cand1 = _padded(h, anchors | set(top), k, "k1-case-split")
 
     graph = k1_weighted_graph(h, anchors)
     picked = tuple(sub(graph, budget))
     if len(picked) > budget or not set(picked) <= set(graph.vertices):
         raise ValueError("subroutine returned an invalid vertex set")
-    cand2 = VertexSolution.from_vertices(
-        h, _pad_to_k(h.n, anchors | set(picked), k), "k1-case-split"
-    )
-    return cand1 if cand1.covered_count >= cand2.covered_count else cand2
+    cand2 = _padded(h, anchors | set(picked), k, "k1-case-split")
+    return dksh_best_of((cand1, cand2))
 
 
 def trivial_pick(h: Hypergraph, k: int) -> VertexSolution:
@@ -338,7 +350,7 @@ def trivial_pick(h: Hypergraph, k: int) -> VertexSolution:
         grown = span | set(e)
         if len(grown) <= k:
             span = grown
-    return VertexSolution.from_vertices(h, _pad_to_k(h.n, span, k), "trivial")
+    return _padded(h, span, k, "trivial")
 
 
 def dksh_candidates(
@@ -359,16 +371,8 @@ def dksh_candidates(
     ]
     rest, lift = induced(h, set(range(h.n)) - set(anchors))
     if 3 <= k <= rest.n:
-        for sol in (
-            neighborhood_search(rest, k),
-            neighborhood_search_plugged(rest, k, sub),
-        ):
-            lifted = {lift[v] for v in sol.vertices}
-            out.append(
-                VertexSolution.from_vertices(
-                    h, _pad_to_k(h.n, lifted, k), sol.algorithm
-                )
-            )
+        for sol in neighborhood_searches(rest, k, sub):
+            out.append(_padded(h, {lift[v] for v in sol.vertices}, k, sol.algorithm))
     out.append(trivial_pick(h, k))
     return out
 
@@ -377,9 +381,4 @@ def dksh_3uniform(
     h: Hypergraph, k: int, sub: DkSSubroutine = greedy_weighted_dks
 ) -> VertexSolution:
     """Best-of combination of all component strategies; never below any of them."""
-    best: VertexSolution | None = None
-    for sol in dksh_candidates(h, k, sub):
-        if best is None or sol.covered_count > best.covered_count:
-            best = sol
-    assert best is not None
-    return best
+    return dksh_best_of(dksh_candidates(h, k, sub))

@@ -28,6 +28,7 @@ from hyperdense.core import (
 from hyperdense.dksh3 import (
     WeightedGraph,
     _link_graph,
+    _link_pairs,
     _pruned_link_graphs,
     _require_three_uniform,
     _st_pick,
@@ -133,11 +134,10 @@ def probe_candidates(h: Hypergraph, probe_size: int) -> Iterator[set[int]]:
     whole pruned graph (when it has fewer than probe_size vertices) or the
     greedy two-stage pick of probe_size - 1 companions.
     """
-    for v in range(h.n):
-        adj = _link_graph(h, v)
-        if not adj:
+    for v, pairs in enumerate(_link_pairs(h)):
+        if not pairs:
             continue
-        for _, g in _pruned_link_graphs(adj, probe_size - 1):
+        for _, g in _pruned_link_graphs(_link_graph(pairs), probe_size - 1):
             if len(g) < probe_size:
                 yield {v} | set(g)
             else:

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+import hyperdense.cli
+import hyperdense.dksh3
+from hyperdense import serialize_hypergraph
 from hyperdense.cli import main
+from hyperdense.oracle import PlantedSpec, generate_planted
 
 SIMPLE = "3 2\n0 1\n1 2\n"
 THREE_UNIFORM = "6 4\n0 1 2\n0 1 2\n1 2 3\n3 4 5\n"
@@ -20,6 +24,14 @@ def simple_file(tmp_path):
 def uniform_file(tmp_path):
     path = tmp_path / "uniform.hg"
     path.write_text(THREE_UNIFORM)
+    return str(path)
+
+
+@pytest.fixture
+def planted_file(tmp_path):
+    spec = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
+    path = tmp_path / "planted.hg"
+    path.write_text(serialize_hypergraph(generate_planted(spec).hypergraph))
     return str(path)
 
 
@@ -88,6 +100,65 @@ class TestSolve:
                            "--explain", uniform_file)
         assert code == 0
         assert "algorithm=" in out.splitlines()[0]
+
+
+# ``solve dksh --explain`` stdout on the planted n=20 instance, recorded before
+# the explain path stopped re-running the candidate pipeline.  At k=4 a later
+# candidate wins outright; at k=9 the first two tie and the earlier one wins.
+EXPLAIN_STDOUT = {
+    ("json", 4): (
+        '[{"algorithm":"k1-case-split","covered":2},'
+        '{"algorithm":"greedy-three-layer","covered":0},'
+        '{"algorithm":"neighborhood","covered":1},'
+        '{"algorithm":"neighborhood-plugged","covered":4},'
+        '{"algorithm":"trivial","covered":5}]\n'
+        '{"algorithm":"trivial","covered_count":5,"edge_indices":[0,2,8,9,23],'
+        '"parameter":4,"problem":"dksh","union_size":4,"vertices":[3,7,8,18]}\n'
+    ),
+    ("tsv", 4): (
+        "algorithm=k1-case-split\tcovered=2\n"
+        "algorithm=greedy-three-layer\tcovered=0\n"
+        "algorithm=neighborhood\tcovered=1\n"
+        "algorithm=neighborhood-plugged\tcovered=4\n"
+        "algorithm=trivial\tcovered=5\n"
+        '{"algorithm":"trivial","covered_count":5,"edge_indices":[0,2,8,9,23],'
+        '"parameter":4,"problem":"dksh","union_size":4,"vertices":[3,7,8,18]}\n'
+    ),
+    ("json", 9): (
+        '[{"algorithm":"k1-case-split","covered":13},'
+        '{"algorithm":"greedy-three-layer","covered":13},'
+        '{"algorithm":"neighborhood","covered":4},'
+        '{"algorithm":"neighborhood-plugged","covered":4},'
+        '{"algorithm":"trivial","covered":10}]\n'
+        '{"algorithm":"k1-case-split","covered_count":13,'
+        '"edge_indices":[0,2,4,7,8,9,10,12,14,16,19,23,24],"parameter":9,'
+        '"problem":"dksh","union_size":9,"vertices":[0,1,2,3,4,5,7,8,18]}\n'
+    ),
+}
+
+
+class TestExplain:
+    @pytest.mark.parametrize(("fmt", "k"), sorted(EXPLAIN_STDOUT))
+    def test_stdout_bytes(self, capsys, planted_file, fmt, k):
+        code, out, _ = run(capsys, "--format", fmt, "solve", "dksh", "--k", str(k),
+                           "--explain", planted_file)
+        assert code == 0
+        assert out == EXPLAIN_STDOUT[(fmt, k)]
+
+    def test_candidates_built_once(self, capsys, monkeypatch, planted_file):
+        calls = []
+        original = hyperdense.dksh3.dksh_candidates
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        # Both bindings: the CLI's own import and the one dksh_3uniform resolves.
+        monkeypatch.setattr(hyperdense.cli, "dksh_candidates", counted)
+        monkeypatch.setattr(hyperdense.dksh3, "dksh_candidates", counted)
+        code, _, _ = run(capsys, "solve", "dksh", "--k", "9", "--explain", planted_file)
+        assert code == 0
+        assert calls == [9]
 
 
 class TestErrors:

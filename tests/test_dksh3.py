@@ -1,10 +1,17 @@
+import contextlib
+import io
+import json
 import random
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperdense import (
     Hypergraph,
+    VertexSolution,
     WeightedGraph,
     degrees,
     dksh_3uniform,
@@ -16,10 +23,24 @@ from hyperdense import (
     k1_weighted_graph,
     neighborhood_search,
     neighborhood_search_plugged,
+    serialize_hypergraph,
+    solution_json,
     top_by_degree,
     trivial_pick,
 )
-from hyperdense.dksh3 import _link_graph, _pruned_link_graphs
+from hyperdense.cli import main
+from hyperdense.dksh3 import (
+    _check_k,
+    _link_graph,
+    _link_pairs,
+    _pad_to_k,
+    _pruned_link_graphs,
+    _require_three_uniform,
+    _st_pick,
+    _weighted_from_link,
+    neighborhood_searches,
+)
+from hyperdense.mpu3 import probe_candidates
 from hyperdense.oracle import brute_dksh, exact_weighted_dks, generate_uniform
 
 
@@ -115,7 +136,7 @@ class TestNeighborhoodSearch:
 
     def test_pruning_noop_when_degrees_suffice(self):
         h = complete_3uniform(5)
-        adj = _link_graph(h, 0)
+        adj = _link_graph(_link_pairs(h)[0])
         levels = list(_pruned_link_graphs(adj, 3))
         assert levels[0][0] == 1
         assert set(levels[0][1]) == set(adj)
@@ -123,8 +144,8 @@ class TestNeighborhoodSearch:
     def test_pruning_fixpoint_property(self):
         for seed in range(20):
             h = generate_uniform(8, 10, seed)
-            for v in range(h.n):
-                adj = _link_graph(h, v)
+            for pairs in _link_pairs(h):
+                adj = _link_graph(pairs)
                 if not adj:
                     continue
                 for dhat, g in _pruned_link_graphs(adj, 5):
@@ -132,14 +153,17 @@ class TestNeighborhoodSearch:
 
     def test_link_graph_shape(self):
         # The link graph of v never contains v, and its (simple) edge count is
-        # at most the degree of v.
+        # at most the degree of v.  The sweep lists one pair per incident edge,
+        # duplicates included.
         for seed in range(20):
             h = generate_uniform(8, 10, seed + 700)
+            link_pairs = _link_pairs(h)
             for v in range(h.n):
-                adj = _link_graph(h, v)
+                adj = _link_graph(link_pairs[v])
                 assert v not in adj
                 pairs = sum(len(nb) for nb in adj.values()) // 2
                 assert pairs <= sum(1 for e in h.edges if v in e)
+                assert len(link_pairs[v]) == degrees(h)[v]
 
 
 class TestNeighborhoodPlugged:
@@ -273,3 +297,164 @@ class TestCombined:
             dksh_3uniform(h, 2)
         with pytest.raises(ValueError):
             dksh_3uniform(h, 7)
+
+
+# -- Reference: the two-pass neighborhood searches the merged pass replaced --
+# Each search rebuilt every vertex's link graph (and the plugged one its pair
+# counts) with a scan over all edges, and pruned it on its own.  The pruning
+# and selection helpers are shared with the merged pass.
+
+
+def reference_link_graph(h, v):
+    adj = {}
+    for e in h.edges:
+        if v in e:
+            u, x = (w for w in e if w != v)
+            adj.setdefault(u, set()).add(x)
+            adj.setdefault(x, set()).add(u)
+    return adj
+
+
+def reference_link_pair_counts(h, v):
+    counts = {}
+    for e in h.edges:
+        if v in e:
+            u, x = (w for w in e if w != v)
+            pair = (u, x) if u < x else (x, u)
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def reference_neighborhood_best(h, k, select_factory, tag):
+    _require_three_uniform(h)
+    _check_k(h, k)
+    best = None
+    for v in range(h.n):
+        adj = reference_link_graph(h, v)
+        if not adj:
+            continue
+        select = select_factory(v)
+        for _, g in _pruned_link_graphs(adj, k - 1):
+            cand = {v} | select(g)
+            sol = VertexSolution.from_vertices(h, _pad_to_k(h.n, cand, k), tag)
+            if best is None or sol.covered_count > best.covered_count:
+                best = sol
+    if best is None:
+        best = VertexSolution.from_vertices(h, _pad_to_k(h.n, set(), k), tag)
+    return best
+
+
+def reference_neighborhood_search(h, k):
+    return reference_neighborhood_best(
+        h, k, lambda _v: (lambda g: _st_pick(g, k - 1)), "neighborhood"
+    )
+
+
+def reference_neighborhood_search_plugged(h, k, sub):
+    def factory(v):
+        counts = reference_link_pair_counts(h, v)
+
+        def select(g):
+            picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
+            if len(picked) > k - 1 or not set(picked) <= set(g):
+                raise ValueError("subroutine returned an invalid vertex set")
+            return set(picked)
+
+        return select
+
+    return reference_neighborhood_best(h, k, factory, "neighborhood-plugged")
+
+
+def reference_probe_candidates(h, probe_size):
+    for v in range(h.n):
+        adj = reference_link_graph(h, v)
+        if not adj:
+            continue
+        for _, g in _pruned_link_graphs(adj, probe_size - 1):
+            if len(g) < probe_size:
+                yield {v} | set(g)
+            else:
+                yield {v} | _st_pick(g, probe_size - 1)
+
+
+def differential_instances():
+    """120 seeded 3-uniform instances, n = 5..10, dense enough to repeat edges."""
+    for seed in range(120):
+        n = 5 + seed % 6
+        yield generate_uniform(n, 2 + seed % (2 * n), seed + 3000)
+
+
+def as_tuple(sol):
+    return sol.vertices, sol.covered, sol.algorithm
+
+
+class TestMergedNeighborhoodPass:
+    def test_instances_include_duplicate_edges(self):
+        dup = sum(1 for h in differential_instances() if len(set(h.edges)) < h.m)
+        assert dup >= 30
+
+    @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
+    def test_matches_two_pass_reference(self, sub):
+        for h in differential_instances():
+            for k in range(3, h.n + 1):
+                plain, plugged = neighborhood_searches(h, k, sub)
+                assert as_tuple(plain) == as_tuple(reference_neighborhood_search(h, k))
+                assert as_tuple(plugged) == as_tuple(
+                    reference_neighborhood_search_plugged(h, k, sub)
+                )
+
+    def test_wrappers_match_reference(self):
+        for h in list(differential_instances())[:30]:
+            for k in range(3, h.n + 1):
+                assert as_tuple(neighborhood_search(h, k)) == as_tuple(
+                    reference_neighborhood_search(h, k)
+                )
+                assert as_tuple(
+                    neighborhood_search_plugged(h, k, exact_weighted_dks)
+                ) == as_tuple(reference_neighborhood_search_plugged(h, k, exact_weighted_dks))
+
+    def test_probe_candidates_match_reference(self):
+        for h in differential_instances():
+            for probe_size in (2, 3, 4, 6):
+                assert list(probe_candidates(h, probe_size)) == list(
+                    reference_probe_candidates(h, probe_size)
+                )
+
+    def test_invalid_subroutine_rejected(self):
+        h = complete_3uniform(6)
+        with pytest.raises(ValueError):
+            neighborhood_searches(h, 4, lambda g, kk: (99,))
+
+
+TRIPLES_8 = list(combinations(range(8), 3))
+
+
+@st.composite
+def three_uniform_with_duplicates(draw):
+    n = draw(st.integers(3, 8))
+    pool = [t for t in TRIPLES_8 if t[2] < n]
+    base = draw(st.lists(st.sampled_from(pool), max_size=12))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
+    edges = draw(st.permutations(base + repeats))
+    k = draw(st.integers(3, n))
+    return Hypergraph(n, tuple(edges)), k
+
+
+class TestCombinedProperty:
+    @settings(deadline=None, derandomize=True)
+    @given(three_uniform_with_duplicates())
+    def test_output_verifies_with_k_vertices_and_floor(self, case):
+        h, k = case
+        sol = dksh_3uniform(h, k)
+        assert len(sol.vertices) == k
+        assert sol.covered_count >= min(k // 3, h.m)
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "instance.hg"
+            inst.write_text(serialize_hypergraph(h))
+            out = Path(tmp) / "solution.json"
+            out.write_text(solution_json("dksh", k, sol))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["verify", str(inst), str(out)])
+        assert code == 0
+        assert json.loads(stdout.getvalue())["valid"] is True

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from hyperdense import (
     dksh_3uniform,
+    dksh_candidates,
     dksh_interval,
     mpu_3uniform,
     mpu_interval,
@@ -36,6 +37,10 @@ UNIFORM_K = (4,)
 # of n (saturated) and the three-layer candidate covers p edges in one round.
 PLANTED_SPEC = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
 PLANTED_P = (4, 12, 20)
+# Every candidate of the dksh pipeline, not only the winner: best-of hides a
+# change to a candidate that loses.
+DKSH_PLANTED_SPEC = PlantedSpec(n=40, noise_edges=120, block_size=8, block_edges=30, seed=2)
+DKSH_PLANTED_K = (6, 9, 12)
 
 
 def golden_lines() -> list[str]:
@@ -65,6 +70,11 @@ def golden_lines() -> list[str]:
     name = f"planted n={h.n} m={h.m} seed={PLANTED_SPEC.seed}"
     for p in PLANTED_P:
         add(f"{name} mpu_3uniform", "mpu", p, mpu_3uniform(h, p))
+    h = generate_planted(DKSH_PLANTED_SPEC).hypergraph
+    name = f"planted n={h.n} m={h.m} seed={DKSH_PLANTED_SPEC.seed}"
+    for k in DKSH_PLANTED_K:
+        for pos, cand in enumerate(dksh_candidates(h, k)):
+            add(f"{name} dksh_candidates[{pos}]", "dksh", k, cand)
     return lines
 
 
