@@ -189,14 +189,15 @@ def _link_graph(pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
 
 
 def _pruned_link_graphs(
-    adj: dict[int, set[int]], max_threshold: int
+    g: dict[int, set[int]], max_threshold: int
 ) -> Iterator[tuple[int, dict[int, set[int]]]]:
     """Yield (threshold, graph pruned to min degree >= threshold) until empty.
 
     Pruning is incremental: raising the threshold keeps shrinking the same
-    live graph, so the loop ends as soon as everything is deleted.
+    live graph, so the loop ends as soon as everything is deleted.  That live
+    graph is ``g`` itself: the function consumes its argument, and every
+    yielded graph is ``g`` in its current state.
     """
-    g = {u: set(nb) for u, nb in adj.items()}
     for dhat in range(1, max_threshold + 1):
         stack = [u for u in g if len(g[u]) < dhat]
         while stack:

@@ -2,72 +2,125 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowGraph:
-    """Adjacency-list flow network.  Arcs are mutable; build one per computation."""
+    """Flat-array flow network.  Arcs are mutable; build one per computation.
+
+    Arc ``a`` runs into ``head[a]`` with residual capacity ``cap[a]``; arcs are
+    added in pairs, so the reverse of arc ``a`` is ``a ^ 1`` and its tail is
+    ``head[a ^ 1]``.  ``arcs[u]`` lists the ids of the arcs leaving node u.
+    """
 
     def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        # arc = [head, residual capacity, index of reverse arc in adj[head]]
-        self.adj: list[list[list[int]]] = [[] for _ in range(num_nodes)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.arcs: list[list[int]] = [[] for _ in range(num_nodes)]
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
         if cap < 0:
             raise ValueError("capacity must be nonnegative")
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, 0)
+        self.arcs[u].append(a)
+        self.arcs[v].append(a + 1)
 
     def _levels(self, s: int, t: int) -> list[int] | None:
+        """BFS distances from s over arcs with residual capacity, or None if t is cut off.
+
+        The search stops at t's distance, and every other node at that
+        distance is marked unreached: no s-t path of the level graph runs
+        through it.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
         level = [-1] * self.num_nodes
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for head, cap, _ in self.adj[u]:
-                if cap > 0 and level[head] < 0:
-                    level[head] = level[u] + 1
-                    queue.append(head)
-        return level if level[t] >= 0 else None
-
-    def _augment(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            arc = self.adj[u][it[u]]
-            head, cap, rev = arc
-            if cap > 0 and level[head] == level[u] + 1:
-                pushed = self._augment(head, t, min(limit, cap), level, it)
-                if pushed > 0:
-                    arc[1] -= pushed
-                    self.adj[head][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+        queue = [s]
+        for u in queue:
+            if level[u] == level[t]:
+                break
+            down = level[u] + 1
+            for a in arcs[u]:
+                if cap[a] and level[head[a]] < 0:
+                    level[head[a]] = down
+                    queue.append(head[a])
+        last = level[t]
+        if last < 0:
+            return None
+        for v in reversed(queue):
+            if level[v] != last:
+                break
+            level[v] = -1
+        level[t] = last
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
-        """Exact maximum s-t flow value; leaves the residual network in place."""
+        """Exact maximum s-t flow value; leaves the residual network in place.
+
+        Each phase finds a blocking flow in the level graph with an iterative
+        depth-first search: ``path`` holds the arcs from s to the current node
+        and ``it[u]`` is u's current-arc pointer, so no arc is rescanned within
+        a phase and path length is bounded only by the node count.
+        """
+        if s == t:
+            raise ValueError("source and sink must differ")
+        head, cap, arcs = self.head, self.cap, self.arcs
         flow = 0
         while True:
             level = self._levels(s, t)
             if level is None:
                 return flow
             it = [0] * self.num_nodes
+            path: list[int] = []
+            u = s
             while True:
-                pushed = self._augment(s, t, 1 << 62, level, it)
-                if pushed == 0:
-                    break
+                out = arcs[u]
+                i = it[u]
+                end = len(out)
+                down = level[u] + 1
+                while i < end:
+                    a = out[i]
+                    if cap[a] and level[head[a]] == down:
+                        break
+                    i += 1
+                else:
+                    it[u] = end
+                    if u == s:
+                        break
+                    # Dead end: retreat and skip the arc that led here.
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                it[u] = i
+                path.append(a)
+                u = head[a]
+                if u != t:
+                    continue
+                pushed = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
                 flow += pushed
+                # Resume from the tail of the first saturated arc.
+                for i, a in enumerate(path):
+                    if not cap[a]:
+                        del path[i:]
+                        u = head[a ^ 1]
+                        break
 
     def source_side(self, s: int) -> frozenset[int]:
-        """Nodes reachable from s in the residual network: the s-side of a min cut."""
+        """Nodes reachable from s in the residual network: the s-side of a min cut.
+
+        After a maximum flow this is the smallest source side over all minimum
+        cuts, so it does not depend on which maximum flow was found.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
         seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for head, cap, _ in self.adj[u]:
-                if cap > 0 and head not in seen:
-                    seen.add(head)
-                    queue.append(head)
+        queue = [s]
+        for u in queue:
+            for a in arcs[u]:
+                if cap[a] and head[a] not in seen:
+                    seen.add(head[a])
+                    queue.append(head[a])
         return frozenset(seen)

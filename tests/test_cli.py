@@ -4,7 +4,7 @@ import pytest
 
 import hyperdense.cli
 import hyperdense.dksh3
-from hyperdense import serialize_hypergraph
+from hyperdense import Hypergraph, serialize_hypergraph
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
 
@@ -318,6 +318,24 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("parse error: ")
+
+
+class TestLongAugmentingPath:
+    def test_solve_mpu_on_a_600_edge_path(self, capsys, tmp_path):
+        # The min-cut of the first extraction round augments along the whole
+        # path, about 1,200 nodes: more than the default recursion limit.
+        h = Hypergraph(601, tuple([(i, i + 1) for i in range(600)] + [(0, 1)]))
+        inst = tmp_path / "path.hg"
+        inst.write_text(serialize_hypergraph(h))
+        code, out, err = run(capsys, "solve", "mpu", "--p", "590", str(inst))
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["covered_count"] == 590
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        code, verdict, _ = run(capsys, "verify", str(inst), str(sol))
+        assert code == 0
+        assert json.loads(verdict)["valid"] is True
 
 
 class TestDeterminismViaSubprocess:

@@ -137,7 +137,8 @@ class TestNeighborhoodSearch:
     def test_pruning_noop_when_degrees_suffice(self):
         h = complete_3uniform(5)
         adj = _link_graph(_link_pairs(h)[0])
-        levels = list(_pruned_link_graphs(adj, 3))
+        # The pruning consumes its argument, so hand it a graph of its own.
+        levels = list(_pruned_link_graphs(_link_graph(_link_pairs(h)[0]), 3))
         assert levels[0][0] == 1
         assert set(levels[0][1]) == set(adj)
 

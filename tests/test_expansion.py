@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import hyperdense.expansion
+import hyperdense.mpu_general
 from hyperdense import (
     EmptyHypergraphError,
     Hypergraph,
@@ -10,13 +13,18 @@ from hyperdense import (
     build_expansion_lp,
     build_expansion_network,
     decide_expansion,
+    edge_subhypergraph,
+    expansion_certificate,
     lp_solution_from_certificate,
     max_flow_min_cut,
     min_expansion_flow,
+    mpu_sqrt_m,
     optimal_expansion_lp_solution,
     round_expansion_lp,
+    solution_json,
     union_of,
 )
+from hyperdense.expansion import _improving_certificates
 from hyperdense.oracle import brute_min_expansion, generate_uniform
 
 PAIR = Hypergraph(2, ((0, 1),))
@@ -130,6 +138,114 @@ class TestMinExpansionFlow:
     def test_matches_brute_force_on_corpus(self):
         for h in corpus(80, seed0=400):
             assert min_expansion_flow(h).ratio == brute_min_expansion(h).ratio
+
+
+def reference_improving_certificates(h):
+    """The improvement loop with every decision on all of h (no nested scope)."""
+    current = expansion_certificate(h, range(h.m))
+    sequence = [current]
+    while True:
+        better = decide_expansion(h, current.ratio_num, current.ratio_den)
+        if better is None:
+            return sequence
+        current = better
+        sequence.append(current)
+
+
+def reference_min_expansion_flow(h):
+    return reference_improving_certificates(h)[-1]
+
+
+def tiered_instance(seed):
+    """Edges drawn from nested vertex pools, densest pool first.
+
+    Each pool is denser than the next, so the loop often passes through an
+    intermediate certificate before the optimum.
+    """
+    rng = random.Random(seed)
+    n = 10 + seed % 7
+    order = rng.sample(range(n), n)
+    edges = []
+    size = 0
+    for grow, count in ((3, 5), (2, 3), (3, 2)):
+        size += grow + rng.randint(0, 1)
+        for _ in range(count + rng.randint(0, 2)):
+            edges.append(tuple(rng.sample(order[:size], rng.randint(2, min(4, size)))))
+    for _ in range(2 + rng.randint(0, 2)):
+        edges.append(tuple(rng.sample(order, rng.randint(2, 4))))
+    rng.shuffle(edges)
+    return Hypergraph(n, tuple(edges))
+
+
+def nested_scope_instances():
+    """240 seeded instances with edge sizes 2..4, many with repeated edges.
+
+    The first 120 are uniform random (every third gets copies of some of its
+    edges); the other 120 are tiered.
+    """
+    for seed in range(120):
+        n = 4 + seed % 9
+        m = 2 + (seed * 5) % 19
+        h = generate_uniform(n, m, seed + 5000, sizes=(2, 4))
+        if seed % 3 == 0:
+            rng = random.Random(seed)
+            edges = list(h.edges) + rng.choices(h.edges, k=1 + seed % 4)
+            rng.shuffle(edges)
+            h = Hypergraph(n, tuple(edges))
+        yield h
+    for seed in range(120):
+        yield tiered_instance(seed)
+
+
+class TestNestedScope:
+    """Each decision on the last certificate's edges gives the same sequence."""
+
+    def test_corpus_has_duplicate_edges(self):
+        duplicated = [h for h in nested_scope_instances() if len(set(h.edges)) < h.m]
+        assert len(duplicated) >= 50
+
+    def test_every_improving_certificate_matches(self):
+        improved = 0
+        for h in nested_scope_instances():
+            got = [c.to_json() for c in _improving_certificates(h)]
+            want = [c.to_json() for c in reference_improving_certificates(h)]
+            assert got == want
+            assert min_expansion_flow(h).to_json() == want[-1]
+            improved += len(want) > 2
+        # Enough instances take two or more improving decisions for the
+        # restriction to a certificate's edges to matter.
+        assert improved >= 30
+
+    def test_restricted_network_sees_only_the_certificate(self, monkeypatch):
+        scopes = []
+
+        def recording(h, edge_indices):
+            scopes.append(tuple(edge_indices))
+            return edge_subhypergraph(h, edge_indices)
+
+        monkeypatch.setattr(hyperdense.expansion, "edge_subhypergraph", recording)
+        h = generate_uniform(60, 60, 36, sizes=(2, 4))
+        sequence = reference_improving_certificates(h)
+        assert min_expansion_flow(h).to_json() == sequence[-1].to_json()
+        assert scopes == [c.edge_indices for c in sequence[1:]]
+
+    def test_mpu_sqrt_m_at_high_p_matches(self, monkeypatch):
+        cases = [
+            (h, p)
+            for h in nested_scope_instances()
+            for p in range(-(-9 * h.m // 10), h.m + 1)
+        ]
+        cases += [
+            (generate_uniform(60, 60, seed, sizes=(2, 4)), p)
+            for seed in (9, 11, 19)
+            for p in (54, 56, 58)
+        ]
+        got = [solution_json("mpu", p, mpu_sqrt_m(h, p)) for h, p in cases]
+        monkeypatch.setattr(
+            hyperdense.mpu_general, "min_expansion_flow", reference_min_expansion_flow
+        )
+        want = [solution_json("mpu", p, mpu_sqrt_m(h, p)) for h, p in cases]
+        assert got == want
 
 
 class TestExpansionLP:

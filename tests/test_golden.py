@@ -1,7 +1,8 @@
 """Byte-identity of solver answers across commits.
 
 ``tests/fixtures/golden.jsonl`` holds one line per (instance, solver,
-parameter): the case label and the solver's ``solution_json`` bytes.  A
+parameter): the case label and the solver's ``solution_json`` bytes, or a
+``min_expansion_flow`` certificate's ``to_json`` bytes.  A
 refactor that keeps every answer must leave the file unchanged.  To rebuild
 it after a declared behaviour change, run
 ``PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.jsonl``.
@@ -13,6 +14,7 @@ from hyperdense import (
     dksh_3uniform,
     dksh_candidates,
     dksh_interval,
+    min_expansion_flow,
     mpu_3uniform,
     mpu_interval,
     mpu_sqrt_m,
@@ -41,6 +43,10 @@ PLANTED_P = (4, 12, 20)
 # change to a candidate that loses.
 DKSH_PLANTED_SPEC = PlantedSpec(n=40, noise_edges=120, block_size=8, block_edges=30, seed=2)
 DKSH_PLANTED_K = (6, 9, 12)
+# Instances on which mpu_sqrt_m runs several extraction rounds at p >= 0.9m
+# (seed 11: 14 decisions at p = m - 2) and whose own certificate takes two
+# improving decisions (seed 36).
+FLOW_CASES = ((60, 60, 11), (60, 60, 36))
 
 
 def golden_lines() -> list[str]:
@@ -75,6 +81,13 @@ def golden_lines() -> list[str]:
     for k in DKSH_PLANTED_K:
         for pos, cand in enumerate(dksh_candidates(h, k)):
             add(f"{name} dksh_candidates[{pos}]", "dksh", k, cand)
+    for n, m, seed in FLOW_CASES:
+        h = generate_uniform(n, m, seed, sizes=(2, 4))
+        name = f"uniform2-4 n={n} m={m} seed={seed}"
+        for p in (m * 9 // 10, m - 2):
+            add(f"{name} mpu_sqrt_m", "mpu", p, mpu_sqrt_m(h, p))
+        cert = min_expansion_flow(h).to_json()
+        lines.append(f'{{"case":"{name} min_expansion_flow","certificate":{cert}}}')
     return lines
 
 
