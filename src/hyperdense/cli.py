@@ -19,11 +19,12 @@ from hyperdense.core import (
     Hypergraph,
     HypergraphFormatError,
     VertexSolution,
-    covered_edges,
+    covered_edges,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
     parse_hypergraph,
     serialize_hypergraph,
     solution_json,
     union_of,
+    vertex_mask,
 )
 from hyperdense.dksh3 import (
     dksh_3uniform,
@@ -104,13 +105,24 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+def _scan_covered(h: Hypergraph, vertices) -> tuple[int, ...]:
+    """Edges inside the vertex set by a scan of all m edge masks.
+
+    The solvers count covers through the incidence index
+    (``Hypergraph.edges_by_last``); this scan does not read it, so a fault in
+    the index cannot vouch for its own answer.
+    """
+    vm = vertex_mask(vertices)
+    return tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+
+
 def _reverify(h: Hypergraph, sol: EdgeSolution | VertexSolution) -> None:
     """Independent containment/union scan; a mismatch is an internal error."""
     if isinstance(sol, EdgeSolution):
         if union_of(h, sol.edge_indices) != sol.union:
             raise RuntimeError("solution union failed re-verification")
     else:
-        if covered_edges(h, sol.vertices) != sol.covered:
+        if _scan_covered(h, sol.vertices) != sol.covered:
             raise RuntimeError("solution cover failed re-verification")
 
 
@@ -307,7 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if any(not 0 <= v < h.n for v in vertices):
             problems.append("vertex id out of range")
         else:
-            covered = list(covered_edges(h, vertices))
+            covered = list(_scan_covered(h, vertices))
             if covered != sorted(edge_indices):
                 problems.append("edge indices differ from the recomputed cover")
             if payload["covered_count"] != len(covered):

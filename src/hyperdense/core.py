@@ -56,6 +56,20 @@ class Hypergraph:
         """One bitmask per edge, bit v set iff vertex v belongs to the edge."""
         return tuple(vertex_mask(e) for e in self.edges)
 
+    @cached_property
+    def edges_by_last(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Incidence index: vertex -> (edge id, edge mask) of each edge it ends.
+
+        An edge is listed once, under its largest vertex, in edge order.  Only
+        vertices that end an edge are keys, so the index grows with m, not n.
+        The largest vertex, not the smallest, because candidate sets are padded
+        with the smallest ids, and those end few edges.
+        """
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for i, (e, em) in enumerate(zip(self.edges, self.edge_masks)):
+            groups.setdefault(e[-1], []).append((i, em))
+        return {v: tuple(group) for v, group in groups.items()}
+
     def is_uniform(self, size: int) -> bool:
         return all(len(e) == size for e in self.edges)
 
@@ -194,10 +208,31 @@ def union_of(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _contained(h: Hypergraph, vertices: Iterable[int]) -> list[int]:
+    """Ids of the edges inside the vertex set, in no particular order.
+
+    An edge lies inside the set only if its largest vertex does, so only the
+    set's groups of ``h.edges_by_last`` are visited.  Ids >= n end no edge and
+    are ignored; a negative id raises ValueError.
+    """
+    vs = set(vertices)
+    vm = vertex_mask(vs)
+    groups = h.edges_by_last
+    return [i for v in vs if v in groups for i, em in groups[v] if em & vm == em]
+
+
 def covered_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Indices of all edges fully contained in the vertex set, ascending."""
-    vm = vertex_mask(vertices)
-    return tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+    """Indices of all edges fully contained in the vertex set, ascending.
+
+    Costs the edges that end at a vertex of the set, not m: see
+    ``Hypergraph.edges_by_last``.
+    """
+    return tuple(sorted(_contained(h, vertices)))
+
+
+def covered_count(h: Hypergraph, vertices: Iterable[int]) -> int:
+    """``len(covered_edges(h, vertices))`` without sorting the ids."""
+    return len(_contained(h, vertices))
 
 
 def edge_subhypergraph(h: Hypergraph, edge_indices: Iterable[int]) -> Hypergraph:

@@ -12,9 +12,11 @@ Several incomparable strategies run side by side and the densest output wins:
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
 Every candidate is padded to exactly k vertices with the smallest unused ids
-(padding never uncovers an edge) and its covered count is always recomputed by
-an independent containment scan.  One best-of rule picks every winner: the
-candidate covering the most edges, the earliest on a tie.
+(padding never uncovers an edge) and its covered count is recomputed from the
+instance's incidence index (``Hypergraph.edges_by_last``), which visits only
+the edges that end inside the candidate.  One best-of rule picks every
+winner: the candidate covering the most edges, the earliest on a tie.  The
+neighborhood searches apply it to bare counts and build one solution each.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from hyperdense.core import (
     Hypergraph,
     VertexSolution,
+    covered_count,
     induced,
     top_by_degree,
 )
@@ -59,12 +62,6 @@ class WeightedGraph:
             adj[v][u] = w
         return adj
 
-    def weighted_degree(self, u: int) -> int:
-        return sum(self.adjacency[u].values())
-
-    def weight_into(self, u: int, targets: set[int]) -> int:
-        return sum(w for v, w in self.adjacency[u].items() if v in targets)
-
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
 
@@ -74,14 +71,22 @@ def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
 
     Picks floor(k/2) vertices of highest weighted degree, then ceil(k/2)
     vertices with the largest weight into that seed set (overlap allowed).
+    Both rankings come from one read of the adjacency: a vertex's pull is
+    summed by walking the seed vertices' neighbors.
     """
     if k <= 0 or not graph.vertices:
         return ()
     s_size = k // 2
     t_size = k - s_size
-    by_degree = sorted(graph.vertices, key=lambda u: (-graph.weighted_degree(u), u))
+    adj = graph.adjacency
+    degree = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
+    by_degree = sorted(graph.vertices, key=lambda u: (-degree[u], u))
     seed = set(by_degree[:s_size])
-    by_pull = sorted(graph.vertices, key=lambda u: (-graph.weight_into(u, seed), u))
+    pull = dict.fromkeys(adj, 0)
+    for s in seed:
+        for u, w in adj[s].items():
+            pull[u] += w
+    by_pull = sorted(graph.vertices, key=lambda u: (-pull[u], u))
     return tuple(sorted(seed | set(by_pull[:t_size])))
 
 
@@ -116,16 +121,12 @@ def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> Verte
     return VertexSolution.from_vertices(h, _pad_to_k(h.n, base, k), algorithm)
 
 
-def _denser(best: VertexSolution | None, sol: VertexSolution) -> VertexSolution:
-    """The best-of rule: a candidate replaces the best only if it covers more edges."""
-    return sol if best is None or sol.covered_count > best.covered_count else best
-
-
 def dksh_best_of(candidates: Iterable[VertexSolution]) -> VertexSolution:
     """The candidate covering the most edges; the earliest one wins a tie."""
     best: VertexSolution | None = None
     for sol in candidates:
-        best = _denser(best, sol)
+        if best is None or sol.covered_count > best.covered_count:
+            best = sol
     if best is None:
         raise ValueError("best-of needs at least one candidate")
     return best
@@ -259,28 +260,39 @@ def neighborhood_searches(
 
     Each vertex's link graph is pruned once, and at every threshold both
     selectors pick k-1 companions from the same pruned graph.  Each search
-    keeps its own best over candidates in order of vertex, then threshold.
+    keeps its own best over candidates in order of vertex, then threshold,
+    under the best-of rule applied to (covered count, padded k-set) pairs; a
+    plugged pick equal to the plain one reuses its count.  Only the two
+    winners become solutions.
     """
     _require_three_uniform(h)
     _check_k(h, k)
-    plain: VertexSolution | None = None
-    plugged: VertexSolution | None = None
+    plain: tuple[int, tuple[int, ...]] = (-1, ())
+    plugged: tuple[int, tuple[int, ...]] = (-1, ())
     for v, pairs in enumerate(_link_pairs(h)):
         if not pairs:
             continue
         counts = Counter(pairs)
         for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
-            cand = {v} | _st_pick(g, k - 1)
-            plain = _denser(plain, _padded(h, cand, k, "neighborhood"))
+            plain_set = _pad_to_k(h.n, {v} | _st_pick(g, k - 1), k)
+            plain_count = covered_count(h, plain_set)
+            if plain_count > plain[0]:
+                plain = (plain_count, plain_set)
             picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
             if len(picked) > k - 1 or not set(picked) <= set(g):
                 raise ValueError("subroutine returned an invalid vertex set")
-            cand = {v} | set(picked)
-            plugged = _denser(plugged, _padded(h, cand, k, "neighborhood-plugged"))
-    if plain is None or plugged is None:
-        plain = _padded(h, (), k, "neighborhood")
-        plugged = _padded(h, (), k, "neighborhood-plugged")
-    return plain, plugged
+            plugged_set = _pad_to_k(h.n, {v} | set(picked), k)
+            plugged_count = (
+                plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
+            )
+            if plugged_count > plugged[0]:
+                plugged = (plugged_count, plugged_set)
+    if plain[0] < 0:
+        plain = plugged = (0, _pad_to_k(h.n, (), k))
+    return (
+        VertexSolution.from_vertices(h, plain[1], "neighborhood"),
+        VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
+    )
 
 
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:

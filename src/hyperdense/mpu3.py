@@ -78,13 +78,19 @@ class MpU3Params:
     khat: int
 
     @classmethod
-    def for_guess(cls, h: Hypergraph, p: int, k: int) -> "MpU3Params":
+    def for_guess(
+        cls, h: Hypergraph, p: int, k: int, *, ranked_degrees: Sequence[int] | None = None
+    ) -> "MpU3Params":
+        """Parameters for guess k; ``ranked_degrees`` is ``sorted(degrees(h),
+        reverse=True)``, computed here when not given."""
         _check_p(h, p)
         if not 1 <= k <= h.n:
             raise ValueError(f"k must be in [1, {h.n}], got {k}")
+        if ranked_degrees is None:
+            ranked_degrees = sorted(degrees(h), reverse=True)
         anchor_size = min(math.ceil(k * h.n ** 0.4), h.n)
         # The least degree among the top anchor_size vertices (anchor_size >= 1).
-        delta = sorted(degrees(h), reverse=True)[anchor_size - 1]
+        delta = ranked_degrees[anchor_size - 1]
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
         return cls(k, p, h.n, anchor_size, delta, Fraction(3 * p, k), khat)
 
@@ -94,25 +100,33 @@ def greedy_weighted_spes(graph: WeightedGraph, target_weight: int) -> tuple[int,
     weight reaches the target or no vertex adds weight.
 
     Seeds with the heaviest pair, then repeatedly adds the vertex with the
-    largest marginal weight into the picked set.
+    largest marginal weight into the picked set (the smallest id on a tie).
+    Each vertex's weight into the picked set is kept as a running sum, raised
+    by the new vertex's adjacency after every pick.
     """
     if target_weight <= 0 or not graph.edges:
         return ()
     u0, v0, w0 = min(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
+    adj = graph.adjacency
+    gain = dict.fromkeys(adj, 0)
+    for u, w in adj[u0].items():
+        gain[u] += w
+    for u, w in adj[v0].items():
+        gain[u] += w
     picked = {u0, v0}
     got = w0
+    order = sorted(graph.vertices)
     while got < target_weight:
         best_u, best_gain = -1, 0
-        for u in sorted(graph.vertices):
-            if u in picked:
-                continue
-            gain = graph.weight_into(u, picked)
-            if gain > best_gain:
-                best_u, best_gain = u, gain
+        for u in order:
+            if u not in picked and gain[u] > best_gain:
+                best_u, best_gain = u, gain[u]
         if best_gain <= 0:
             break
         picked.add(best_u)
         got += best_gain
+        for u, w in adj[best_u].items():
+            gain[u] += w
     return tuple(sorted(picked))
 
 
@@ -239,10 +253,11 @@ def mpu_3uniform(
     """
     _require_three_uniform(h)
     _check_p(h, p)
+    ranked = sorted(degrees(h), reverse=True)
     best: EdgeSolution | None = None
     saturated = False
     for k in range(1, h.n + 1):
-        params = MpU3Params.for_guess(h, p, k)
+        params = MpU3Params.for_guess(h, p, k, ranked_degrees=ranked)
         if not saturated:
             saturated = params.anchor_size == h.n
             sol = _cover_for_guess(h, p, params, spes_sub)

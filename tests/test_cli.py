@@ -3,8 +3,9 @@ import json
 import pytest
 
 import hyperdense.cli
+import hyperdense.core
 import hyperdense.dksh3
-from hyperdense import Hypergraph, serialize_hypergraph
+from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
 
@@ -318,6 +319,32 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("parse error: ")
+
+
+class TestIndependentScan:
+    """Re-verification and ``verify`` scan all edge masks; they never consult
+    the incidence index the solvers count covers with."""
+
+    def test_reverify_catches_a_cover_from_a_broken_index(self):
+        h = Hypergraph(5, ((0, 1, 2), (1, 2, 3), (2, 4)))
+        good = VertexSolution.from_vertices(h, (0, 1, 2, 3))
+        h.__dict__["edges_by_last"] = {}  # the cached index now lists no edge
+        bad = VertexSolution.from_vertices(h, (0, 1, 2, 3))
+        assert good.covered == (0, 1) and bad.covered == ()
+        hyperdense.cli._reverify(h, good)
+        with pytest.raises(RuntimeError):
+            hyperdense.cli._reverify(h, bad)
+
+    def test_verify_ignores_covered_edges(self, capsys, monkeypatch, tmp_path, uniform_file):
+        _, out, _ = run(capsys, "solve", "dksh", "--k", "4", uniform_file)
+        assert json.loads(out)["covered_count"] > 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(out)
+        monkeypatch.setattr(hyperdense.core, "covered_edges", lambda h, vs: ())
+        monkeypatch.setattr(hyperdense.cli, "covered_edges", lambda h, vs: ())
+        code, verdict, _ = run(capsys, "verify", uniform_file, str(sol))
+        assert code == 0
+        assert json.loads(verdict)["valid"] is True
 
 
 class TestLongAugmentingPath:

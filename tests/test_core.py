@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperdense import (
     EdgeSolution,
@@ -15,6 +15,7 @@ from hyperdense import (
     top_by_degree,
     union_of,
 )
+from hyperdense.core import covered_count
 
 
 @st.composite
@@ -203,6 +204,15 @@ class TestSolutions:
         h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
         assert covered_edges(h, {0, 1, 2}) == (0, 1)
 
+    def test_covered_edges_ignores_ids_beyond_n(self):
+        h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
+        assert covered_edges(h, {0, 1, 2, 4, 60}) == (0, 1)
+
+    def test_covered_edges_rejects_negative_id(self):
+        h = Hypergraph(4, ((0, 1, 2),))
+        with pytest.raises(ValueError):
+            covered_edges(h, {0, 1, 2, -1})
+
     def test_solution_json_is_canonical(self):
         h = Hypergraph(3, ((0, 1),))
         sol = EdgeSolution.from_indices(h, [0], "sqrt-m")
@@ -210,3 +220,71 @@ class TestSolutions:
         b = solution_json("mpu", 1, EdgeSolution.from_indices(h, [0], "sqrt-m"))
         assert a == b
         assert '"problem":"mpu"' in a
+
+
+# -- Reference: the full edge-mask scan the incidence index replaced --
+
+
+def reference_covered_edges(h, vertices):
+    vm = 0
+    for v in vertices:
+        vm |= 1 << v
+    return tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+
+
+@st.composite
+def hypergraphs_with_duplicates(draw):
+    h = draw(hypergraphs(max_m=10))
+    if not h.edges:
+        return h
+    repeats = draw(st.lists(st.sampled_from(h.edges), max_size=4))
+    return Hypergraph(h.n, tuple(draw(st.permutations(h.edges + tuple(repeats)))))
+
+
+@st.composite
+def vertex_queries(draw):
+    """A hypergraph and a vertex set that may hold ids >= n; empty and full sets
+    are drawn as often as random ones."""
+    h = draw(hypergraphs_with_duplicates())
+    kind = draw(st.sampled_from(("empty", "full", "random")))
+    if kind == "empty":
+        vs = set()
+    elif kind == "full":
+        vs = set(range(h.n))
+    else:
+        vs = draw(st.sets(st.integers(0, h.n - 1)))
+    vs |= draw(st.sets(st.integers(h.n, h.n + 70), max_size=2))
+    return h, vs
+
+
+class TestCoveredEdgesIndex:
+    @settings(deadline=None, derandomize=True, max_examples=250)
+    @given(vertex_queries())
+    def test_matches_mask_scan(self, case):
+        h, vs = case
+        expected = reference_covered_edges(h, vs)
+        assert covered_edges(h, vs) == expected
+        assert covered_edges(h, iter(sorted(vs))) == expected
+        assert covered_count(h, vs) == len(expected)
+
+    @settings(deadline=None, derandomize=True)
+    @given(vertex_queries(), st.integers(-5, -1))
+    def test_negative_id_raises(self, case, bad):
+        h, vs = case
+        with pytest.raises(ValueError):
+            covered_edges(h, vs | {bad})
+        with pytest.raises(ValueError):
+            covered_count(h, vs | {bad})
+
+    @settings(deadline=None, derandomize=True)
+    @given(hypergraphs_with_duplicates())
+    def test_index_lists_each_edge_once_under_its_last_vertex(self, h):
+        listed = sorted(
+            (i, v, em) for v, group in h.edges_by_last.items() for i, em in group
+        )
+        assert listed == [(i, e[-1], em) for i, (e, em) in enumerate(zip(h.edges, h.edge_masks))]
+
+    def test_index_keys_follow_m_not_n(self):
+        h = Hypergraph(10**6, ((0, 5), (3, 5), (7, 999_999)))
+        assert sorted(h.edges_by_last) == [5, 999_999]
+        assert covered_edges(h, {0, 3, 5}) == (0, 1)

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tempfile
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -41,7 +42,13 @@ from hyperdense.dksh3 import (
     neighborhood_searches,
 )
 from hyperdense.mpu3 import probe_candidates
-from hyperdense.oracle import brute_dksh, exact_weighted_dks, generate_uniform
+from hyperdense.oracle import (
+    PlantedSpec,
+    brute_dksh,
+    exact_weighted_dks,
+    generate_planted,
+    generate_uniform,
+)
 
 
 def complete_3uniform(n):
@@ -65,7 +72,7 @@ class TestWeightedGraph:
 
     def test_degree_and_total(self):
         g = WeightedGraph((0, 1, 2), ((0, 1, 2), (1, 2, 3)))
-        assert g.weighted_degree(1) == 5
+        assert sum(g.adjacency[1].values()) == 5
         assert g.total_weight() == 5
 
     def test_greedy_subroutine_size(self):
@@ -459,3 +466,133 @@ class TestCombinedProperty:
                 code = main(["verify", str(inst), str(out)])
         assert code == 0
         assert json.loads(stdout.getvalue())["valid"] is True
+
+
+# -- Reference: the merged pass before count-first scoring --
+# Every candidate became a padded VertexSolution and met the best-of rule on
+# its own; the greedy subroutine summed each vertex's weights through the
+# adjacency one vertex at a time.  Covers here come from a full edge-mask scan,
+# so the comparison also checks the incidence index.
+
+
+def reference_solution(h, vertices, algorithm):
+    vm = 0
+    for v in vertices:
+        vm |= 1 << v
+    covered = tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+    return VertexSolution(tuple(vertices), covered, algorithm)
+
+
+def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks):
+    _require_three_uniform(h)
+    _check_k(h, k)
+    best = {"neighborhood": None, "neighborhood-plugged": None}
+
+    def offer(cand, tag):
+        sol = reference_solution(h, _pad_to_k(h.n, cand, k), tag)
+        if best[tag] is None or sol.covered_count > best[tag].covered_count:
+            best[tag] = sol
+
+    for v, pairs in enumerate(_link_pairs(h)):
+        if not pairs:
+            continue
+        counts = Counter(pairs)
+        for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
+            offer({v} | _st_pick(g, k - 1), "neighborhood")
+            picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
+            if len(picked) > k - 1 or not set(picked) <= set(g):
+                raise ValueError("subroutine returned an invalid vertex set")
+            offer({v} | set(picked), "neighborhood-plugged")
+    if best["neighborhood"] is None:
+        for tag in best:
+            best[tag] = reference_solution(h, _pad_to_k(h.n, (), k), tag)
+    return best["neighborhood"], best["neighborhood-plugged"]
+
+
+def reference_greedy_weighted_dks(graph, k):
+    if k <= 0 or not graph.vertices:
+        return ()
+    adj = graph.adjacency
+    s_size = k // 2
+    by_degree = sorted(graph.vertices, key=lambda u: (-sum(adj[u].values()), u))
+    seed = set(by_degree[:s_size])
+
+    def weight_into(u):
+        return sum(w for v, w in adj[u].items() if v in seed)
+
+    by_pull = sorted(graph.vertices, key=lambda u: (-weight_into(u), u))
+    return tuple(sorted(seed | set(by_pull[: k - s_size])))
+
+
+def planted_differential_instances():
+    """Twelve planted 3-uniform instances, n = 24..35, with a dense block."""
+    for seed in range(12):
+        spec = PlantedSpec(n=24 + seed, noise_edges=40 + 5 * seed, block_size=8,
+                           block_edges=20 + seed, seed=7100 + seed)
+        yield generate_planted(spec).hypergraph
+
+
+@st.composite
+def weighted_graphs_with_duplicate_pairs(draw):
+    """Weighted graphs whose edge list may repeat a pair with other weights."""
+    n = draw(st.integers(1, 9))
+    vertices = tuple(sorted(draw(st.sets(st.integers(0, 12), min_size=n, max_size=n))))
+    pairs = [(u, v) for u in vertices for v in vertices if u < v]
+    edges = []
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=14)):
+            edges.append((u, v, draw(st.integers(1, 4))))
+    return WeightedGraph(vertices, tuple(edges))
+
+
+class TestCountFirstNeighborhood:
+    @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
+    def test_matches_per_candidate_reference(self, sub):
+        for h in differential_instances():
+            for k in range(3, h.n + 1):
+                got = neighborhood_searches(h, k, sub)
+                expected = reference_neighborhood_searches(h, k, sub)
+                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+
+    def test_matches_reference_on_planted_instances(self):
+        for h in planted_differential_instances():
+            for k in (3, 5, 8, 12):
+                got = neighborhood_searches(h, k)
+                expected = reference_neighborhood_searches(h, k)
+                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+
+    def test_combined_matches_reference_pipeline(self):
+        for h in planted_differential_instances():
+            for k in (6, 9, 12):
+                sol = dksh_3uniform(h, k)
+                assert as_tuple(sol) == as_tuple(reference_solution(h, sol.vertices, sol.algorithm))
+
+    def test_plugged_pick_equal_to_plain_pick(self):
+        # The plain selector as the plugged subroutine: every plugged pick
+        # equals the plain pick, so every plugged count is a reused one.
+        def plain_as_sub(graph, kk):
+            g = {u: set(nbrs) for u, nbrs in graph.adjacency.items()}
+            return tuple(_st_pick(g, kk))
+
+        for h in list(differential_instances())[:60]:
+            for k in range(3, h.n + 1):
+                plain, plugged = neighborhood_searches(h, k, plain_as_sub)
+                assert plain.vertices == plugged.vertices
+                assert plain.covered == plugged.covered
+                assert [as_tuple(s) for s in (plain, plugged)] == [
+                    as_tuple(s) for s in reference_neighborhood_searches(h, k, plain_as_sub)
+                ]
+
+
+class TestGreedyWeightedDksOnePass:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(weighted_graphs_with_duplicate_pairs(), st.integers(-1, 11))
+    def test_matches_reference(self, graph, k):
+        assert greedy_weighted_dks(graph, k) == reference_greedy_weighted_dks(graph, k)
+
+    def test_duplicate_pair_keeps_last_weight(self):
+        g = WeightedGraph((0, 1, 2, 3), ((0, 1, 9), (2, 3, 2), (0, 1, 1), (1, 2, 2)))
+        assert g.adjacency[0][1] == 1
+        # Weighted degrees 1, 3, 4, 2: vertex 2 seeds and pulls 1 and 3 (weight 2).
+        assert greedy_weighted_dks(g, 2) == (1, 2)
+        assert greedy_weighted_dks(g, 2) == reference_greedy_weighted_dks(g, 2)

@@ -47,6 +47,11 @@ DKSH_PLANTED_K = (6, 9, 12)
 # (seed 11: 14 decisions at p = m - 2) and whose own certificate takes two
 # improving decisions (seed 36).
 FLOW_CASES = ((60, 60, 11), (60, 60, 36))
+# The planted-dksh benchmark shape.  The case split wins every k here, so the
+# candidate lines also pin the two neighborhood searches, which score
+# thousands of pruned link-graph picks each.
+DKSH_BENCH_SPEC = PlantedSpec(n=180, noise_edges=800, block_size=20, block_edges=150, seed=1)
+DKSH_BENCH_K = (12, 20, 30)
 
 
 def golden_lines() -> list[str]:
@@ -88,6 +93,12 @@ def golden_lines() -> list[str]:
             add(f"{name} mpu_sqrt_m", "mpu", p, mpu_sqrt_m(h, p))
         cert = min_expansion_flow(h).to_json()
         lines.append(f'{{"case":"{name} min_expansion_flow","certificate":{cert}}}')
+    h = generate_planted(DKSH_BENCH_SPEC).hypergraph
+    name = f"planted n={h.n} m={h.m} seed={DKSH_BENCH_SPEC.seed}"
+    for k in DKSH_BENCH_K:
+        add(f"{name} dksh_3uniform", "dksh", k, dksh_3uniform(h, k))
+        for pos, cand in enumerate(dksh_candidates(h, k)):
+            add(f"{name} dksh_candidates[{pos}]", "dksh", k, cand)
     return lines
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hyperdense import (
     WeightedGraph,
     candidate_generator_3u,
     greedy_weighted_spes,
+    k1_weighted_graph,
     mpu_3uniform,
     mpu_sqrt_m,
     union_of,
@@ -277,3 +279,94 @@ class TestSaturatedGuessReuse:
             trace = _assert_same_as_reference(h, p)
             # 20^(2/5) > 3.3: guesses 1..5 are unsaturated, 6..20 all stall.
             assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
+
+
+# -- Reference: the greedy coverage subroutine before running gains --
+# Each round recomputed every outside vertex's weight into the picked set from
+# its adjacency.
+
+
+def reference_greedy_weighted_spes(graph, target_weight):
+    if target_weight <= 0 or not graph.edges:
+        return ()
+    adj = graph.adjacency
+    u0, v0, w0 = min(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
+    picked = {u0, v0}
+    got = w0
+    while got < target_weight:
+        best_u, best_gain = -1, 0
+        for u in sorted(graph.vertices):
+            if u in picked:
+                continue
+            gain = sum(w for v, w in adj[u].items() if v in picked)
+            if gain > best_gain:
+                best_u, best_gain = u, gain
+        if best_gain <= 0:
+            break
+        picked.add(best_u)
+        got += best_gain
+    return tuple(sorted(picked))
+
+
+def weighted_graphs(count):
+    """Seeded weighted graphs; about a third of the edges repeat a pair."""
+    for seed in range(count):
+        rng = random.Random(9100 + seed)
+        vertices = tuple(sorted(rng.sample(range(20), 2 + seed % 11)))
+        pairs = [(u, v) for u in vertices for v in vertices if u < v]
+        edges = [(*rng.choice(pairs), rng.randint(1, 5)) for _ in range(seed % 17)]
+        edges += [(u, v, rng.randint(1, 5)) for u, v, _ in edges[: len(edges) // 3]]
+        rng.shuffle(edges)
+        yield WeightedGraph(vertices, tuple(edges))
+
+
+class TestSpESRunningGains:
+    def test_graphs_include_duplicate_pairs(self):
+        dup = sum(
+            1 for g in weighted_graphs(200) if len({(u, v) for u, v, _ in g.edges}) < len(g.edges)
+        )
+        assert dup >= 100
+
+    def test_matches_reference(self):
+        for g in weighted_graphs(200):
+            total = sum(w for _, _, w in g.edges)
+            for target in sorted({0, 1, 3, total // 2, total, total + 1}):
+                assert greedy_weighted_spes(g, target) == reference_greedy_weighted_spes(
+                    g, target
+                )
+
+    def test_matches_reference_on_pair_weight_graphs(self):
+        for seed in range(40):
+            h = generate_uniform(9 + seed % 6, 10 + seed % 13, 9300 + seed)
+            for size in (1, 2, 3):
+                graph = k1_weighted_graph(h, top_by_degree(h, size))
+                for target in (1, 2, 4, 8):
+                    assert greedy_weighted_spes(graph, target) == (
+                        reference_greedy_weighted_spes(graph, target)
+                    )
+
+
+class TestRankedDegrees:
+    def test_given_ranking_matches_computed_one(self):
+        for seed in range(30):
+            h = generate_uniform(6 + seed % 7, 5 + seed % 11, 9500 + seed)
+            ranked = sorted(degrees(h), reverse=True)
+            for k in range(1, h.n + 1):
+                for p in (1, h.m):
+                    assert MpU3Params.for_guess(h, p, k, ranked_degrees=ranked) == (
+                        MpU3Params.for_guess(h, p, k)
+                    )
+
+    def test_one_degree_pass_per_solve(self, monkeypatch):
+        calls = []
+        original = mpu3_module.degrees
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mpu3_module, "degrees", counted)
+        h = generate_uniform(12, 14, 9600)
+        mpu_3uniform(h, 5)
+        # One ranking for the guess loop; the generator's own calls see residuals.
+        assert sum(1 for args in calls if args == (h,)) == 1
