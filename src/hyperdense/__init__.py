@@ -6,66 +6,33 @@ from hyperdense.core import (
     HypergraphFormatError,
     VertexSolution,
     covered_edges,
-    degrees,
-    edge_subhypergraph,
-    induced,
     parse_hypergraph,
     serialize_hypergraph,
     solution_json,
-    top_by_degree,
     union_of,
 )
 from hyperdense.dksh3 import (
-    DkSSubroutine,
     WeightedGraph,
     dksh_3uniform,
-    dksh_candidates,
-    greedy_three_layer,
     greedy_weighted_dks,
-    k1_case_split,
-    k1_pair_weights,
-    k1_weighted_graph,
-    neighborhood_search,
-    neighborhood_search_plugged,
-    trivial_pick,
 )
 from hyperdense.expansion import (
     EmptyHypergraphError,
     ExpansionCertificate,
-    ExpansionLP,
-    ExpansionNetwork,
-    InfeasibleSolutionError,
-    build_expansion_lp,
-    build_expansion_network,
-    decide_expansion,
-    expansion_certificate,
-    lp_solution_from_certificate,
-    max_flow_min_cut,
     min_expansion_flow,
-    optimal_expansion_lp_solution,
-    round_expansion_lp,
 )
 from hyperdense.interval import (
-    DPTable,
     IntervalInstance,
     dksh_interval,
-    fill_table,
     mpu_interval,
     parse_intervals,
     serialize_intervals,
     to_hypergraph,
 )
-from hyperdense.mpu3 import (
-    MpU3Params,
-    candidate_generator_3u,
-    greedy_weighted_spes,
-    mpu_3uniform,
-)
+from hyperdense.mpu3 import greedy_weighted_spes, mpu_3uniform
 from hyperdense.mpu_general import (
-    CoverAccumulator,
     StalledGeneratorError,
     iterative_cover,
-    mpu_best_of,
     mpu_sqrt_m,
 )
 from hyperdense.oracle import (
@@ -82,19 +49,12 @@ from hyperdense.oracle import (
 )
 
 __all__ = [
-    "CoverAccumulator",
-    "DkSSubroutine",
-    "DPTable",
     "EdgeSolution",
     "EmptyHypergraphError",
     "ExpansionCertificate",
-    "ExpansionLP",
-    "ExpansionNetwork",
     "Hypergraph",
     "HypergraphFormatError",
-    "InfeasibleSolutionError",
     "IntervalInstance",
-    "MpU3Params",
     "OracleBudgetError",
     "PlantedInstance",
     "PlantedSpec",
@@ -104,48 +64,25 @@ __all__ = [
     "brute_dksh",
     "brute_min_expansion",
     "brute_mpu",
-    "build_expansion_lp",
-    "build_expansion_network",
-    "candidate_generator_3u",
     "covered_edges",
-    "decide_expansion",
-    "degrees",
     "dksh_3uniform",
-    "dksh_candidates",
     "dksh_interval",
-    "edge_subhypergraph",
     "exact_weighted_dks",
-    "expansion_certificate",
-    "fill_table",
     "generate_intervals",
     "generate_planted",
     "generate_uniform",
-    "greedy_three_layer",
     "greedy_weighted_dks",
     "greedy_weighted_spes",
-    "induced",
     "iterative_cover",
-    "k1_case_split",
-    "k1_pair_weights",
-    "k1_weighted_graph",
-    "lp_solution_from_certificate",
-    "max_flow_min_cut",
     "min_expansion_flow",
     "mpu_3uniform",
-    "mpu_best_of",
     "mpu_interval",
     "mpu_sqrt_m",
-    "neighborhood_search",
-    "neighborhood_search_plugged",
-    "optimal_expansion_lp_solution",
     "parse_hypergraph",
     "parse_intervals",
-    "round_expansion_lp",
     "serialize_hypergraph",
     "serialize_intervals",
     "solution_json",
     "to_hypergraph",
-    "top_by_degree",
-    "trivial_pick",
     "union_of",
 ]

@@ -1,4 +1,4 @@
-"""Batch front door: solve, oracle, gen, bench, and verify commands.
+"""Batch front door: solve, oracle, gen, and verify commands.
 
 Report rows are JSON lines on stdout (or key=value pairs with --format tsv);
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage error, 3 parse
@@ -11,8 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-import time
-from dataclasses import dataclass
 
 from hyperdense.core import (
     EdgeSolution,
@@ -33,7 +31,6 @@ from hyperdense.dksh3 import (
     greedy_weighted_dks,
 )
 from hyperdense.interval import (
-    IntervalInstance,
     dksh_interval,
     mpu_interval,
     parse_intervals,
@@ -61,34 +58,6 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One benchmark row; the ratio is present exactly when the oracle ran."""
-
-    instance: str
-    problem: str
-    algorithm: str
-    parameter: int
-    objective: int
-    wall_time_s: float
-    oracle: int | None = None
-    ratio: float | None = None
-
-    def row(self) -> dict:
-        out = {
-            "instance": self.instance,
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "parameter": self.parameter,
-            "objective": self.objective,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-            out["ratio"] = round(self.ratio, 6)
-        return out
-
-
 def _emit(row: dict, fmt: str) -> None:
     if fmt == "tsv":
         print("\t".join(f"{k}={row[k]}" for k in sorted(row)))
@@ -97,10 +66,14 @@ def _emit(row: dict, fmt: str) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise HypergraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+# Not called here; perfbench/run.py records it as each instance's id.
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -214,66 +187,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_one(
-    fmt: str,
-    digest: str,
-    problem: str,
-    algorithm: str,
-    parameter: int,
-    solve,
-    oracle,
-    with_oracle: bool,
-) -> None:
-    start = time.perf_counter()
-    sol = solve()
-    elapsed = time.perf_counter() - start
-    objective = sol.union_size if isinstance(sol, EdgeSolution) else sol.covered_count
-    oracle_value = None
-    ratio = None
-    if with_oracle:
-        ref = oracle()
-        oracle_value = (
-            ref.union_size if isinstance(ref, EdgeSolution) else ref.covered_count
-        )
-        if problem == "mpu":
-            ratio = objective / oracle_value if oracle_value else 1.0
-        else:
-            ratio = oracle_value / objective if objective else float("inf")
-    report = RunReport(
-        digest, problem, algorithm, parameter, objective, elapsed, oracle_value, ratio
-    )
-    _emit(report.row(), fmt)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    uniform = generate_uniform(10, 14, seed=11)
-    mixed = generate_uniform(8, 8, seed=7, sizes=(1, 4))
-    ivs = generate_intervals(12, 8, seed=5)
-    du = _digest(serialize_hypergraph(uniform))
-    dm = _digest(serialize_hypergraph(mixed))
-    di = _digest(serialize_intervals(ivs))
-    w = args.with_oracle
-    _bench_one(args.format, du, "mpu", "sqrt-m", 4,
-               lambda: mpu_sqrt_m(uniform, 4), lambda: brute_mpu(uniform, 4), w)
-    _bench_one(args.format, du, "mpu", "three-uniform", 4,
-               lambda: mpu_3uniform(uniform, 4), lambda: brute_mpu(uniform, 4), w)
-    _bench_one(args.format, du, "dksh", "three-uniform", 6,
-               lambda: dksh_3uniform(uniform, 6), lambda: brute_dksh(uniform, 6), w)
-    _bench_one(args.format, dm, "mpu", "sqrt-m", 3,
-               lambda: mpu_sqrt_m(mixed, 3), lambda: brute_mpu(mixed, 3), w)
-    _bench_one(args.format, di, "mpu", "interval", 3,
-               lambda: mpu_interval(ivs, 3),
-               lambda: brute_mpu(to_hypergraph(ivs), 3), w)
-    _bench_one(args.format, di, "dksh", "interval", 6,
-               lambda: dksh_interval(ivs, 6),
-               lambda: brute_dksh(to_hypergraph(ivs), 6), w)
-    return EXIT_OK
-
-
 def _solution_payload(text: str) -> dict:
     """Decoded solution JSON: an object with problem 'mpu' or 'dksh', int
     parameter, union_size and covered_count, and lists of ints."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise HypergraphFormatError(f"solution file is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise HypergraphFormatError("solution file must hold a JSON object")
     if payload.get("problem") not in ("mpu", "dksh"):
@@ -313,10 +233,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 problems.append("vertices differ from the recomputed union")
             if payload["union_size"] != len(union):
                 problems.append("union_size differs from the recomputed union")
+        if payload["covered_count"] != len(edge_indices):
+            problems.append("covered_count differs from the edge count")
     else:
         if len(vertices) != parameter:
             problems.append("vertex count differs from parameter")
-        if any(not 0 <= v < h.n for v in vertices):
+        if payload["union_size"] != len(vertices):
+            problems.append("union_size differs from the vertex count")
+        if len(set(vertices)) != len(vertices):
+            problems.append("vertices repeat")
+        elif any(not 0 <= v < h.n for v in vertices):
             problems.append("vertex id out of range")
         else:
             covered = list(_scan_covered(h, vertices))
@@ -393,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_interval.add_argument("--seed", type=int, required=True)
     g_interval.set_defaults(func=_cmd_gen)
 
-    bench = sub.add_parser("bench", help="run the built-in benchmark suite")
-    bench.add_argument("--with-oracle", action="store_true")
-    bench.set_defaults(func=_cmd_bench)
-
     verify = sub.add_parser("verify", help="check a solution JSON against an instance")
     verify.add_argument("--intervals", action="store_true",
                         help="the instance file uses the interval format")
@@ -420,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleBudgetError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,30 +14,27 @@ from hyperdense import (
     brute_dksh,
     brute_min_expansion,
     brute_mpu,
-    degrees,
     dksh_3uniform,
-    dksh_candidates,
     dksh_interval,
-    greedy_three_layer,
     iterative_cover,
     min_expansion_flow,
     mpu_3uniform,
     mpu_interval,
     mpu_sqrt_m,
-    optimal_expansion_lp_solution,
-    round_expansion_lp,
     serialize_hypergraph,
     serialize_intervals,
     solution_json,
     to_hypergraph,
-    top_by_degree,
 )
+from hyperdense.core import degrees, top_by_degree
+from hyperdense.dksh3 import dksh_candidates, greedy_three_layer
 from hyperdense.oracle import (
     PlantedSpec,
     generate_intervals,
     generate_planted,
     generate_uniform,
 )
+from lp_reference import optimal_expansion_lp_solution, round_expansion_lp
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "interval_counterexamples"
 

@@ -167,12 +167,25 @@ class TestErrors:
         code, _, _ = run(capsys, "solve", "mpu", "--nope", "--p", "1", simple_file)
         assert code == 2
 
+    def test_unknown_command_exits_2(self, capsys):
+        code, out, _ = run(capsys, "bench")
+        assert code == 2
+        assert out == ""
+
     def test_parse_error_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.hg"
         bad.write_text("2 1\n0 9\n")
         code, _, err = run(capsys, "solve", "mpu", "--p", "1", str(bad))
         assert code == 3
         assert "parse error" in err
+
+    def test_non_utf8_instance_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"\xff3 2\n0 1\n1 2\n")
+        code, out, err = run(capsys, "solve", "mpu", "--p", "1", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: ")
 
     def test_budget_exceeded_exits_4(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERDENSE_ORACLE_BUDGET", "1")
@@ -246,23 +259,6 @@ class TestGen:
         assert out.splitlines()[0] == "9 4"
 
 
-class TestBench:
-    def test_rows_have_ratio_with_oracle(self, capsys):
-        code, out, _ = run(capsys, "bench", "--with-oracle")
-        assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert len(rows) == 6
-        for row in rows:
-            assert row["ratio"] >= 1.0
-            assert row["objective"] >= 1
-
-    def test_rows_without_oracle(self, capsys):
-        code, out, _ = run(capsys, "bench")
-        assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()]
-        assert all("oracle" not in row for row in rows)
-
-
 class TestVerify:
     def test_valid_solution(self, capsys, tmp_path, uniform_file):
         _, out, _ = run(capsys, "solve", "mpu", "--p", "2", uniform_file)
@@ -282,6 +278,32 @@ class TestVerify:
         code, verdict, _ = run(capsys, "verify", uniform_file, str(sol))
         assert code == 1
         assert json.loads(verdict)["valid"] is False
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ('{"problem": "dksh", "parameter": 3, "vertices": [1, 1, 2],'
+             ' "edge_indices": [], "union_size": 3, "covered_count": 0}',
+             "vertices repeat"),
+            ('{"problem": "dksh", "parameter": 3, "vertices": [0, 1, 2],'
+             ' "edge_indices": [0], "union_size": 99, "covered_count": 1}',
+             "union_size differs from the vertex count"),
+            ('{"problem": "mpu", "parameter": 1, "vertices": [0, 1, 2],'
+             ' "edge_indices": [0], "union_size": 3, "covered_count": 42}',
+             "covered_count differs from the edge count"),
+        ],
+        ids=["dksh-repeated-vertex", "dksh-union-size", "mpu-covered-count"],
+    )
+    def test_inconsistent_solution_rejected(self, capsys, tmp_path, payload, reason):
+        instance = tmp_path / "inst.hg"
+        instance.write_text("4 2\n0 1 2\n1 2 3\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text(payload)
+        code, verdict, _ = run(capsys, "verify", str(instance), str(sol))
+        assert code == 1
+        row = json.loads(verdict)
+        assert row["valid"] is False
+        assert row["issues"] == [reason]
 
     def test_interval_solution(self, capsys, tmp_path, interval_file):
         _, out, _ = run(capsys, "solve", "dksh", "--algo", "interval", "--k", "4",
@@ -307,10 +329,11 @@ class TestVerify:
             ' "union_size": "1", "covered_count": 1}',
             '{"problem": "dksh", "parameter": 1, "vertices": [0], "edge_indices": [],'
             ' "union_size": 1}',
+            "not json",
         ],
         ids=["array", "missing-parameter", "non-int-vertex", "non-int-edge",
              "missing-problem", "unknown-problem", "string-union-size",
-             "missing-covered-count"],
+             "missing-covered-count", "not-json"],
     )
     def test_malformed_solution_exits_3(self, capsys, tmp_path, uniform_file, payload):
         sol = tmp_path / "sol.json"

@@ -7,15 +7,12 @@ from hyperdense import (
     HypergraphFormatError,
     VertexSolution,
     covered_edges,
-    degrees,
-    induced,
     parse_hypergraph,
     serialize_hypergraph,
     solution_json,
-    top_by_degree,
     union_of,
 )
-from hyperdense.core import covered_count
+from hyperdense.core import covered_count, degrees, induced, top_by_degree
 
 
 @st.composite

@@ -14,22 +14,13 @@ from hyperdense import (
     Hypergraph,
     VertexSolution,
     WeightedGraph,
-    degrees,
     dksh_3uniform,
-    dksh_candidates,
-    greedy_three_layer,
     greedy_weighted_dks,
-    k1_case_split,
-    k1_pair_weights,
-    k1_weighted_graph,
-    neighborhood_search,
-    neighborhood_search_plugged,
     serialize_hypergraph,
     solution_json,
-    top_by_degree,
-    trivial_pick,
 )
 from hyperdense.cli import main
+from hyperdense.core import degrees, top_by_degree
 from hyperdense.dksh3 import (
     _check_k,
     _link_graph,
@@ -39,7 +30,15 @@ from hyperdense.dksh3 import (
     _require_three_uniform,
     _st_pick,
     _weighted_from_link,
+    dksh_candidates,
+    greedy_three_layer,
+    k1_case_split,
+    k1_pair_weights,
+    k1_weighted_graph,
+    neighborhood_search,
+    neighborhood_search_plugged,
     neighborhood_searches,
+    trivial_pick,
 )
 from hyperdense.mpu3 import probe_candidates
 from hyperdense.oracle import (

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -9,23 +8,27 @@ import hyperdense.mpu_general
 from hyperdense import (
     EmptyHypergraphError,
     Hypergraph,
-    InfeasibleSolutionError,
-    build_expansion_lp,
-    build_expansion_network,
-    decide_expansion,
-    edge_subhypergraph,
-    expansion_certificate,
-    lp_solution_from_certificate,
-    max_flow_min_cut,
     min_expansion_flow,
     mpu_sqrt_m,
-    optimal_expansion_lp_solution,
-    round_expansion_lp,
     solution_json,
     union_of,
 )
-from hyperdense.expansion import _improving_certificates
+from hyperdense.core import edge_subhypergraph
+from hyperdense.expansion import (
+    _improving_certificates,
+    build_expansion_network,
+    decide_expansion,
+    expansion_certificate,
+    max_flow_min_cut,
+)
 from hyperdense.oracle import brute_min_expansion, generate_uniform
+from lp_reference import (
+    InfeasibleSolutionError,
+    build_expansion_lp,
+    lp_solution_from_certificate,
+    optimal_expansion_lp_solution,
+    round_expansion_lp,
+)
 
 PAIR = Hypergraph(2, ((0, 1),))
 TWIN = Hypergraph(5, ((0, 1), (0, 1), (2, 3, 4)))
@@ -77,13 +80,6 @@ class TestNetworkShape:
             assert net.cap_inf > h.m * net.cap_src
             assert net.cap_src == 5 and net.cap_sink == 3
 
-    def test_node_layout(self):
-        net = build_expansion_network(TWIN, 1, 1)
-        assert net.source == 0
-        assert net.edge_node(0) == 1
-        assert net.vertex_node(0) == 1 + TWIN.m
-        assert net.sink == net.num_nodes - 1
-
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             build_expansion_network(PAIR, 0, 1)
@@ -94,7 +90,7 @@ class TestMaxFlowCut:
         net = build_expansion_network(PAIR, 1, 2)
         value, s_side = max_flow_min_cut(net)
         assert value == 2 == PAIR.m * 2
-        assert s_side == frozenset({net.source})
+        assert s_side == frozenset({0})
 
     def test_cut_below_threshold(self):
         net = build_expansion_network(PAIR, 1, 3)
@@ -109,14 +105,15 @@ class TestMaxFlowCut:
 
     def test_neighborhood_stays_on_source_side(self):
         # No vertex adjacent to an s-side edge node may sit on the t-side.
+        # Edge i is node 1 + i and vertex v is node 1 + m + v.
         for h in corpus(30, seed0=300):
             net = build_expansion_network(h, 1, 2)
             value, s_side = max_flow_min_cut(net)
             if value >= h.m * 2:
                 continue
-            chosen = [i for i in range(h.m) if net.edge_node(i) in s_side]
+            chosen = [i for i in range(h.m) if 1 + i in s_side]
             for v in union_of(h, chosen):
-                assert net.vertex_node(v) in s_side
+                assert 1 + h.m + v in s_side
 
 
 class TestMinExpansionFlow:

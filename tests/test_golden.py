@@ -12,7 +12,6 @@ from pathlib import Path
 
 from hyperdense import (
     dksh_3uniform,
-    dksh_candidates,
     dksh_interval,
     min_expansion_flow,
     mpu_3uniform,
@@ -20,6 +19,7 @@ from hyperdense import (
     mpu_sqrt_m,
     solution_json,
 )
+from hyperdense.dksh3 import dksh_candidates
 from hyperdense.oracle import (
     PlantedSpec,
     generate_intervals,

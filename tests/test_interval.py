@@ -9,13 +9,13 @@ from hyperdense import (
     brute_dksh,
     brute_mpu,
     dksh_interval,
-    fill_table,
     mpu_interval,
     parse_intervals,
     serialize_intervals,
     to_hypergraph,
     union_of,
 )
+from hyperdense.interval import fill_table
 from hyperdense.oracle import generate_intervals
 
 

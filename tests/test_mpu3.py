@@ -7,11 +7,8 @@ import pytest
 import hyperdense.mpu3 as mpu3_module
 from hyperdense import (
     Hypergraph,
-    MpU3Params,
     WeightedGraph,
-    candidate_generator_3u,
     greedy_weighted_spes,
-    k1_weighted_graph,
     mpu_3uniform,
     mpu_sqrt_m,
     union_of,
@@ -23,7 +20,8 @@ from hyperdense.core import (
     solution_json,
     top_by_degree,
 )
-from hyperdense.mpu3 import _ceil_sqrt_fraction
+from hyperdense.dksh3 import k1_weighted_graph
+from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction, candidate_generator_3u
 from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,

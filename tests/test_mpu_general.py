@@ -3,16 +3,15 @@ import math
 import pytest
 
 from hyperdense import (
-    CoverAccumulator,
     EdgeSolution,
     Hypergraph,
     StalledGeneratorError,
     VertexSolution,
     iterative_cover,
-    mpu_best_of,
     mpu_sqrt_m,
     union_of,
 )
+from hyperdense.mpu_general import CoverAccumulator, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
     brute_dksh,

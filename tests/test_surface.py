@@ -1,0 +1,90 @@
+"""The package's public names, the README example, and the tracer's bindings."""
+
+import contextlib
+import importlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import hyperdense
+import hyperdense.cli
+import hyperdense.core
+import hyperdense.interval
+import hyperdense.maxflow
+import hyperdense.mpu3
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    # types and errors
+    "Hypergraph", "HypergraphFormatError", "EdgeSolution", "VertexSolution",
+    "IntervalInstance", "ExpansionCertificate", "WeightedGraph",
+    "EmptyHypergraphError", "StalledGeneratorError", "OracleBudgetError",
+    # I/O and verification
+    "parse_hypergraph", "serialize_hypergraph", "parse_intervals",
+    "serialize_intervals", "to_hypergraph", "solution_json", "covered_edges",
+    "union_of",
+    # solvers and default subroutines
+    "mpu_sqrt_m", "mpu_3uniform", "mpu_interval", "dksh_3uniform",
+    "dksh_interval", "min_expansion_flow", "iterative_cover",
+    "greedy_weighted_dks", "greedy_weighted_spes",
+    # oracles and generators
+    "brute_mpu", "brute_dksh", "brute_min_expansion", "exact_weighted_dks",
+    "generate_planted", "generate_uniform", "generate_intervals",
+    "PlantedSpec", "PlantedInstance",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(PUBLIC) == 36
+    assert sorted(hyperdense.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(hyperdense, name).__name__ == name
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == ["(0, 1, 2)", "(0, 1)", "3/4"]
+
+
+def _bindings():
+    """Every module and class attribute the tracer could patch, by identity."""
+    owners = [
+        module for name, module in sys.modules.items()
+        if name == "hyperdense" or name.startswith("hyperdense.")
+    ]
+    owners += [
+        hyperdense.core.Hypergraph,
+        hyperdense.maxflow.FlowGraph,
+        hyperdense.mpu3.MpU3Params,
+        hyperdense.interval.DPTable,
+    ]
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_installs_and_restores_every_binding(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+        before = _bindings()
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            patched = {key for key, value in _bindings().items() if before.get(key) is not value}
+            recorded = len(tracer._patches)
+        finally:
+            tracer.uninstall()
+        after = _bindings()
+    finally:
+        sys.modules.pop("tracing", None)
+    # Each recorded patch replaced a distinct binding, and uninstall put back
+    # the very object that was there before.
+    assert len(patched) == recorded > 0
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
