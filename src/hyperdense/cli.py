@@ -220,6 +220,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     vertices = payload["vertices"]
     edge_indices = payload["edge_indices"]
     problems = []
+    limit = h.m if problem == "mpu" else h.n
+    if not 1 <= parameter <= limit:
+        problems.append(f"parameter outside [1, {limit}]")
     if problem == "mpu":
         if len(edge_indices) != parameter:
             problems.append("edge count differs from parameter")

@@ -16,15 +16,31 @@ arithmetic is integral, so the decision is exact.  Iterating from the current
 best ratio converges to the optimum because each accepted subset strictly
 increases an exact fraction that takes finitely many values.
 
-Each decision after the first runs only on the edges of the last certificate,
-and returns what the decision on all edges would.  Write
-g_l(X) = |X| - l*|Gamma(X)| for an edge set X.  A cut whose s-side holds the
-edge nodes of X must also hold the vertex nodes of Gamma(X), and with exactly
-those it costs b*m - b*g_{a/b}(X).  |Gamma| is submodular, so g_l is
-supermodular: g_l(X & Y) + g_l(X | Y) >= g_l(X) + g_l(Y).  Hence the
-maximisers of g_l are closed under union and intersection, the smallest one
-is unique, and it is the edge part of the smallest minimum-cut s-side, which
-``FlowGraph.source_side`` returns whichever maximum flow was found.
+Cuts and maximisers.  Write g_l(X) = |X| - l*|Gamma(X)| for an edge set X.
+A cut whose s-side holds the edge nodes of X must also hold the vertex nodes
+of Gamma(X), and with exactly those it costs b*m - b*g_{a/b}(X).  |Gamma| is
+submodular, so g_l is supermodular: g_l(X & Y) + g_l(X | Y) >= g_l(X) + g_l(Y).
+Hence the maximisers of g_l are closed under union and intersection, and the
+smallest and the largest one are unique.  They are the edge parts of the
+smallest and the largest minimum-cut s-side, which ``FlowGraph.source_side``
+and ``FlowGraph.largest_source_side`` return whichever maximum flow was found.
+Any feasible flow can therefore start the max-flow: ``max_flow_min_cut``
+pushes a first-fit flow along s -> edge -> vertex -> t before Dinic runs.
+
+The answer.  Let l* be the optimal ratio and D the union of all subsets of
+ratio l*.  No subset beats l*, so the maximum of g_l* is 0 and the optimal
+subsets are maximisers; so is their union D, which thus has ratio l* and is
+the unique largest optimal subset.  It is what ``min_expansion_flow``
+returns.  At l = l* the maximisers of g_l are the empty set and the optimal
+subsets, so D is the largest maximiser.  For
+l < l*, D lies inside every maximiser X of g_l: if Y = X & D were a proper
+subset of D, then
+
+    g_l(D) - g_l(Y) = -g_l*(Y) + (l* - l) * (|Gamma(D)| - |Gamma(Y)|) > 0,
+
+because g_l*(Y) <= 0, and if g_l*(Y) = 0 then Y is empty or optimal, so
+|Gamma(Y)| < |Gamma(D)| (|Y| < |D| at the same ratio).  Supermodularity gives
+g_l(X | D) >= g_l(X) + g_l(D) - g_l(Y) > g_l(X), against X maximising g_l.
 
 Nesting: let C maximise g_l1 and X maximise g_l2, with l2 > l1.  Then
 
@@ -34,22 +50,43 @@ Nesting: let C maximise g_l1 and X maximise g_l2, with l2 > l1.  Then
 where the bracket is >= 0 because C maximises g_l1 and the last factor is
 >= 0 because Gamma is monotone.  By supermodularity
 g_l2(C & X) >= g_l2(X) + g_l2(C) - g_l2(C | X) >= g_l2(X), so C & X maximises
-g_l2 as well.  The smallest maximiser at l2 thus lies inside C, and the
-network on C's edges returns the same certificate, or the same "no better
-set", as the network on all edges.  Each certificate is the smallest
-maximiser at the previous threshold and its ratio is the next threshold, so
-this holds at every step, and the decision that ends the loop runs on the
-smallest network of the sequence.
+g_l2 as well.  So the maximisers of g_l2 among subsets of C are exactly the
+maximisers at l2 that lie inside C, and the smallest one is among them.
+When C beat l1, then l1 < l*, and D lies inside C by the previous paragraph.
+So once a certificate C is the smallest maximiser at the threshold it beat,
+the next decision runs on C's edges only and still finds the smallest
+maximiser at C's ratio, or, when none beats it, the largest maximiser D.
+
+Three exact shortcuts keep the flows few and small:
+
+* Peeling start.  Charikar-style greedy peeling (repeatedly drop a vertex
+  of least degree with its edges) meets a vertex set whose edges have ratio
+  r >= the full set's ratio.  The first decision runs at r instead of at the
+  full set's ratio.  It is a threshold, not a certificate: r is the ratio of
+  an edge set, so if no subset beats r, then r = l* and the largest
+  maximiser D is read off the same cut: a good guess ends the loop after a
+  single flow.  Otherwise the smallest maximiser at r is a certificate and
+  nesting continues from it.
+* Core pruning.  Before each flow at a/b, an edge e whose private vertices
+  (those of no other live edge) number priv(e) with a * priv(e) > b is
+  dropped, repeatedly.  For every live X containing e,
+  g(X - e) - g(X) >= -1 + (a/b) * priv(e) > 0, so no maximiser keeps e, and
+  the maximisers on the surviving edges are exactly those on the scope.
+* The answer off the last cut, as above: the decision that finds no better
+  set returns the largest maximiser, which is D on every scope that
+  contains D (all of h, or a certificate C by the nesting paragraph).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 import json
-from typing import Iterable, Iterator
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Sequence
 
-from hyperdense.core import Hypergraph, edge_subhypergraph, union_of
+from hyperdense.core import Hypergraph, union_of
 from hyperdense.maxflow import FlowGraph
 
 
@@ -111,37 +148,98 @@ class ExpansionNetwork:
         return len(self.edges)
 
 
-def build_expansion_network(h: Hypergraph, a: int, b: int) -> ExpansionNetwork:
-    """Network whose min cut decides whether some subset has ratio above a/b."""
-    if h.m == 0:
+def build_expansion_network(
+    h: Hypergraph, a: int, b: int, edge_ids: Sequence[int] | None = None
+) -> ExpansionNetwork:
+    """Network whose min cut decides whether some subset of the edges has ratio above a/b.
+
+    The edges are ``edge_ids`` of h (all of h by default); edge node i + 1
+    stands for the i-th of them.
+    """
+    edges = h.edges if edge_ids is None else tuple(h.edges[i] for i in edge_ids)
+    if not edges:
         raise EmptyHypergraphError("expansion needs at least one edge")
     if a < 1 or b < 1:
         raise ValueError("threshold numerator and denominator must be positive")
-    return ExpansionNetwork(h.n, h.edges, cap_src=b, cap_sink=a, cap_inf=h.m * b + 1)
+    return ExpansionNetwork(h.n, edges, cap_src=b, cap_sink=a, cap_inf=len(edges) * b + 1)
 
 
 def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, frozenset[int]]:
-    """Exact max-flow value and the s-side node set of one minimum cut.
+    """Exact max-flow value and the s-side node set of the minimum cut that answers the test.
 
-    Vertex nodes of no edge get no sink arc: nothing reaches them, so the
-    flow value and the s-side are the same as with the arc.
+    Below m * cap_src some subset beats the threshold and the s-side is the
+    smallest one, whose edge nodes are the smallest maximiser; otherwise it
+    is the largest one, whose edge nodes are the largest maximiser (see the
+    module docstring).  A first-fit flow along s -> edge -> vertex -> t starts
+    the max-flow.  Vertex nodes of no edge get no sink arc: nothing reaches
+    them, so the flow value and the edge part of either s-side are the same
+    as with the arc.
     """
     m = len(net.edges)
     sink = m + net.n + 1
     g = FlowGraph(sink + 1)
     add = g.add_edge
-    cap_src, cap_inf = net.cap_src, net.cap_inf
+    cap_src, cap_sink, cap_inf = net.cap_src, net.cap_sink, net.cap_inf
     used = [False] * net.n
+    room = [cap_sink] * net.n  # sink capacity the first-fit flow leaves free
+    value = 0
     for node, edge in enumerate(net.edges, start=1):
-        add(0, node, cap_src)
+        left = cap_src
         for v in edge:
-            add(node, m + 1 + v, cap_inf)
+            push = min(left, room[v])
+            room[v] -= push
+            left -= push
+            add(node, m + 1 + v, cap_inf, push)
             used[v] = True
+        add(0, node, cap_src, cap_src - left)
+        value += cap_src - left
     for v in range(net.n):
         if used[v]:
-            add(m + 1 + v, sink, net.cap_sink)
-    value = g.max_flow(0, sink)
-    return value, g.source_side(0)
+            add(m + 1 + v, sink, cap_sink, cap_sink - room[v])
+    value += g.max_flow(0, sink)
+    if value < m * cap_src:
+        return value, g.source_side(0)
+    return value, g.largest_source_side(sink)
+
+
+def _core(h: Hypergraph, scope: Iterable[int], a: int, b: int) -> list[int]:
+    """The scope's edges left after dropping, repeatedly, every edge e with a * priv(e) > b.
+
+    priv(e) counts e's vertices that no other live edge uses; no maximiser
+    of |X| - (a/b)|Gamma(X)| keeps such an edge (see the module docstring).
+    Keeps the scope's order.
+    """
+    edges = h.edges
+    live = list(scope)
+    limit = b // a  # a * priv > b  iff  priv > b // a
+    while True:
+        users = [0] * h.n
+        owner = [0] * h.n  # for a vertex of one live edge, that edge
+        for i in live:
+            for v in edges[i]:
+                users[v] += 1
+                owner[v] = i
+        private = Counter(owner[v] for v, count in enumerate(users) if count == 1)
+        dropped = {i for i, count in private.items() if count > limit}
+        if not dropped:
+            return live
+        live = [i for i in live if i not in dropped]
+
+
+def _threshold_cut(
+    h: Hypergraph, scope: Iterable[int], a: int, b: int
+) -> tuple[bool, list[int]]:
+    """Whether some subset of the scope beats a/b, and a maximiser of |X| - (a/b)|Gamma(X)|.
+
+    The maximiser is the smallest one when some subset beats a/b and the
+    largest one otherwise; its ids ascend when the scope's do.
+    """
+    live = _core(h, scope, a, b)
+    if not live:  # then the empty set is the only maximiser
+        return False, []
+    net = build_expansion_network(h, a, b, live)
+    value, s_side = max_flow_min_cut(net)
+    return value < net.m * b, [i for node, i in enumerate(live, start=1) if node in s_side]
 
 
 def decide_expansion(h: Hypergraph, a: int, b: int) -> ExpansionCertificate | None:
@@ -150,47 +248,92 @@ def decide_expansion(h: Hypergraph, a: int, b: int) -> ExpansionCertificate | No
     The returned certificate is the s-side of a minimum cut; the strict
     inequality |E'| * b > a * |Gamma(E')| is re-checked in exact integers.
     """
-    net = build_expansion_network(h, a, b)
-    value, s_side = max_flow_min_cut(net)
-    if value >= h.m * b:
+    if h.m == 0:
+        raise EmptyHypergraphError("expansion needs at least one edge")
+    better, chosen = _threshold_cut(h, range(h.m), a, b)
+    if not better:
         return None
-    chosen = [i for i in range(h.m) if i + 1 in s_side]
     cert = expansion_certificate(h, chosen)
     if cert.ratio_num * b <= a * cert.ratio_den:
         raise RuntimeError("min cut produced an unsound expansion certificate")
     return cert
 
 
+def _peel_ratio(h: Hypergraph) -> tuple[int, int]:
+    """Best |E(S)| / |Gamma(E(S))| over the vertex sets S met while peeling.
+
+    Charikar-style greedy peeling: repeatedly drop a vertex of least degree
+    together with its edges.  E(S) is the set of edges inside S and Gamma(E(S))
+    the vertices of S of positive degree.  The first set is all of h, so the
+    result is at least the full set's ratio; ties keep the earlier set.
+    """
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, edge in enumerate(h.edges):
+        for v in edge:
+            incident[v].append(i)
+    degree = [len(ids) for ids in incident]
+    heap = [(d, v) for v, d in enumerate(degree) if d]
+    heapify(heap)
+    alive = [True] * h.m
+    num, den = h.m, len(heap)
+    best = (num, den)
+    while heap:
+        d, v = heappop(heap)
+        if d != degree[v]:
+            continue  # stale entry
+        degree[v] = 0
+        den -= 1
+        for i in incident[v]:
+            if not alive[i]:
+                continue
+            alive[i] = False
+            num -= 1
+            for u in h.edges[i]:
+                if u != v:
+                    degree[u] -= 1
+                    if degree[u]:
+                        heappush(heap, (degree[u], u))
+                    else:
+                        den -= 1
+        if num and num * best[1] > best[0] * den:
+            best = (num, den)
+    return best
+
+
 def _improving_certificates(h: Hypergraph) -> Iterator[ExpansionCertificate]:
     """The full edge set, then each strictly better subset the decisions find.
 
-    Each decision runs on the edges of the last certificate only (see the
-    module docstring for why that gives the same sequence as running it on
-    all of h).  The last certificate yielded is optimal.
+    The first decision runs on all of h at the peeling ratio; each later one
+    runs on the last certificate's edges at its ratio.  A decision that finds
+    no better subset yields the largest maximiser if that is new.  The last
+    certificate yielded is the largest optimal subset (see the module
+    docstring).
     """
     current = expansion_certificate(h, range(h.m))
     yield current
-    scope = h
+    a, b = _peel_ratio(h)
+    scope: Sequence[int] = range(h.m)
     while True:
-        better = decide_expansion(scope, current.ratio_num, current.ratio_den)
-        if better is None:
+        better, chosen = _threshold_cut(h, scope, a, b)
+        if not better and tuple(chosen) == current.edge_indices:
             return
-        index = current.edge_indices
-        current = ExpansionCertificate(
-            tuple(index[j] for j in better.edge_indices),
-            better.neighborhood,
-            better.ratio_num,
-            better.ratio_den,
-        )
+        previous, current = current, expansion_certificate(h, chosen)
+        above = current.ratio_num * b - a * current.ratio_den  # sign of ratio - a/b
+        if (above <= 0 if better else above != 0) or current.ratio <= previous.ratio:
+            raise RuntimeError("min cut produced an unsound expansion certificate")
         yield current
-        scope = edge_subhypergraph(h, current.edge_indices)
+        if not better:
+            return
+        a, b = current.ratio_num, current.ratio_den
+        scope = current.edge_indices
 
 
 def min_expansion_flow(h: Hypergraph) -> ExpansionCertificate:
     """Exact maximum of |E'| / |Gamma(E')| over all nonempty edge subsets.
 
-    Starts from the full edge set and repeatedly asks the decision network for
-    a strictly better subset at the current exact ratio until none exists.
+    Returns the largest subset of that ratio.  Starts from the peeling ratio
+    and repeatedly asks the decision network for a strictly better subset
+    until none exists.
     """
     if h.m == 0:
         raise EmptyHypergraphError("expansion needs at least one edge")

@@ -202,26 +202,33 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
     """Exact densest k-set: the largest p whose optimal union fits in k vertices.
 
     One table fill answers every p; the realizing intervals' span is padded to
-    exactly k vertices.  When even a single interval exceeds k, any k vertices
-    (the smallest ids) are returned with zero covered intervals.
+    exactly k vertices.  The optimal union does not decrease in p, so the
+    largest fitting p is found by binary search.  When even a single interval
+    exceeds k, any k vertices (the smallest ids) are returned with zero
+    covered intervals.
     """
     if not 1 <= k <= inst.n:
         raise ValueError(f"k must be in [1, {inst.n}], got {k}")
     h = to_hypergraph(inst)
     table = fill_table(inst)
-    for p in range(inst.m, 0, -1):
-        best_i, best_value = table.best_cell(p)
-        if best_value <= k:
-            indices = table.reconstruct(best_i, p)
-            span = set()
-            for idx in indices:
-                span.update(h.edges[idx])
-            vertices = sorted(span)
-            for v in range(inst.n):
-                if len(vertices) == k:
-                    break
-                if v not in span:
-                    vertices.append(v)
-                    span.add(v)
-            return VertexSolution.from_vertices(h, vertices, "interval-dp")
-    return VertexSolution.from_vertices(h, range(k), "interval-dp")
+    lo, hi = 0, inst.m  # the largest fitting p lies in [lo, hi]; p = 0 stands for none
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if table.best_cell(mid)[1] <= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == 0:
+        return VertexSolution.from_vertices(h, range(k), "interval-dp")
+    indices = table.reconstruct(table.best_cell(lo)[0], lo)
+    span = set()
+    for idx in indices:
+        span.update(h.edges[idx])
+    vertices = sorted(span)
+    for v in range(inst.n):
+        if len(vertices) == k:
+            break
+        if v not in span:
+            vertices.append(v)
+            span.add(v)
+    return VertexSolution.from_vertices(h, vertices, "interval-dp")

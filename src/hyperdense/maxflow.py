@@ -17,12 +17,15 @@ class FlowGraph:
         self.cap: list[int] = []
         self.arcs: list[list[int]] = [[] for _ in range(num_nodes)]
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
+    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
+        """Add an arc u -> v of capacity ``cap`` that already carries ``flow`` units."""
         if cap < 0:
             raise ValueError("capacity must be nonnegative")
+        if not 0 <= flow <= cap:
+            raise ValueError("flow must lie in [0, capacity]")
         a = len(self.head)
         self.head += (v, u)
-        self.cap += (cap, 0)
+        self.cap += (cap - flow, flow)
         self.arcs[u].append(a)
         self.arcs[v].append(a + 1)
 
@@ -56,7 +59,11 @@ class FlowGraph:
         return level
 
     def max_flow(self, s: int, t: int) -> int:
-        """Exact maximum s-t flow value; leaves the residual network in place.
+        """Augment the current flow to a maximum s-t flow; return the value added.
+
+        The current flow is the one ``add_edge`` put on the arcs: zero unless
+        the caller gave a feasible starting flow.  The residual network stays
+        in place for the cut queries.
 
         Each phase finds a blocking flow in the level graph with an iterative
         depth-first search: ``path`` holds the arcs from s to the current node
@@ -124,3 +131,22 @@ class FlowGraph:
                     seen.add(head[a])
                     queue.append(head[a])
         return frozenset(seen)
+
+    def largest_source_side(self, t: int) -> frozenset[int]:
+        """Nodes that cannot reach t in the residual network: the s-side of a min cut.
+
+        After a maximum flow this is the largest source side over all minimum
+        cuts, so, like ``source_side``, it does not depend on which maximum
+        flow was found.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
+        reach = {t}
+        queue = [t]
+        for w in queue:
+            for a in arcs[w]:
+                # a runs w -> u; its reverse a ^ 1 is the residual arc u -> w.
+                u = head[a]
+                if cap[a ^ 1] and u not in reach:
+                    reach.add(u)
+                    queue.append(u)
+        return frozenset(range(self.num_nodes)).difference(reach)

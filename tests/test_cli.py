@@ -291,8 +291,15 @@ class TestVerify:
             ('{"problem": "mpu", "parameter": 1, "vertices": [0, 1, 2],'
              ' "edge_indices": [0], "union_size": 3, "covered_count": 42}',
              "covered_count differs from the edge count"),
+            ('{"problem":"mpu","parameter":0,"vertices":[],"edge_indices":[],'
+             '"union_size":0,"covered_count":0}',
+             "parameter outside [1, 2]"),
+            ('{"problem":"dksh","parameter":0,"vertices":[],"edge_indices":[],'
+             '"union_size":0,"covered_count":0}',
+             "parameter outside [1, 4]"),
         ],
-        ids=["dksh-repeated-vertex", "dksh-union-size", "mpu-covered-count"],
+        ids=["dksh-repeated-vertex", "dksh-union-size", "mpu-covered-count",
+             "mpu-parameter-0", "dksh-parameter-0"],
     )
     def test_inconsistent_solution_rejected(self, capsys, tmp_path, payload, reason):
         instance = tmp_path / "inst.hg"

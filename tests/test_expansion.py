@@ -13,14 +13,16 @@ from hyperdense import (
     solution_json,
     union_of,
 )
-from hyperdense.core import edge_subhypergraph
 from hyperdense.expansion import (
+    _core,
     _improving_certificates,
+    _peel_ratio,
     build_expansion_network,
     decide_expansion,
     expansion_certificate,
     max_flow_min_cut,
 )
+from hyperdense.maxflow import FlowGraph
 from hyperdense.oracle import brute_min_expansion, generate_uniform
 from lp_reference import (
     InfeasibleSolutionError,
@@ -67,6 +69,22 @@ class TestDecide:
                     assert cert.ratio_num * b > a * cert.ratio_den
                     assert cert.neighborhood == union_of(h, cert.edge_indices)
 
+    def test_core_pruning_keeps_the_decision(self):
+        hs = list(corpus(60)) + list(nested_scope_instances())
+        for h in hs:
+            for a, b in ((1, 2), (1, 1), (2, 3), (3, 2), (3, 4), (1, 3)):
+                want = unpruned_decision(h, a, b)
+                got = decide_expansion(h, a, b)
+                assert (got and got.to_json()) == (want and want.to_json())
+
+    def test_core_drops_edges_in_chains(self):
+        # At threshold 1, (3, 4, 5) has two private vertices; once it is
+        # gone, so does (1, 2, 3).  The twin pair has none.
+        h = Hypergraph(6, ((0, 1), (1, 2, 3), (0, 1), (3, 4, 5)))
+        assert _core(h, range(h.m), 1, 1) == [0, 2]
+        assert _core(TWIN, range(TWIN.m), 3, 4) == [0, 1]
+        assert _core(TWIN, range(TWIN.m), 1, 3) == [0, 1, 2]
+
     def test_completeness_at_boundary(self):
         for h in corpus(40, seed0=100):
             best = brute_min_expansion(h)
@@ -87,10 +105,13 @@ class TestNetworkShape:
 
 class TestMaxFlowCut:
     def test_cut_at_exact_threshold(self):
+        # No subset beats 1/2, so the s-side is the largest minimum cut: the
+        # source with the edge node and both vertex nodes, the sink alone on
+        # the other side.
         net = build_expansion_network(PAIR, 1, 2)
         value, s_side = max_flow_min_cut(net)
         assert value == 2 == PAIR.m * 2
-        assert s_side == frozenset({0})
+        assert s_side == frozenset({0, 1, 2, 3})
 
     def test_cut_below_threshold(self):
         net = build_expansion_network(PAIR, 1, 3)
@@ -102,6 +123,33 @@ class TestMaxFlowCut:
             net = build_expansion_network(h, 2, 3)
             value, _ = max_flow_min_cut(net)
             assert value <= h.m * net.cap_src
+
+    def test_first_fit_start_changes_no_cut(self):
+        # The first-fit flow only starts Dinic: the value and the s-side are
+        # those of the same network solved from zero flow, and the value is
+        # networkx's.
+        nx = pytest.importorskip("networkx")
+        for h in list(corpus(30, seed0=800)) + [generate_uniform(60, 60, 3, sizes=(2, 4))]:
+            for a, b in ((1, 2), (2, 3), (1, 1), (3, 2)):
+                net = build_expansion_network(h, a, b)
+                value, s_side = max_flow_min_cut(net)
+                m, sink = h.m, h.m + h.n + 1
+                plain = FlowGraph(sink + 1)
+                ref = nx.DiGraph()
+                for i, edge in enumerate(h.edges, start=1):
+                    plain.add_edge(0, i, b)
+                    ref.add_edge(0, i, capacity=b)
+                    for v in edge:
+                        plain.add_edge(i, m + 1 + v, net.cap_inf)
+                        ref.add_edge(i, m + 1 + v, capacity=net.cap_inf)
+                for v in union_of(h, range(m)):
+                    plain.add_edge(m + 1 + v, sink, a)
+                    ref.add_edge(m + 1 + v, sink, capacity=a)
+                assert value == plain.max_flow(0, sink) == nx.maximum_flow_value(ref, 0, sink)
+                if value < m * b:
+                    assert s_side == plain.source_side(0)
+                else:
+                    assert s_side == plain.largest_source_side(sink)
 
     def test_neighborhood_stays_on_source_side(self):
         # No vertex adjacent to an s-side edge node may sit on the t-side.
@@ -137,12 +185,23 @@ class TestMinExpansionFlow:
             assert min_expansion_flow(h).ratio == brute_min_expansion(h).ratio
 
 
+def unpruned_decision(h, a, b):
+    """The threshold decision on one network over all of h, without core pruning."""
+    value, s_side = max_flow_min_cut(build_expansion_network(h, a, b))
+    if value >= h.m * b:
+        return None
+    return expansion_certificate(h, [i for i in range(h.m) if i + 1 in s_side])
+
+
 def reference_improving_certificates(h):
-    """The improvement loop with every decision on all of h (no nested scope)."""
+    """The improvement loop from the full edge set, every decision on all of h.
+
+    No peeling start, no nested scope and no core pruning.
+    """
     current = expansion_certificate(h, range(h.m))
     sequence = [current]
     while True:
-        better = decide_expansion(h, current.ratio_num, current.ratio_den)
+        better = unpruned_decision(h, current.ratio_num, current.ratio_den)
         if better is None:
             return sequence
         current = better
@@ -151,6 +210,68 @@ def reference_improving_certificates(h):
 
 def reference_min_expansion_flow(h):
     return reference_improving_certificates(h)[-1]
+
+
+def assert_sound(h, cert):
+    assert cert.edge_indices == tuple(sorted(set(cert.edge_indices)))
+    assert cert.neighborhood == union_of(h, cert.edge_indices)
+    assert (cert.ratio_num, cert.ratio_den) == (len(cert.edge_indices), len(cert.neighborhood))
+
+
+def largest_optimal_subset(h):
+    """Union of all subsets of maximum ratio |E'| / |Gamma(E')|, by enumeration."""
+    masks = h.edge_masks
+    best, union = Fraction(0), 0
+    for subset in range(1, 2 ** h.m):
+        cover = 0
+        for i in range(h.m):
+            if subset >> i & 1:
+                cover |= masks[i]
+        ratio = Fraction(subset.bit_count(), cover.bit_count())
+        if ratio > best:
+            best, union = ratio, subset
+        elif ratio == best:
+            union |= subset
+    return tuple(i for i in range(h.m) if union >> i & 1)
+
+
+def tiny_instances(count):
+    """Seeded instances with n <= 7 and m <= 8; every other one repeats some edges."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = 1 + seed % 7
+        m = 1 + (seed * 3) % 6
+        h = generate_uniform(n, m, 9000 + seed, sizes=(1, min(4, n)))
+        edges = list(h.edges)
+        if seed % 2:
+            edges += rng.choices(edges, k=1 + seed % 2)
+            rng.shuffle(edges)
+        yield Hypergraph(n, tuple(edges))
+
+
+class TestPeelRatio:
+    def test_twin_pair_peels_to_optimum(self):
+        # Peeling vertex 2 drops edge (2, 3, 4) and leaves vertices 3 and 4
+        # without edges: 2 edges on 2 vertices.
+        assert _peel_ratio(TWIN) == (2, 2)
+
+    def test_between_full_ratio_and_optimum(self):
+        strict = 0
+        for h in tiny_instances(400):
+            num, den = _peel_ratio(h)
+            full = expansion_certificate(h, range(h.m)).ratio
+            assert full <= Fraction(num, den) <= brute_min_expansion(h).ratio
+            strict += Fraction(num, den) > full
+        assert strict >= 50
+
+
+class TestLargestOptimalSubset:
+    def test_matches_enumeration(self):
+        duplicated = 0
+        for h in tiny_instances(400):
+            assert min_expansion_flow(h).edge_indices == largest_optimal_subset(h)
+            duplicated += len(set(h.edges)) < h.m
+        assert duplicated >= 100
 
 
 def tiered_instance(seed):
@@ -195,19 +316,29 @@ def nested_scope_instances():
 
 
 class TestNestedScope:
-    """Each decision on the last certificate's edges gives the same sequence."""
+    """Decisions on the last certificate's edges end at the reference's certificate."""
 
     def test_corpus_has_duplicate_edges(self):
         duplicated = [h for h in nested_scope_instances() if len(set(h.edges)) < h.m]
         assert len(duplicated) >= 50
 
     def test_every_improving_certificate_matches(self):
+        # Intermediate certificates differ from the reference's by design
+        # (the loop starts at the peeling ratio); the first and last do not.
+        workload_shaped = [
+            generate_uniform(500, 500, 7000 + seed, sizes=(2, 4)) for seed in range(10)
+        ]
         improved = 0
-        for h in nested_scope_instances():
-            got = [c.to_json() for c in _improving_certificates(h)]
-            want = [c.to_json() for c in reference_improving_certificates(h)]
-            assert got == want
-            assert min_expansion_flow(h).to_json() == want[-1]
+        for h in list(nested_scope_instances()) + workload_shaped:
+            got = list(_improving_certificates(h))
+            want = reference_improving_certificates(h)
+            assert got[0].to_json() == want[0].to_json()
+            assert got[-1].to_json() == want[-1].to_json()
+            assert min_expansion_flow(h).to_json() == want[-1].to_json()
+            for before, after in zip(got, got[1:]):
+                assert after.ratio > before.ratio
+            for cert in got:
+                assert_sound(h, cert)
             improved += len(want) > 2
         # Enough instances take two or more improving decisions for the
         # restriction to a certificate's edges to matter.
@@ -216,15 +347,30 @@ class TestNestedScope:
     def test_restricted_network_sees_only_the_certificate(self, monkeypatch):
         scopes = []
 
-        def recording(h, edge_indices):
-            scopes.append(tuple(edge_indices))
-            return edge_subhypergraph(h, edge_indices)
+        def recording(h, a, b, edge_ids=None):
+            scopes.append(tuple(range(h.m)) if edge_ids is None else tuple(edge_ids))
+            return build_expansion_network(h, a, b, edge_ids)
 
-        monkeypatch.setattr(hyperdense.expansion, "edge_subhypergraph", recording)
-        h = generate_uniform(60, 60, 36, sizes=(2, 4))
-        sequence = reference_improving_certificates(h)
-        assert min_expansion_flow(h).to_json() == sequence[-1].to_json()
-        assert scopes == [c.edge_indices for c in sequence[1:]]
+        monkeypatch.setattr(hyperdense.expansion, "build_expansion_network", recording)
+        nested = 0
+        uniform = [generate_uniform(60, 60, seed, sizes=(2, 4)) for seed in range(100)]
+        for h in uniform + list(nested_scope_instances()):
+            want = reference_min_expansion_flow(h).to_json()
+            scopes.clear()
+            certs = list(_improving_certificates(h))
+            assert certs[-1].to_json() == want
+            # Flow i yields certs[i + 1] (unless it finds nothing new), from
+            # edges of its own network, and flow i + 1 runs inside that
+            # certificate.
+            for i, found in enumerate(certs[1:]):
+                assert set(found.edge_indices) <= set(scopes[i])
+                if i + 1 < len(scopes):
+                    assert set(scopes[i + 1]) <= set(found.edge_indices)
+            assert len(scopes) in (len(certs) - 1, len(certs))
+            nested += len(scopes) > 1 and len(scopes[-1]) < len(scopes[0])
+        # The peeling start often ends the loop after one flow; enough
+        # instances still nest for the restriction to be exercised.
+        assert nested >= 10
 
     def test_mpu_sqrt_m_at_high_p_matches(self, monkeypatch):
         cases = [

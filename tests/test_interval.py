@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hyperdense import (
     HypergraphFormatError,
     IntervalInstance,
+    VertexSolution,
     brute_dksh,
     brute_mpu,
     dksh_interval,
@@ -150,6 +151,25 @@ class TestMpUInterval:
                     assert len(union_of(h, picked)) == table.values[i][j - 1]
 
 
+def scanned_dksh_interval(inst, k):
+    """dksh_interval with the largest fitting p found by scanning down from m."""
+    h = to_hypergraph(inst)
+    table = fill_table(inst)
+    for p in range(inst.m, 0, -1):
+        best_i, best_value = table.best_cell(p)
+        if best_value <= k:
+            span = set(union_of(h, table.reconstruct(best_i, p)))
+            vertices = sorted(span)
+            for v in range(inst.n):
+                if len(vertices) == k:
+                    break
+                if v not in span:
+                    vertices.append(v)
+                    span.add(v)
+            return VertexSolution.from_vertices(h, vertices, "interval-dp")
+    return VertexSolution.from_vertices(h, range(k), "interval-dp")
+
+
 class TestDkSHInterval:
     def test_k_covers_total_span(self):
         inst = IntervalInstance(8, ((0, 2), (4, 6)))
@@ -170,6 +190,17 @@ class TestDkSHInterval:
                 sol = dksh_interval(inst, k)
                 assert len(sol.vertices) == k
                 assert sol.covered_count == brute_dksh(h, k).covered_count
+
+    def test_binary_search_matches_downward_scan(self):
+        cases = [
+            generate_intervals(4 + seed % 30, 1 + seed % 25, seed + 900) for seed in range(60)
+        ]
+        cases += [generate_intervals(60, 40, seed) for seed in range(3)]
+        for inst in cases:
+            for k in range(1, inst.n + 1):
+                got = dksh_interval(inst, k)
+                want = scanned_dksh_interval(inst, k)
+                assert got == want
 
     def test_k_out_of_range(self):
         inst = IntervalInstance(4, ((0, 1),))

@@ -38,6 +38,11 @@ class TestFlowGraph:
         with pytest.raises(ValueError):
             FlowGraph(2).add_edge(0, 1, -1)
 
+    @pytest.mark.parametrize("flow", [-1, 3])
+    def test_flow_outside_capacity_rejected(self, flow):
+        with pytest.raises(ValueError):
+            FlowGraph(2).add_edge(0, 1, 2, flow)
+
     def test_parallel_and_antiparallel_arcs(self):
         g = FlowGraph(3)
         g.add_edge(0, 1, 2)
@@ -73,6 +78,26 @@ def residual_reach(n, caps, flow, s):
     return frozenset(seen)
 
 
+def residual_reach_to(n, caps, flow, t):
+    """Nodes that reach t over residual capacity cap(u,v) - f(u,v) + f(v,u)."""
+    def residual(u, v):
+        return caps.get((u, v), 0) - flow[u].get(v, 0) + flow[v].get(u, 0)
+
+    seen = {t}
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        for u in range(n):
+            if u not in seen and residual(u, v) > 0:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(seen)
+
+
+def cut_capacity(caps, side):
+    return sum(cap for (u, v), cap in caps.items() if u in side and v not in side)
+
+
 class TestAgainstNetworkx:
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(networks())
@@ -97,6 +122,18 @@ class TestAgainstNetworkx:
         side = g.source_side(s)
         assert side == residual_reach(n, caps, flow, s)
         assert t not in side
-        assert value == sum(
-            cap for (u, v), cap in caps.items() if u in side and v not in side
-        )
+        assert value == cut_capacity(caps, side)
+        # Likewise the nodes that cannot reach t: the largest source side.
+        largest = g.largest_source_side(t)
+        assert largest == frozenset(range(n)) - residual_reach_to(n, caps, flow, t)
+        assert s in largest and side <= largest
+        assert value == cut_capacity(caps, largest)
+
+        # Started from networkx's maximum flow, nothing is left to add and
+        # both sides are the same.
+        started = FlowGraph(n)
+        for (u, v), cap in caps.items():
+            started.add_edge(u, v, cap, flow[u].get(v, 0))
+        assert started.max_flow(s, t) == 0
+        assert started.source_side(s) == side
+        assert started.largest_source_side(t) == largest
