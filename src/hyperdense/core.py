@@ -172,30 +172,20 @@ def induced(h: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
     return Hypergraph(len(keep), edges), tuple(keep)
 
 
-def degrees(h: Hypergraph, edge_indices: Iterable[int] | None = None) -> tuple[int, ...]:
-    """Per-vertex edge counts, optionally restricted to the given edge indices."""
+def degrees(h: Hypergraph) -> tuple[int, ...]:
+    """Per-vertex edge counts."""
     counts = [0] * h.n
-    if edge_indices is None:
-        for e in h.edges:
-            for v in e:
-                counts[v] += 1
-    else:
-        for i in edge_indices:
-            for v in h.edges[i]:
-                counts[v] += 1
+    for e in h.edges:
+        for v in e:
+            counts[v] += 1
     return tuple(counts)
 
 
-def top_by_degree(
-    h: Hypergraph, t: int, residual_edges: Iterable[int] | None = None
-) -> tuple[int, ...]:
-    """The min(t, n) largest-degree vertices, ties broken by smaller vertex id.
-
-    When residual_edges is given, degrees are computed over those edges only.
-    """
+def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:
+    """The min(t, n) largest-degree vertices, ties broken by smaller vertex id."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    deg = degrees(h, residual_edges)
+    deg = degrees(h)
     order = sorted(range(h.n), key=lambda v: (-deg[v], v))
     return tuple(sorted(order[: min(t, h.n)]))
 
@@ -216,6 +206,8 @@ def _contained(h: Hypergraph, vertices: Iterable[int]) -> list[int]:
     are ignored; a negative id raises ValueError.
     """
     vs = set(vertices)
+    if vs and max(vs) >= h.n:
+        vs = {v for v in vs if v < h.n}
     vm = vertex_mask(vs)
     groups = h.edges_by_last
     return [i for v in vs if v in groups for i, em in groups[v] if em & vm == em]

@@ -3,9 +3,11 @@
 The bipartite incidence view of a hypergraph puts one left node per hyperedge
 and one right node per vertex.  For an edge subset E' the neighborhood
 Gamma(E') on the right side is exactly the vertex union of E'.  The goal is a
-nonempty E' maximizing |E'| / |Gamma(E')|.  The paper finds it with an LP
-relaxation and threshold rounding; that route is kept in
-``tests/lp_reference.py`` as the reference this one must agree with.
+nonempty E' maximizing |E'| / |Gamma(E')| among the subsets of a scope of
+edge ids of the instance (all of them by default; below, "the edges" are the
+scope's).  The paper finds it with an LP relaxation and threshold rounding;
+that route is kept in ``tests/lp_reference.py`` as the reference this one
+must agree with.
 
 The flow route decides, for an exact rational threshold a/b, whether some
 subset beats the threshold: source arcs to edge nodes carry capacity b, vertex
@@ -74,7 +76,7 @@ Three exact shortcuts keep the flows few and small:
   the maximisers on the surviving edges are exactly those on the scope.
 * The answer off the last cut, as above: the decision that finds no better
   set returns the largest maximiser, which is D on every scope that
-  contains D (all of h, or a certificate C by the nesting paragraph).
+  contains D (the whole scope, or a certificate C by the nesting paragraph).
 """
 
 from __future__ import annotations
@@ -259,23 +261,23 @@ def decide_expansion(h: Hypergraph, a: int, b: int) -> ExpansionCertificate | No
     return cert
 
 
-def _peel_ratio(h: Hypergraph) -> tuple[int, int]:
-    """Best |E(S)| / |Gamma(E(S))| over the vertex sets S met while peeling.
+def _peel_ratio(h: Hypergraph, scope: Sequence[int]) -> tuple[int, int]:
+    """Best |E(S)| / |Gamma(E(S))| over the vertex sets S met while peeling the scope.
 
     Charikar-style greedy peeling: repeatedly drop a vertex of least degree
-    together with its edges.  E(S) is the set of edges inside S and Gamma(E(S))
-    the vertices of S of positive degree.  The first set is all of h, so the
-    result is at least the full set's ratio; ties keep the earlier set.
+    together with its edges.  E(S) is the set of scope edges inside S and
+    Gamma(E(S)) the vertices of S of positive degree.  The first set is the
+    whole scope, so the result is at least its ratio; ties keep the earlier set.
     """
     incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, edge in enumerate(h.edges):
-        for v in edge:
+    for i in scope:
+        for v in h.edges[i]:
             incident[v].append(i)
     degree = [len(ids) for ids in incident]
     heap = [(d, v) for v, d in enumerate(degree) if d]
     heapify(heap)
     alive = [True] * h.m
-    num, den = h.m, len(heap)
+    num, den = len(scope), len(heap)
     best = (num, den)
     while heap:
         d, v = heappop(heap)
@@ -300,19 +302,20 @@ def _peel_ratio(h: Hypergraph) -> tuple[int, int]:
     return best
 
 
-def _improving_certificates(h: Hypergraph) -> Iterator[ExpansionCertificate]:
-    """The full edge set, then each strictly better subset the decisions find.
+def _improving_certificates(
+    h: Hypergraph, scope: Sequence[int]
+) -> Iterator[ExpansionCertificate]:
+    """The scope's full edge set, then each strictly better subset the decisions find.
 
-    The first decision runs on all of h at the peeling ratio; each later one
-    runs on the last certificate's edges at its ratio.  A decision that finds
-    no better subset yields the largest maximiser if that is new.  The last
-    certificate yielded is the largest optimal subset (see the module
-    docstring).
+    The scope is a nonempty ascending list of distinct edge ids of h.  The
+    first decision runs on it at the peeling ratio; each later one runs on the
+    last certificate's edges at its ratio.  A decision that finds no better
+    subset yields the largest maximiser if that is new.  The last certificate
+    yielded is the scope's largest optimal subset (see the module docstring).
     """
-    current = expansion_certificate(h, range(h.m))
+    current = expansion_certificate(h, scope)
     yield current
-    a, b = _peel_ratio(h)
-    scope: Sequence[int] = range(h.m)
+    a, b = _peel_ratio(h, scope)
     while True:
         better, chosen = _threshold_cut(h, scope, a, b)
         if not better and tuple(chosen) == current.edge_indices:
@@ -328,15 +331,26 @@ def _improving_certificates(h: Hypergraph) -> Iterator[ExpansionCertificate]:
         scope = current.edge_indices
 
 
-def min_expansion_flow(h: Hypergraph) -> ExpansionCertificate:
-    """Exact maximum of |E'| / |Gamma(E')| over all nonempty edge subsets.
+def min_expansion_flow(
+    h: Hypergraph, edge_ids: Iterable[int] | None = None
+) -> ExpansionCertificate:
+    """Exact maximum of |E'| / |Gamma(E')| over the nonempty subsets of the edges.
 
-    Returns the largest subset of that ratio.  Starts from the peeling ratio
-    and repeatedly asks the decision network for a strictly better subset
-    until none exists.
+    The edges are ``edge_ids`` of h (all of h by default); the certificate
+    names them by their ids in h.  Returns the largest subset of that ratio.
+    Starts from the peeling ratio and repeatedly asks the decision network
+    for a strictly better subset until none exists.  Peeling, core pruning
+    and the network all follow the ascending ids, so the answer equals the
+    one on ``edge_subhypergraph(h, sorted(edge_ids))`` with its ids mapped
+    back.
     """
-    if h.m == 0:
+    scope = range(h.m) if edge_ids is None else sorted(edge_ids)
+    if not scope:
         raise EmptyHypergraphError("expansion needs at least one edge")
-    for current in _improving_certificates(h):
+    if scope[0] < 0 or scope[-1] >= h.m:
+        raise ValueError(f"edge ids must lie in [0, {h.m})")
+    if any(i == j for i, j in zip(scope, scope[1:])):
+        raise ValueError("edge ids must be distinct")
+    for current in _improving_certificates(h, scope):
         pass
     return current

@@ -9,8 +9,7 @@ generator until p edges are collected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from hyperdense.core import (
     EdgeSolution,
@@ -33,49 +32,29 @@ def _check_p(h: Hypergraph, p: int) -> None:
         raise ValueError(f"p must be in [1, {h.m}], got {p}")
 
 
-@dataclass
-class CoverAccumulator:
-    """Mutable bookkeeping for cover loops: chosen edges, what remains, union so far."""
-
-    hypergraph: Hypergraph
-    chosen: list[int] = field(default_factory=list)
-    union: set[int] = field(default_factory=set)
-    _chosen_set: set[int] = field(default_factory=set)
-
-    def add(self, edge_indices: Iterable[int]) -> None:
-        for i in edge_indices:
-            if i in self._chosen_set:
-                raise ValueError(f"edge {i} already chosen")
-            self.chosen.append(i)
-            self._chosen_set.add(i)
-            self.union.update(self.hypergraph.edges[i])
-
-    def residual_indices(self) -> list[int]:
-        return [i for i in range(self.hypergraph.m) if i not in self._chosen_set]
-
-
 def mpu_sqrt_m(h: Hypergraph, p: int) -> EdgeSolution:
     """Two-phase minimum p-union with union at most 2*sqrt(m) times the optimum.
 
     Phase 1 repeatedly extracts a minimum-expansion subset from the residual
     edges (vertices are kept) until at least p - ceil(sqrt(m)) edges are
     chosen, truncating by ascending edge index if a subset would overshoot p.
-    Phase 2 tops up with the smallest residual edges (ties by index).
+    Phase 2 tops up with the smallest residual edges (ties by index).  The
+    residual is a list of edge ids of h; no instance is built per round.
     """
     _check_p(h, p)
     root = math.isqrt(h.m)
     if root * root < h.m:
         root += 1
-    acc = CoverAccumulator(h)
-    while len(acc.chosen) < p - root:
-        residual = acc.residual_indices()
-        sub = edge_subhypergraph(h, residual)
-        cert = min_expansion_flow(sub)
-        found = sorted(residual[j] for j in cert.edge_indices)
-        acc.add(found[: p - len(acc.chosen)])
-    rest = sorted(acc.residual_indices(), key=lambda i: (len(h.edges[i]), i))
-    acc.add(rest[: p - len(acc.chosen)])
-    return EdgeSolution.from_indices(h, acc.chosen, "sqrt-m")
+    chosen: list[int] = []
+    residual = list(range(h.m))
+    while len(chosen) < p - root:
+        found = min_expansion_flow(h, residual).edge_indices[: p - len(chosen)]
+        chosen.extend(found)
+        taken = set(found)
+        residual = [i for i in residual if i not in taken]
+    residual.sort(key=lambda i: (len(h.edges[i]), i))
+    chosen.extend(residual[: p - len(chosen)])
+    return EdgeSolution.from_indices(h, chosen, "sqrt-m")
 
 
 def iterative_cover(
@@ -89,18 +68,20 @@ def iterative_cover(
     latest additions first.
     """
     _check_p(h, p)
-    acc = CoverAccumulator(h)
-    while len(acc.chosen) < p:
-        residual = acc.residual_indices()
+    chosen: list[int] = []
+    residual = list(range(h.m))
+    while len(chosen) < p:
         sub = edge_subhypergraph(h, residual)
         picked = generator(sub, k)
-        found = covered_edges(sub, picked.vertices)
+        found = [residual[j] for j in covered_edges(sub, picked.vertices)]
         if not found:
             raise StalledGeneratorError(
                 "generator covered no edge on a nonempty residual"
             )
-        acc.add(residual[j] for j in found)
-    return EdgeSolution.from_indices(h, acc.chosen[:p], "iterative-cover")
+        chosen.extend(found)
+        taken = set(found)
+        residual = [i for i in residual if i not in taken]
+    return EdgeSolution.from_indices(h, chosen[:p], "iterative-cover")
 
 
 def mpu_best_of(

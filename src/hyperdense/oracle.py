@@ -194,6 +194,8 @@ def generate_uniform(
         raise ValueError("edge size range must satisfy 1 <= lo <= hi")
     if hi > n:
         raise ValueError("edge size cannot exceed the vertex count")
+    if m < 0:
+        raise ValueError("edge count must be nonnegative")
     rng = random.Random(seed)
     edges = []
     for _ in range(m):
@@ -206,6 +208,8 @@ def generate_intervals(n: int, m: int, seed: int) -> IntervalInstance:
     """Seeded random interval instance with m well-ordered intervals."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    if m < 0:
+        raise ValueError("interval count must be nonnegative")
     rng = random.Random(seed)
     intervals = []
     for _ in range(m):

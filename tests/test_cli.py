@@ -258,6 +258,16 @@ class TestGen:
         assert code == 0
         assert out.splitlines()[0] == "9 4"
 
+    def test_uniform_negative_edge_count_rejected(self, capsys):
+        code, out, err = run(capsys, "gen", "uniform", "--n", "10", "--m", "-1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_interval_negative_edge_count_rejected(self, capsys):
+        code, out, err = run(capsys, "gen", "interval", "--n", "5", "--m", "-2", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestVerify:
     def test_valid_solution(self, capsys, tmp_path, uniform_file):

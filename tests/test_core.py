@@ -12,6 +12,7 @@ from hyperdense import (
     solution_json,
     union_of,
 )
+import hyperdense.core
 from hyperdense.core import covered_count, degrees, induced, top_by_degree
 
 
@@ -149,10 +150,6 @@ class TestTopByDegree:
         h = Hypergraph(5, ((2, 3, 4),))
         assert top_by_degree(h, 2) == (2, 3)
 
-    def test_residual_edges(self):
-        h = Hypergraph(3, ((0, 1), (1, 2), (1, 2)))
-        assert top_by_degree(h, 1, residual_edges=[1, 2]) == (1,)
-
 
 class TestUnionOf:
     def test_union(self):
@@ -204,6 +201,23 @@ class TestSolutions:
     def test_covered_edges_ignores_ids_beyond_n(self):
         h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
         assert covered_edges(h, {0, 1, 2, 4, 60}) == (0, 1)
+
+    def test_ids_beyond_n_never_reach_the_mask(self, monkeypatch):
+        h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
+        masked = []
+        real_mask = hyperdense.core.vertex_mask
+
+        def spy(vertices):
+            vertices = list(vertices)
+            masked.extend(vertices)
+            # A wide id is only recorded, never shifted: 1 << (1 << 40) would
+            # take 128 GiB.
+            return real_mask(v for v in vertices if v < h.n)
+
+        monkeypatch.setattr(hyperdense.core, "vertex_mask", spy)
+        assert covered_edges(h, {0, 1, 2, 1 << 40}) == (0, 1)
+        assert covered_count(h, {0, 1, 2, 4, 1 << 40}) == 2
+        assert masked and max(masked) < h.n
 
     def test_covered_edges_rejects_negative_id(self):
         h = Hypergraph(4, ((0, 1, 2),))

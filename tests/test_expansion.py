@@ -13,6 +13,7 @@ from hyperdense import (
     solution_json,
     union_of,
 )
+from hyperdense.core import edge_subhypergraph
 from hyperdense.expansion import (
     _core,
     _improving_certificates,
@@ -253,12 +254,12 @@ class TestPeelRatio:
     def test_twin_pair_peels_to_optimum(self):
         # Peeling vertex 2 drops edge (2, 3, 4) and leaves vertices 3 and 4
         # without edges: 2 edges on 2 vertices.
-        assert _peel_ratio(TWIN) == (2, 2)
+        assert _peel_ratio(TWIN, range(TWIN.m)) == (2, 2)
 
     def test_between_full_ratio_and_optimum(self):
         strict = 0
         for h in tiny_instances(400):
-            num, den = _peel_ratio(h)
+            num, den = _peel_ratio(h, range(h.m))
             full = expansion_certificate(h, range(h.m)).ratio
             assert full <= Fraction(num, den) <= brute_min_expansion(h).ratio
             strict += Fraction(num, den) > full
@@ -330,7 +331,7 @@ class TestNestedScope:
         ]
         improved = 0
         for h in list(nested_scope_instances()) + workload_shaped:
-            got = list(_improving_certificates(h))
+            got = list(_improving_certificates(h, range(h.m)))
             want = reference_improving_certificates(h)
             assert got[0].to_json() == want[0].to_json()
             assert got[-1].to_json() == want[-1].to_json()
@@ -357,7 +358,7 @@ class TestNestedScope:
         for h in uniform + list(nested_scope_instances()):
             want = reference_min_expansion_flow(h).to_json()
             scopes.clear()
-            certs = list(_improving_certificates(h))
+            certs = list(_improving_certificates(h, range(h.m)))
             assert certs[-1].to_json() == want
             # Flow i yields certs[i + 1] (unless it finds nothing new), from
             # edges of its own network, and flow i + 1 runs inside that
@@ -384,11 +385,65 @@ class TestNestedScope:
             for p in (54, 56, 58)
         ]
         got = [solution_json("mpu", p, mpu_sqrt_m(h, p)) for h, p in cases]
-        monkeypatch.setattr(
-            hyperdense.mpu_general, "min_expansion_flow", reference_min_expansion_flow
-        )
+
+        def copy_and_remap(h, edge_ids):
+            # The old extraction round: a residual Hypergraph copy, solved by
+            # the reference, its ids mapped back.
+            cert = reference_min_expansion_flow(edge_subhypergraph(h, edge_ids))
+            return expansion_certificate(h, [edge_ids[j] for j in cert.edge_indices])
+
+        monkeypatch.setattr(hyperdense.mpu_general, "min_expansion_flow", copy_and_remap)
         want = [solution_json("mpu", p, mpu_sqrt_m(h, p)) for h, p in cases]
         assert got == want
+
+
+def scoped_reference(h, ids):
+    """min_expansion_flow on the edge_subhypergraph copy, ids mapped back."""
+    sub = min_expansion_flow(edge_subhypergraph(h, ids))
+    return expansion_certificate(h, [ids[j] for j in sub.edge_indices])
+
+
+class TestEdgeScope:
+    """A scope of edge ids gives the answer of the copy it replaces."""
+
+    def test_matches_copy_and_remap(self):
+        rng = random.Random(17)
+        workload_shaped = [
+            generate_uniform(500, 500, 7100 + seed, sizes=(2, 4)) for seed in range(4)
+        ]
+        shuffled = proper = 0
+        for h in list(nested_scope_instances()) + workload_shaped:
+            for _ in range(3):
+                ids = sorted(rng.sample(range(h.m), rng.randint(1, h.m)))
+                want = scoped_reference(h, ids).to_json()
+                assert min_expansion_flow(h, ids).to_json() == want
+                rng.shuffle(ids)
+                assert min_expansion_flow(h, ids).to_json() == want
+                assert scoped_reference(h, ids).to_json() == want
+                shuffled += ids != sorted(ids)
+                proper += len(ids) < h.m
+            assert min_expansion_flow(h, range(h.m)).to_json() == min_expansion_flow(h).to_json()
+        assert shuffled >= 500 and proper >= 500
+
+    def test_scope_ids_are_ids_of_h(self):
+        # Edges 1 and 2 repeat (0, 1); without them the best is edges 0 and 3.
+        h = Hypergraph(5, ((2, 3, 4), (0, 1), (0, 1), (3, 4)))
+        assert min_expansion_flow(h).edge_indices == (1, 2)
+        cert = min_expansion_flow(h, [3, 0])
+        assert (cert.edge_indices, cert.neighborhood) == ((0, 3), (2, 3, 4))
+        assert cert.ratio == Fraction(2, 3)
+        assert min_expansion_flow(h, [2]).edge_indices == (2,)
+
+    def test_bad_scopes_rejected(self):
+        h = generate_uniform(6, 5, 3, sizes=(2, 3))
+        with pytest.raises(EmptyHypergraphError):
+            min_expansion_flow(h, [])
+        for bad in ([0, 0], [1, 3, 1]):
+            with pytest.raises(ValueError, match="distinct"):
+                min_expansion_flow(h, bad)
+        for bad in ([-1], [h.m], [0, h.m + 3]):
+            with pytest.raises(ValueError, match="must lie in"):
+                min_expansion_flow(h, bad)
 
 
 class TestExpansionLP:

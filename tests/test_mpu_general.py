@@ -11,7 +11,7 @@ from hyperdense import (
     mpu_sqrt_m,
     union_of,
 )
-from hyperdense.mpu_general import CoverAccumulator, mpu_best_of
+from hyperdense.mpu_general import mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
     brute_dksh,
@@ -99,25 +99,6 @@ class TestSqrtM:
             opt = brute_mpu(h, p)
             opt_max = max(len(h.edges[i]) for i in opt.edge_indices)
             assert all(len(h.edges[i]) <= opt_max for i in sol.edge_indices)
-
-
-class TestCoverAccumulator:
-    def test_bookkeeping(self):
-        h = Hypergraph(5, ((0, 1), (1, 2), (3, 4)))
-        acc = CoverAccumulator(h)
-        acc.add([1])
-        assert acc.chosen == [1]
-        assert acc.union == {1, 2}
-        assert acc.residual_indices() == [0, 2]
-        acc.add([0])
-        assert acc.union == {0, 1, 2}
-
-    def test_rejects_duplicate_choice(self):
-        h = Hypergraph(3, ((0, 1),))
-        acc = CoverAccumulator(h)
-        acc.add([0])
-        with pytest.raises(ValueError):
-            acc.add([0])
 
 
 class TestIterativeCover:

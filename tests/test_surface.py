@@ -1,5 +1,7 @@
-"""The package's public names, the README example, and the tracer's bindings."""
+"""The package's public names, the README example, the tracer's bindings, and
+unused imports."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -88,3 +90,25 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert len(patched) == recorded > 0
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+# Imports a module keeps without using them, each a declared decision:
+# perfbench/tracing.py patches cli.covered_edges by name.
+UNUSED_IMPORT_ALLOWLIST = {("cli", "covered_edges")}
+
+
+def test_every_import_is_used():
+    unused = set()
+    for path in sorted((ROOT / "src" / "hyperdense").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.stem, name) for name in imported - used)
+    assert unused == UNUSED_IMPORT_ALLOWLIST
