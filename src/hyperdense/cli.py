@@ -100,6 +100,12 @@ def _reverify(h: Hypergraph, sol: EdgeSolution | VertexSolution) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # A flag the chosen algorithm would not read is a usage error, not a no-op.
+    if args.problem == "mpu" and args.trace and args.algo != "three-uniform":
+        raise ValueError(f"--trace does not apply to --algo {args.algo}")
+    if args.problem == "dksh" and args.algo == "interval" and (args.explain or args.sub):
+        flag = "--explain" if args.explain else "--sub"
+        raise ValueError(f"{flag} does not apply to --algo interval")
     text = _read(args.file)
     if args.problem == "mpu":
         if args.algo == "interval":
@@ -273,16 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sqrt-m")
     s_mpu.add_argument("--p", type=int, required=True)
     s_mpu.add_argument("--trace", action="store_true",
-                       help="emit one row per witness-size guess")
+                       help="emit one row per witness-size guess (three-uniform only)")
     s_mpu.add_argument("file")
     s_mpu.set_defaults(func=_cmd_solve)
     s_dksh = solve_sub.add_parser("dksh")
     s_dksh.add_argument("--algo", choices=("three-uniform", "interval"),
                         default="three-uniform")
     s_dksh.add_argument("--k", type=int, required=True)
-    s_dksh.add_argument("--sub", choices=("greedy", "exact"), default="greedy")
+    s_dksh.add_argument("--sub", choices=("greedy", "exact"), default=None,
+                        help="weighted densest-k subroutine (default: greedy)")
     s_dksh.add_argument("--explain", action="store_true",
-                        help="emit one row per component strategy")
+                        help="emit one row per component strategy (three-uniform only)")
     s_dksh.add_argument("file")
     s_dksh.set_defaults(func=_cmd_solve)
 

@@ -228,8 +228,15 @@ def covered_count(h: Hypergraph, vertices: Iterable[int]) -> int:
 
 
 def edge_subhypergraph(h: Hypergraph, edge_indices: Iterable[int]) -> Hypergraph:
-    """Same vertex set, only the selected edges (in the given order)."""
-    return Hypergraph(h.n, tuple(h.edges[i] for i in edge_indices))
+    """Same vertex set, only the selected edges (in the given order).
+
+    The ids 0..m-1 in order select all of h, so h itself is returned: it is
+    immutable, so a copy would be the same value, minus h's cached indexes.
+    """
+    ids = list(edge_indices)
+    if ids == list(range(h.m)):
+        return h
+    return Hypergraph(h.n, tuple(h.edges[i] for i in ids))
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,19 @@
 The solver guesses the vertex count k of an optimal witness (trying every
 value), derives the guess's parameters, and runs the iterative cover loop with
 a generator that proposes several anchored candidates per round and keeps the
-one with the best exact density (covered residual edges per vertex).  The
-final answer is never worse than the general 2*sqrt(m) solver because both
-enter a best-of.
+one with the best exact density (covered residual edges per vertex).  A round
+whose three-layer candidate alone covers p edges returns it before the other
+candidates are built.  The first round of every cover runs on the instance
+itself, not a copy.  The final answer is never worse than the general
+2*sqrt(m) solver because both enter a best-of.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 from hyperdense.core import (
     EdgeSolution,
@@ -45,8 +46,6 @@ from hyperdense.mpu_general import (
     mpu_sqrt_m,
 )
 
-SpESSubroutine = Callable[[WeightedGraph, int], Sequence[int]]
-
 
 def _ceil_sqrt_fraction(num: int, den: int) -> int:
     """Smallest integer z with z*z >= num/den, computed in exact integers."""
@@ -64,9 +63,9 @@ class MpU3Params:
     """Parameters derived from one witness-size guess k.
 
     anchor_size caps ceil(k * n^(2/5)) at n; delta is the minimum degree among
-    the anchor_size top-degree vertices; avg_degree is the exact rational
-    3p/k; khat is the probe size for the pruned-neighborhood route, the exact
-    integer ceiling of sqrt(k^3 * delta / (3 * avg_degree)).
+    the anchor_size top-degree vertices; khat is the probe size for the
+    pruned-neighborhood route, the exact integer ceiling of
+    sqrt(k^4 * delta / (9p)) and at least 1.
     """
 
     k: int
@@ -74,30 +73,27 @@ class MpU3Params:
     n: int
     anchor_size: int
     delta: int
-    avg_degree: Fraction
     khat: int
 
     @classmethod
     def for_guess(
-        cls, h: Hypergraph, p: int, k: int, *, ranked_degrees: Sequence[int] | None = None
+        cls, h: Hypergraph, p: int, k: int, ranked_degrees: Sequence[int]
     ) -> "MpU3Params":
         """Parameters for guess k; ``ranked_degrees`` is ``sorted(degrees(h),
-        reverse=True)``, computed here when not given."""
+        reverse=True)``, which one solve computes once for all its guesses."""
         _check_p(h, p)
         if not 1 <= k <= h.n:
             raise ValueError(f"k must be in [1, {h.n}], got {k}")
-        if ranked_degrees is None:
-            ranked_degrees = sorted(degrees(h), reverse=True)
         anchor_size = min(math.ceil(k * h.n ** 0.4), h.n)
         # The least degree among the top anchor_size vertices (anchor_size >= 1).
         delta = ranked_degrees[anchor_size - 1]
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
-        return cls(k, p, h.n, anchor_size, delta, Fraction(3 * p, k), khat)
+        return cls(k, p, h.n, anchor_size, delta, khat)
 
 
 def greedy_weighted_spes(graph: WeightedGraph, target_weight: int) -> tuple[int, ...]:
-    """Default coverage-first subroutine: grow a vertex set until its induced
-    weight reaches the target or no vertex adds weight.
+    """Coverage-first subroutine of the anchored-spes candidate: grow a vertex
+    set until its induced weight reaches the target or no vertex adds weight.
 
     Seeds with the heaviest pair, then repeatedly adds the vertex with the
     largest marginal weight into the picked set (the smallest id on a tie).
@@ -158,44 +154,41 @@ def probe_candidates(h: Hypergraph, probe_size: int) -> Iterator[set[int]]:
                 yield {v} | _st_pick(g, probe_size - 1)
 
 
-def candidate_generator_3u(
-    residual: Hypergraph,
-    params: MpU3Params,
-    spes_sub: SpESSubroutine = greedy_weighted_spes,
-) -> VertexSolution:
+def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSolution:
     """One cover-loop round: propose anchored candidates, return the densest.
 
-    Candidates, in order: the anchors plus the top k vertices by anchored pair
-    count; the anchors plus the coverage subroutine's pick on the pair-weight
-    graph; the three-layer greedy at the inflated anchor budget (returned
-    immediately if it already covers p edges); the pruned link-graph search at
-    probe size khat outside the anchors (whole pruned graphs are returned when
-    smaller than the probe size); and the most repeated single edge, which
-    guarantees progress.  Density ties keep the earliest candidate.
+    The three-layer greedy at the inflated anchor budget is built first: if it
+    already covers p edges it is returned at once, before any other candidate
+    is built.  Otherwise the candidates, in order: the anchors plus the top k
+    vertices by anchored pair count; the anchors plus the coverage
+    subroutine's pick on the pair-weight graph; the three-layer candidate; the
+    pruned link-graph search at probe size khat outside the anchors (whole
+    pruned graphs are returned when smaller than the probe size); and the most
+    repeated single edge, which guarantees progress.  Density ties keep the
+    earliest candidate.
     """
     if residual.m == 0:
         raise ValueError("generator needs a nonempty residual")
     _require_three_uniform(residual)
     n = residual.n
-    anchors = top_by_degree(residual, params.anchor_size)
-    anchor_set = set(anchors)
-    candidates: list[tuple[str, set[int]]] = []
-
-    pair_counts = k1_pair_weights(residual, anchors)
-    top = _top_scoring(pair_counts, params.k)
-    candidates.append(("anchored-pairs", anchor_set | set(top)))
-
-    graph = k1_weighted_graph(residual, anchors)
-    picked = tuple(spes_sub(graph, params.p))
-    candidates.append(("anchored-spes", anchor_set | set(picked)))
-
     budget = params.anchor_size
+    layered = None
     if 3 <= budget <= n:
-        layer_anchors = top_by_degree(residual, budget // 3)
-        layered = greedy_three_layer(residual, budget, layer_anchors)
+        layered = greedy_three_layer(residual, budget, top_by_degree(residual, budget // 3))
         if layered.covered_count >= params.p:
             # Covering p edges in one shot ends the loop for this guess.
-            return VertexSolution.from_vertices(residual, layered.vertices, "three-layer")
+            return replace(layered, algorithm="three-layer")
+
+    anchors = top_by_degree(residual, params.anchor_size)
+    anchor_set = set(anchors)
+    top = _top_scoring(k1_pair_weights(residual, anchors), params.k)
+    graph = k1_weighted_graph(residual, anchors)
+    picked = greedy_weighted_spes(graph, params.p)
+    candidates = [
+        ("anchored-pairs", anchor_set | set(top)),
+        ("anchored-spes", anchor_set | set(picked)),
+    ]
+    if layered is not None:
         candidates.append(("three-layer", set(layered.vertices)))
 
     rest, lift = induced(residual, set(range(n)) - anchor_set)
@@ -217,27 +210,7 @@ def candidate_generator_3u(
     return VertexSolution.from_vertices(residual, best[1], best[0])
 
 
-def _cover_for_guess(
-    h: Hypergraph, p: int, params: MpU3Params, spes_sub: SpESSubroutine
-) -> EdgeSolution | None:
-    """The iterative cover for one guess, or None when its generator stalls."""
-
-    def generator(residual: Hypergraph, _budget: int) -> VertexSolution:
-        return candidate_generator_3u(residual, params, spes_sub)
-
-    try:
-        return iterative_cover(h, p, params.anchor_size, generator)
-    except StalledGeneratorError:
-        return None
-
-
-def mpu_3uniform(
-    h: Hypergraph,
-    p: int,
-    *,
-    spes_sub: SpESSubroutine = greedy_weighted_spes,
-    trace: list[dict] | None = None,
-) -> EdgeSolution:
+def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> EdgeSolution:
     """Minimum p-union by witness-size guessing, floored by the 2*sqrt(m) solver.
 
     Tries every k in 1..n, runs the iterative cover with that guess's
@@ -248,8 +221,8 @@ def mpu_3uniform(
 
     A saturated guess (anchor_size == n) runs once: every residual keeps all n
     vertices, so every vertex is an anchor, the probe outside the anchors is
-    empty and the cover depends only on (h, p, spes_sub).  Each later k reuses
-    that outcome with its own khat and delta in the trace.
+    empty and the cover depends only on (h, p).  Each later k reuses that
+    outcome with its own khat and delta in the trace.
     """
     _require_three_uniform(h)
     _check_p(h, p)
@@ -257,10 +230,16 @@ def mpu_3uniform(
     best: EdgeSolution | None = None
     saturated = False
     for k in range(1, h.n + 1):
-        params = MpU3Params.for_guess(h, p, k, ranked_degrees=ranked)
+        params = MpU3Params.for_guess(h, p, k, ranked)
         if not saturated:
             saturated = params.anchor_size == h.n
-            sol = _cover_for_guess(h, p, params, spes_sub)
+            try:
+                sol = iterative_cover(
+                    h, p, params.anchor_size,
+                    lambda residual, _k: candidate_generator_3u(residual, params),
+                )
+            except StalledGeneratorError:
+                sol = None
         if sol is None:
             continue
         if trace is not None:
@@ -274,8 +253,6 @@ def mpu_3uniform(
             )
         if best is None or sol.union_size < best.union_size:
             best = sol
-    candidates = []
-    if best is not None:
-        candidates.append(EdgeSolution.from_indices(h, best.edge_indices, "three-uniform"))
+    candidates = [] if best is None else [replace(best, algorithm="three-uniform")]
     candidates.append(mpu_sqrt_m(h, p))
     return mpu_best_of(h, p, candidates)

@@ -162,6 +162,38 @@ class TestExplain:
         assert calls == [9]
 
 
+class TestIgnoredFlags:
+    """A flag the chosen algorithm would not read is a usage error, not a no-op."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("solve", "mpu", "--algo", "sqrt-m", "--p", "2", "--trace"), "--trace"),
+            (("solve", "mpu", "--p", "2", "--trace"), "--trace"),
+            (("solve", "mpu", "--algo", "interval", "--p", "2", "--trace"), "--trace"),
+            (("solve", "dksh", "--algo", "interval", "--k", "4", "--explain"), "--explain"),
+            (("solve", "dksh", "--algo", "interval", "--k", "4", "--sub", "exact"), "--sub"),
+            (("solve", "dksh", "--algo", "interval", "--k", "4", "--sub", "greedy"), "--sub"),
+        ],
+        ids=["mpu-sqrt-m-trace", "mpu-default-trace", "mpu-interval-trace",
+             "dksh-interval-explain", "dksh-interval-sub-exact", "dksh-interval-sub-greedy"],
+    )
+    def test_rejected_with_exit_2(self, capsys, simple_file, interval_file, argv, flag):
+        path = interval_file if "interval" in argv else simple_file
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert flag in err
+
+    def test_explicit_greedy_sub_matches_default(self, capsys, uniform_file):
+        _, default, _ = run(capsys, "solve", "dksh", "--k", "3", uniform_file)
+        code, explicit, _ = run(capsys, "solve", "dksh", "--k", "3", "--sub", "greedy",
+                                uniform_file)
+        assert code == 0
+        assert explicit == default
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self, capsys, simple_file):
         code, _, _ = run(capsys, "solve", "mpu", "--nope", "--p", "1", simple_file)

@@ -13,7 +13,13 @@ from hyperdense import (
     union_of,
 )
 import hyperdense.core
-from hyperdense.core import covered_count, degrees, induced, top_by_degree
+from hyperdense.core import (
+    covered_count,
+    degrees,
+    edge_subhypergraph,
+    induced,
+    top_by_degree,
+)
 
 
 @st.composite
@@ -115,6 +121,33 @@ class TestInduced:
     def test_full_set_is_identity(self, h):
         sub, _ = induced(h, range(h.n))
         assert sub.edges == h.edges
+
+
+class TestEdgeSubhypergraph:
+    def test_all_ids_in_order_return_the_instance(self):
+        h = Hypergraph(4, ((0, 1), (1, 2, 3), (1, 2, 3)))
+        assert edge_subhypergraph(h, range(h.m)) is h
+        assert edge_subhypergraph(h, iter([0, 1, 2])) is h
+        empty = Hypergraph(3, ())
+        assert edge_subhypergraph(empty, []) is empty
+
+    def test_other_selections_copy(self):
+        h = Hypergraph(4, ((0, 1), (1, 2, 3), (2, 3)))
+        for ids, edges in (
+            ([2, 1, 0], ((2, 3), (1, 2, 3), (0, 1))),
+            ([0, 2], ((0, 1), (2, 3))),
+            ([0, 1, 2, 2], ((0, 1), (1, 2, 3), (2, 3), (2, 3))),
+            ([], ()),
+        ):
+            sub = edge_subhypergraph(h, ids)
+            assert sub is not h
+            assert (sub.n, sub.edges) == (4, edges)
+
+    @given(hypergraphs(), st.data())
+    def test_same_value_as_a_copy(self, h, data):
+        ids = data.draw(st.lists(st.integers(0, max(h.m - 1, 0)), max_size=h.m)) if h.m else []
+        assert edge_subhypergraph(h, ids) == Hypergraph(h.n, tuple(h.edges[i] for i in ids))
+        assert edge_subhypergraph(h, range(h.m)) == Hypergraph(h.n, h.edges)
 
 
 class TestDegrees:

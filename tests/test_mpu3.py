@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,12 +15,26 @@ from hyperdense import (
 from hyperdense.core import (
     EdgeSolution,
     VertexSolution,
+    covered_edges,
     degrees,
+    induced,
     solution_json,
     top_by_degree,
 )
-from hyperdense.dksh3 import k1_weighted_graph
-from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction, candidate_generator_3u
+from hyperdense.dksh3 import (
+    _require_three_uniform,
+    _top_scoring,
+    greedy_three_layer,
+    k1_pair_weights,
+    k1_weighted_graph,
+)
+from hyperdense.mpu3 import (
+    MpU3Params,
+    _ceil_sqrt_fraction,
+    _densest_single_edge,
+    candidate_generator_3u,
+    probe_candidates,
+)
 from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
@@ -31,11 +44,16 @@ from hyperdense.oracle import (
 )
 
 
+def params_for(h, p, k):
+    """``MpU3Params.for_guess`` with the degree ranking a solve passes it."""
+    return MpU3Params.for_guess(h, p, k, sorted(degrees(h), reverse=True))
+
+
 class TestParams:
     def test_fields(self):
         h = generate_uniform(10, 12, 0)
-        params = MpU3Params.for_guess(h, 6, 4)
-        assert params.avg_degree == Fraction(18, 4)
+        params = params_for(h, 6, 4)
+        assert (params.k, params.p, params.n) == (4, 6, 10)
         assert 1 <= params.anchor_size <= h.n
         assert params.khat >= 1
 
@@ -45,7 +63,7 @@ class TestParams:
             h = generate_uniform(9, 10, seed)
             for k in range(1, h.n + 1):
                 for p in (1, 3, h.m):
-                    params = MpU3Params.for_guess(h, p, k)
+                    params = params_for(h, p, k)
                     lhs = k**4 * params.delta
                     assert 9 * p * params.khat**2 >= lhs
                     if params.delta >= 1:
@@ -62,7 +80,7 @@ class TestParams:
     def test_k_out_of_range(self):
         h = generate_uniform(6, 4, 0)
         with pytest.raises(ValueError):
-            MpU3Params.for_guess(h, 2, 0)
+            params_for(h, 2, 0)
 
 
 class TestSpESGreedy:
@@ -85,20 +103,18 @@ class TestSpESGreedy:
 class TestGenerator:
     def test_single_edge_residual(self):
         h = Hypergraph(20, ((4, 9, 13),))
-        params = MpU3Params.for_guess(h, 1, 1)
+        params = params_for(h, 1, 1)
         sol = candidate_generator_3u(h, params)
         assert sol.vertices == (4, 9, 13)
         assert sol.covered == (0,)
 
     def test_empty_residual_rejected(self):
         h = Hypergraph(4, ())
-        params = MpU3Params.for_guess(generate_uniform(4, 2, 0), 1, 1)
+        params = params_for(generate_uniform(4, 2, 0), 1, 1)
         with pytest.raises(ValueError):
             candidate_generator_3u(h, params)
 
     def test_whole_pruned_graph_returned_when_probe_exceeds_it(self):
-        from hyperdense.mpu3 import probe_candidates
-
         h = Hypergraph(5, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
         # Probe size above any link graph: candidates are whole pruned graphs.
         cands = list(probe_candidates(h, 5))
@@ -112,7 +128,7 @@ class TestGenerator:
         for seed in range(40):
             h = generate_uniform(8, 6, seed)
             for k in (1, 3, 8):
-                params = MpU3Params.for_guess(h, 2, k)
+                params = params_for(h, 2, k)
                 sol = candidate_generator_3u(h, params)
                 assert sol.covered_count >= 1
 
@@ -126,7 +142,7 @@ class TestGenerator:
                                seed=800 + seed)
             planted = generate_planted(spec)
             h = planted.hypergraph
-            params = MpU3Params.for_guess(h, spec.block_edges, spec.block_size)
+            params = params_for(h, spec.block_edges, spec.block_size)
             sol = candidate_generator_3u(h, params)
             density = sol.covered_count / len(sol.vertices)
             floor = (spec.block_edges / spec.block_size) / h.n**0.4
@@ -183,9 +199,9 @@ class TestMpU3Uniform:
         calls_per_guess: dict[int, int] = {}
         original = candidate_generator_3u
 
-        def counting(residual, params, spes_sub=greedy_weighted_spes):
+        def counting(residual, params):
             calls_per_guess[params.k] = calls_per_guess.get(params.k, 0) + 1
-            return original(residual, params, spes_sub)
+            return original(residual, params)
 
         try:
             mpu3_module.candidate_generator_3u = counting
@@ -205,22 +221,84 @@ class TestMpU3Uniform:
             mpu_3uniform(h, 1)
 
 
-def reference_mpu_3uniform(h, p, trace):
+# -- Reference: the cover round before the three-layer short-cut came first --
+# Every round ranked the anchors and built the pair-weight candidates before
+# the three-layer candidate that may end it, and every round, the first
+# included, covered a re-validated copy of its residual.
+
+
+def reference_candidate_generator_3u(residual, params):
+    if residual.m == 0:
+        raise ValueError("generator needs a nonempty residual")
+    _require_three_uniform(residual)
+    n = residual.n
+    anchors = top_by_degree(residual, params.anchor_size)
+    anchor_set = set(anchors)
+    candidates = []
+
+    pair_counts = k1_pair_weights(residual, anchors)
+    top = _top_scoring(pair_counts, params.k)
+    candidates.append(("anchored-pairs", anchor_set | set(top)))
+
+    graph = k1_weighted_graph(residual, anchors)
+    picked = tuple(greedy_weighted_spes(graph, params.p))
+    candidates.append(("anchored-spes", anchor_set | set(picked)))
+
+    budget = params.anchor_size
+    if 3 <= budget <= n:
+        layer_anchors = top_by_degree(residual, budget // 3)
+        layered = greedy_three_layer(residual, budget, layer_anchors)
+        if layered.covered_count >= params.p:
+            return VertexSolution.from_vertices(residual, layered.vertices, "three-layer")
+        candidates.append(("three-layer", set(layered.vertices)))
+
+    rest, lift = induced(residual, set(range(n)) - anchor_set)
+    if rest.m > 0 and params.khat >= 2:
+        for cand in probe_candidates(rest, params.khat):
+            candidates.append(("pruned-neighborhood", {lift[u] for u in cand}))
+
+    candidates.append(("single-edge", set(_densest_single_edge(residual))))
+
+    best = None
+    for tag, verts in candidates:
+        if not verts:
+            continue
+        num = len(covered_edges(residual, verts))
+        den = len(verts)
+        if best is None or num * best[3] > best[2] * den:
+            best = (tag, verts, num, den)
+    return VertexSolution.from_vertices(residual, best[1], best[0])
+
+
+def reference_iterative_cover(h, p, k, generator):
+    chosen = []
+    residual = list(range(h.m))
+    while len(chosen) < p:
+        sub = Hypergraph(h.n, tuple(h.edges[i] for i in residual))
+        picked = generator(sub, k)
+        found = [residual[j] for j in covered_edges(sub, picked.vertices)]
+        if not found:
+            raise StalledGeneratorError("generator covered no edge on a nonempty residual")
+        chosen.extend(found)
+        taken = set(found)
+        residual = [i for i in residual if i not in taken]
+    return EdgeSolution.from_indices(h, chosen[:p], "iterative-cover")
+
+
+def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_3u):
     """The guess loop without reuse: parameters from the top-degree anchors and
-    one iterative cover for every k, then the best-of with mpu_sqrt_m."""
+    one reference cover for every k, then the best-of with mpu_sqrt_m."""
     best = None
     for k in range(1, h.n + 1):
         anchor_size = min(math.ceil(k * h.n**0.4), h.n)
         deg = degrees(h)
         delta = min((deg[v] for v in top_by_degree(h, anchor_size)), default=0)
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
-        params = MpU3Params(k, p, h.n, anchor_size, delta, Fraction(3 * p, k), khat)
-
-        def generator(residual, _budget, _p=params):
-            return mpu3_module.candidate_generator_3u(residual, _p, greedy_weighted_spes)
-
+        params = MpU3Params(k, p, h.n, anchor_size, delta, khat)
         try:
-            sol = iterative_cover(h, p, anchor_size, generator)
+            sol = reference_iterative_cover(
+                h, p, anchor_size, lambda residual, _k: generator(residual, params)
+            )
         except StalledGeneratorError:
             continue
         trace.append({"k": k, "khat": khat, "delta": delta, "union": sol.union_size})
@@ -244,39 +322,128 @@ def _differential_instances():
         yield generate_planted(spec).hypergraph
 
 
-def _assert_same_as_reference(h, p):
+def _assert_same_as_reference(h, p, generator=reference_candidate_generator_3u):
     trace, expected_trace = [], []
     got = solution_json("mpu", p, mpu_3uniform(h, p, trace=trace))
-    expected = solution_json("mpu", p, reference_mpu_3uniform(h, p, expected_trace))
+    expected = solution_json("mpu", p, reference_mpu_3uniform(h, p, expected_trace, generator))
     assert got == expected
     assert trace == expected_trace
     return trace
 
 
+def _spy(monkeypatch, name):
+    """Count the calls made through ``hyperdense.mpu3.<name>``."""
+    calls = []
+    original = getattr(mpu3_module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mpu3_module, name, spied)
+    return calls
+
+
 class TestSaturatedGuessReuse:
-    def test_matches_loop_without_reuse(self):
+    def test_matches_loop_without_reuse(self, monkeypatch):
+        rounds = _spy(monkeypatch, "candidate_generator_3u")
+        best_of_rounds = _spy(monkeypatch, "k1_pair_weights")
         cases = 0
         for h in _differential_instances():
             for p in sorted({1, (h.m + 1) // 2, h.m}):
                 _assert_same_as_reference(h, p)
                 cases += 1
+        # planted-mpu3 benchmark shape: p below, at and above the block.
+        for seed in range(3):
+            spec = PlantedSpec(n=64, noise_edges=300, block_size=12, block_edges=60,
+                               seed=6100 + seed)
+            h = generate_planted(spec).hypergraph
+            for p in (30, 60, 75):
+                _assert_same_as_reference(h, p)
+                cases += 1
         assert cases >= 300
+        # Both kinds of round occur: those the three-layer short-cut ends and
+        # those that reach the density best-of.
+        assert 0 < len(best_of_rounds) < len(rounds)
+
+    def test_rounds_match_reference(self):
+        # Round by round, tags included: the winning candidate and its tag
+        # are the reference's, so the best-of order and tie-breaks hold.
+        rng = random.Random(6200)
+        tags = set()
+        for h in _differential_instances():
+            ranked = sorted(degrees(h), reverse=True)
+            for _ in range(3):
+                ids = sorted(rng.sample(range(h.m), rng.randint(1, h.m)))
+                residual = Hypergraph(h.n, tuple(h.edges[i] for i in ids))
+                k = rng.randint(1, h.n)
+                for p in sorted({1, (h.m + 1) // 2, h.m}):
+                    params = MpU3Params.for_guess(h, p, k, ranked)
+                    got = candidate_generator_3u(residual, params)
+                    assert got == reference_candidate_generator_3u(residual, params)
+                    tags.add(got.algorithm)
+        assert {"anchored-pairs", "three-layer", "single-edge"} <= tags
 
     def test_reused_stall_skips_saturated_rows(self, monkeypatch):
-        original = candidate_generator_3u
+        def stall_when_saturated(generator):
+            def stalling(residual, params):
+                if params.anchor_size == residual.n:
+                    return VertexSolution.from_vertices(residual, ())
+                return generator(residual, params)
+            return stalling
 
-        def stall_when_saturated(residual, params, spes_sub=greedy_weighted_spes):
-            if params.anchor_size == residual.n:
-                return VertexSolution.from_vertices(residual, ())
-            return original(residual, params, spes_sub)
-
-        monkeypatch.setattr(mpu3_module, "candidate_generator_3u", stall_when_saturated)
+        monkeypatch.setattr(
+            mpu3_module, "candidate_generator_3u", stall_when_saturated(candidate_generator_3u)
+        )
         spec = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
         h = generate_planted(spec).hypergraph
         for p in (4, 12, 20):
-            trace = _assert_same_as_reference(h, p)
+            trace = _assert_same_as_reference(
+                h, p, stall_when_saturated(reference_candidate_generator_3u)
+            )
             # 20^(2/5) > 3.3: guesses 1..5 are unsaturated, 6..20 all stall.
             assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
+
+
+class TestNoThrowawayWork:
+    def _block(self):
+        # 12 edges inside a 6-vertex block: at guess 5 the anchor budget is n
+        # and the three-layer candidate covers all 12.
+        spec = PlantedSpec(n=12, noise_edges=0, block_size=6, block_edges=12, seed=2)
+        return generate_planted(spec).hypergraph
+
+    def test_short_cut_builds_no_pair_weights(self, monkeypatch):
+        h = self._block()
+        pair_calls = _spy(monkeypatch, "k1_pair_weights")
+        graph_calls = _spy(monkeypatch, "k1_weighted_graph")
+        sol = candidate_generator_3u(h, params_for(h, 12, 5))
+        assert sol.algorithm == "three-layer" and sol.covered_count >= 12
+        assert pair_calls == [] and graph_calls == []
+        # A round that misses p still builds both.
+        sol = candidate_generator_3u(h, params_for(h, 12, 1))
+        assert len(pair_calls) == 1 and len(graph_calls) == 1
+
+    def test_one_round_cover_builds_no_hypergraph(self, monkeypatch):
+        h = self._block()
+        params = params_for(h, 12, 5)
+        builds = []
+        original = Hypergraph.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        rounds = []
+
+        def generator(residual, _k):
+            rounds.append(residual)
+            return candidate_generator_3u(residual, params)
+
+        sol = iterative_cover(h, 12, params.anchor_size, generator)
+        assert len(rounds) == 1 and rounds[0] is h
+        assert builds == []
+        assert sol.edge_indices == tuple(range(12))
 
 
 # -- Reference: the greedy coverage subroutine before running gains --
@@ -348,11 +515,15 @@ class TestRankedDegrees:
     def test_given_ranking_matches_computed_one(self):
         for seed in range(30):
             h = generate_uniform(6 + seed % 7, 5 + seed % 11, 9500 + seed)
-            ranked = sorted(degrees(h), reverse=True)
+            deg = degrees(h)
+            ranked = sorted(deg, reverse=True)
             for k in range(1, h.n + 1):
+                anchor_size = min(math.ceil(k * h.n**0.4), h.n)
+                delta = min(deg[v] for v in top_by_degree(h, anchor_size))
                 for p in (1, h.m):
-                    assert MpU3Params.for_guess(h, p, k, ranked_degrees=ranked) == (
-                        MpU3Params.for_guess(h, p, k)
+                    khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
+                    assert MpU3Params.for_guess(h, p, k, ranked) == (
+                        MpU3Params(k, p, h.n, anchor_size, delta, khat)
                     )
 
     def test_one_degree_pass_per_solve(self, monkeypatch):
