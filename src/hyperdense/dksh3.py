@@ -5,16 +5,20 @@ Several incomparable strategies run side by side and the densest output wins:
 - a three-layer greedy anchored on the top-degree vertices,
 - a case split that scores vertices against the anchor set and also feeds a
   pair-weight graph into a pluggable dense-subgraph subroutine,
-- a per-vertex neighborhood search over iteratively pruned link graphs: one
-  sweep over the edges lists every vertex's companion pairs, each link graph
+- a per-vertex neighborhood search over iteratively pruned link graphs, run
+  on the instance itself with the anchors skipped: one sweep over the edges
+  that miss the anchors lists every vertex's companion pairs, each link graph
   is pruned once, and at every threshold both the built-in greedy selection
-  and a plugged subroutine pick from the same pruned graph,
+  and a plugged subroutine pick from the same pruned graph, reading one
+  degree order and one pull order (the default subroutine builds no weighted
+  graph unless the link repeats a pair),
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
-Every candidate is padded to exactly k vertices with the smallest unused ids
-(padding never uncovers an edge) and its covered count is recomputed from the
-instance's incidence index (``Hypergraph.edges_by_last``), which visits only
-the edges that end inside the candidate.  One best-of rule picks every
+Every candidate is padded to exactly k vertices with the smallest unused ids,
+outside the anchors for the neighborhood searches (padding never uncovers an
+edge), and its covered count is recomputed from the instance's incidence
+index (``Hypergraph.edges_by_last``), which visits only the edges that end
+inside the candidate.  One best-of rule picks every
 winner: the candidate covering the most edges, the earliest on a tie.  The
 neighborhood searches apply it to bare counts and build one solution each.
 """
@@ -24,13 +28,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from hyperdense.core import (
     Hypergraph,
     VertexSolution,
     covered_count,
-    induced,
+    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
     top_by_degree,
 )
 
@@ -72,7 +76,10 @@ def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
     Picks floor(k/2) vertices of highest weighted degree, then ceil(k/2)
     vertices with the largest weight into that seed set (overlap allowed).
     Both rankings come from one read of the adjacency: a vertex's pull is
-    summed by walking the seed vertices' neighbors.
+    summed by walking the seed vertices' neighbors.  With every weight 1 the
+    rankings are by degree and by seed neighbors, ties to the smaller id,
+    which ``_pull_order`` computes on a plain adjacency;
+    ``neighborhood_searches`` reads this pick from it without building a graph.
     """
     if k <= 0 or not graph.vertices:
         return ()
@@ -105,14 +112,18 @@ def _top_scoring(scores: Sequence[int], t: int) -> list[int]:
     return order[:t]
 
 
-def _pad_to_k(n: int, base: Iterable[int], k: int) -> tuple[int, ...]:
+def _pad_to_k(
+    n: int, base: Iterable[int], k: int, skip: Collection[int] = ()
+) -> tuple[int, ...]:
+    """``base`` plus the smallest ids in [0, n) outside ``skip`` until k are chosen."""
     chosen = set(base)
     if len(chosen) > k:
         raise ValueError("candidate exceeds the vertex budget")
     for v in range(n):
         if len(chosen) == k:
             break
-        chosen.add(v)
+        if v not in skip:
+            chosen.add(v)
     return tuple(sorted(chosen))
 
 
@@ -166,14 +177,19 @@ def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSoluti
     return _padded(h, base, k, "greedy-three-layer")
 
 
-def _link_pairs(h: Hypergraph) -> list[list[tuple[int, int]]]:
+def _link_pairs(
+    h: Hypergraph, skip: Collection[int] = ()
+) -> list[list[tuple[int, int]]]:
     """Every vertex's companion pairs in one sweep: (u, x) per hyperedge {v, u, x}.
 
     Pairs are listed in edge order, one per incident edge (duplicate edges
-    repeat their pair), each ordered u < x.
+    repeat their pair), each ordered u < x.  Edges that meet ``skip`` are left
+    out, so a skipped vertex has no pairs and is in no other vertex's pairs.
     """
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for a, b, c in h.edges:
+        if skip and (a in skip or b in skip or c in skip):
+            continue
         pairs[a].append((b, c))
         pairs[b].append((a, c))
         pairs[c].append((a, b))
@@ -216,13 +232,25 @@ def _pruned_link_graphs(
         yield dhat, g
 
 
+def _pull_order(g: dict[int, set[int]], size: int) -> tuple[list[int], list[int]]:
+    """(seed, by_pull): the ``size`` top-degree vertices, then every vertex by pull.
+
+    A vertex's pull is its number of neighbors in the seed, summed by walking
+    the seed vertices' neighbor sets (the graph is symmetric).  Both orders
+    break ties by the smaller id.
+    """
+    seed = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
+    pull = dict.fromkeys(g, 0)
+    for s in seed:
+        for u in g[s]:
+            pull[u] += 1
+    return seed, sorted(g, key=lambda u: (-pull[u], u))
+
+
 def _st_pick(g: dict[int, set[int]], kk: int) -> set[int]:
     """floor(kk/2) vertices of top degree, then as many with most neighbors there."""
-    size = kk // 2
-    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
-    sset = set(s)
-    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
-    return sset | set(t)
+    seed, by_pull = _pull_order(g, kk // 2)
+    return set(seed) | set(by_pull[: kk // 2])
 
 
 def _weighted_from_link(
@@ -254,41 +282,69 @@ def neighborhood_search_plugged(
 
 
 def neighborhood_searches(
-    h: Hypergraph, k: int, sub: DkSSubroutine = greedy_weighted_dks
+    h: Hypergraph,
+    k: int,
+    sub: DkSSubroutine = greedy_weighted_dks,
+    skip: Collection[int] = (),
 ) -> tuple[VertexSolution, VertexSolution]:
     """Both neighborhood searches in one pass: (built-in greedy, plugged ``sub``).
 
-    Each vertex's link graph is pruned once, and at every threshold both
-    selectors pick k-1 companions from the same pruned graph.  Each search
-    keeps its own best over candidates in order of vertex, then threshold,
-    under the best-of rule applied to (covered count, padded k-set) pairs; a
-    plugged pick equal to the plain one reuses its count.  Only the two
-    winners become solutions.
+    The search runs on ``h`` with the vertices in ``skip`` removed: edges that
+    meet them are left out of every link graph, and candidates are padded
+    with the smallest ids outside ``skip``.  Each vertex's link graph is
+    pruned once, and at every threshold both selectors pick k-1 companions
+    from the same pruned graph.  Each search keeps its own best over
+    candidates in order of vertex, then threshold, under the best-of rule
+    applied to (covered count, padded k-set) pairs; a plugged pick equal to
+    the plain one reuses its count.  Only the two winners become solutions.
+
+    Both picks read one degree order and one pull order (``_pull_order``).
+    When ``sub`` is ``greedy_weighted_dks`` and no pair of the vertex's link
+    repeats, every weight is 1, so that subroutine's pick is the seed plus
+    the first ceil((k-1)/2) vertices by pull, and it is read off the same
+    orders without building a ``WeightedGraph``.  Any other ``sub``, and any
+    vertex with a repeated pair (a duplicate edge), calls ``sub`` on the
+    weighted link graph and checks its answer.
     """
     _require_three_uniform(h)
     _check_k(h, k)
+    skip = frozenset(skip)
+    if k > h.n - len(skip):
+        raise ValueError(f"k must be at most {h.n - len(skip)} outside the skipped vertices")
+    kk = k - 1
+    half = kk // 2
     plain: tuple[int, tuple[int, ...]] = (-1, ())
     plugged: tuple[int, tuple[int, ...]] = (-1, ())
-    for v, pairs in enumerate(_link_pairs(h)):
+    for v, pairs in enumerate(_link_pairs(h, skip)):
         if not pairs:
             continue
-        counts = Counter(pairs)
-        for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
-            plain_set = _pad_to_k(h.n, {v} | _st_pick(g, k - 1), k)
+        link = _link_graph(pairs)
+        # A repeated pair would make the link graph's simple edge count smaller.
+        counts = None
+        if sub is not greedy_weighted_dks or sum(map(len, link.values())) != 2 * len(pairs):
+            counts = Counter(pairs)
+        for _, g in _pruned_link_graphs(link, kk):
+            seed, by_pull = _pull_order(g, half)
+            pick = {v, *seed, *by_pull[:half]}
+            plain_set = _pad_to_k(h.n, pick, k, skip)
             plain_count = covered_count(h, plain_set)
             if plain_count > plain[0]:
                 plain = (plain_count, plain_set)
-            picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
-            if len(picked) > k - 1 or not set(picked) <= set(g):
-                raise ValueError("subroutine returned an invalid vertex set")
-            plugged_set = _pad_to_k(h.n, {v} | set(picked), k)
+            if counts is None:
+                pick.update(by_pull[half : kk - half])
+            else:
+                picked = tuple(sub(_weighted_from_link(g, counts), kk))
+                if len(picked) > kk or not set(picked) <= set(g):
+                    raise ValueError("subroutine returned an invalid vertex set")
+                pick = {v, *picked}
+            plugged_set = _pad_to_k(h.n, pick, k, skip)
             plugged_count = (
                 plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
             )
             if plugged_count > plugged[0]:
                 plugged = (plugged_count, plugged_set)
     if plain[0] < 0:
-        plain = plugged = (0, _pad_to_k(h.n, (), k))
+        plain = plugged = (0, _pad_to_k(h.n, (), k, skip))
     return (
         VertexSolution.from_vertices(h, plain[1], "neighborhood"),
         VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
@@ -371,9 +427,9 @@ def dksh_candidates(
 ) -> list[VertexSolution]:
     """Every component strategy's solution, each on exactly k vertices.
 
-    The neighborhood searches run on the instance induced away from the
-    anchors (their results are lifted back to original ids); they are skipped
-    when fewer than k vertices remain there.
+    The neighborhood searches run on ``h`` with the anchors skipped (see
+    ``neighborhood_searches``), so no induced copy is built; they do not run
+    when fewer than k vertices lie outside the anchors.
     """
     _require_three_uniform(h)
     _check_k(h, k)
@@ -382,10 +438,8 @@ def dksh_candidates(
         k1_case_split(h, k, anchors, sub),
         greedy_three_layer(h, k, anchors),
     ]
-    rest, lift = induced(h, set(range(h.n)) - set(anchors))
-    if 3 <= k <= rest.n:
-        for sol in neighborhood_searches(rest, k, sub):
-            out.append(_padded(h, {lift[v] for v in sol.vertices}, k, sol.algorithm))
+    if k <= h.n - len(anchors):
+        out.extend(neighborhood_searches(h, k, sub, anchors))
     out.append(trivial_pick(h, k))
     return out
 

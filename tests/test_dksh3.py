@@ -19,17 +19,17 @@ from hyperdense import (
     serialize_hypergraph,
     solution_json,
 )
+from hyperdense import dksh3
 from hyperdense.cli import main
-from hyperdense.core import degrees, top_by_degree
+from hyperdense.core import degrees, induced, top_by_degree
 from hyperdense.dksh3 import (
     _check_k,
     _link_graph,
     _link_pairs,
-    _pad_to_k,
     _pruned_link_graphs,
+    _pull_order,
     _require_three_uniform,
     _st_pick,
-    _weighted_from_link,
     dksh_candidates,
     greedy_three_layer,
     k1_case_split,
@@ -306,10 +306,43 @@ class TestCombined:
             dksh_3uniform(h, 7)
 
 
+# -- Frozen selection helpers --
+# The bodies of _pad_to_k, _st_pick and _weighted_from_link before one pull
+# order served both selectors, copied here so that the references below cannot
+# change along with the code they check.
+
+
+def reference_pad_to_k(n, base, k):
+    chosen = set(base)
+    if len(chosen) > k:
+        raise ValueError("candidate exceeds the vertex budget")
+    for v in range(n):
+        if len(chosen) == k:
+            break
+        chosen.add(v)
+    return tuple(sorted(chosen))
+
+
+def reference_st_pick(g, kk):
+    size = kk // 2
+    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
+    sset = set(s)
+    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
+    return sset | set(t)
+
+
+def reference_weighted_from_link(g, counts):
+    vertices = tuple(sorted(g))
+    edges = tuple(
+        (u, v, counts[(u, v)]) for u in vertices for v in sorted(g[u]) if u < v
+    )
+    return WeightedGraph(vertices, edges)
+
+
 # -- Reference: the two-pass neighborhood searches the merged pass replaced --
 # Each search rebuilt every vertex's link graph (and the plugged one its pair
 # counts) with a scan over all edges, and pruned it on its own.  The pruning
-# and selection helpers are shared with the merged pass.
+# helper is shared with the merged pass.
 
 
 def reference_link_graph(h, v):
@@ -343,17 +376,17 @@ def reference_neighborhood_best(h, k, select_factory, tag):
         select = select_factory(v)
         for _, g in _pruned_link_graphs(adj, k - 1):
             cand = {v} | select(g)
-            sol = VertexSolution.from_vertices(h, _pad_to_k(h.n, cand, k), tag)
+            sol = VertexSolution.from_vertices(h, reference_pad_to_k(h.n, cand, k), tag)
             if best is None or sol.covered_count > best.covered_count:
                 best = sol
     if best is None:
-        best = VertexSolution.from_vertices(h, _pad_to_k(h.n, set(), k), tag)
+        best = VertexSolution.from_vertices(h, reference_pad_to_k(h.n, set(), k), tag)
     return best
 
 
 def reference_neighborhood_search(h, k):
     return reference_neighborhood_best(
-        h, k, lambda _v: (lambda g: _st_pick(g, k - 1)), "neighborhood"
+        h, k, lambda _v: (lambda g: reference_st_pick(g, k - 1)), "neighborhood"
     )
 
 
@@ -362,7 +395,7 @@ def reference_neighborhood_search_plugged(h, k, sub):
         counts = reference_link_pair_counts(h, v)
 
         def select(g):
-            picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
+            picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
             if len(picked) > k - 1 or not set(picked) <= set(g):
                 raise ValueError("subroutine returned an invalid vertex set")
             return set(picked)
@@ -381,7 +414,7 @@ def reference_probe_candidates(h, probe_size):
             if len(g) < probe_size:
                 yield {v} | set(g)
             else:
-                yield {v} | _st_pick(g, probe_size - 1)
+                yield {v} | reference_st_pick(g, probe_size - 1)
 
 
 def differential_instances():
@@ -488,7 +521,7 @@ def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks):
     best = {"neighborhood": None, "neighborhood-plugged": None}
 
     def offer(cand, tag):
-        sol = reference_solution(h, _pad_to_k(h.n, cand, k), tag)
+        sol = reference_solution(h, reference_pad_to_k(h.n, cand, k), tag)
         if best[tag] is None or sol.covered_count > best[tag].covered_count:
             best[tag] = sol
 
@@ -497,14 +530,14 @@ def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks):
             continue
         counts = Counter(pairs)
         for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
-            offer({v} | _st_pick(g, k - 1), "neighborhood")
-            picked = tuple(sub(_weighted_from_link(g, counts), k - 1))
+            offer({v} | reference_st_pick(g, k - 1), "neighborhood")
+            picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
             if len(picked) > k - 1 or not set(picked) <= set(g):
                 raise ValueError("subroutine returned an invalid vertex set")
             offer({v} | set(picked), "neighborhood-plugged")
     if best["neighborhood"] is None:
         for tag in best:
-            best[tag] = reference_solution(h, _pad_to_k(h.n, (), k), tag)
+            best[tag] = reference_solution(h, reference_pad_to_k(h.n, (), k), tag)
     return best["neighborhood"], best["neighborhood-plugged"]
 
 
@@ -595,3 +628,140 @@ class TestGreedyWeightedDksOnePass:
         # Weighted degrees 1, 3, 4, 2: vertex 2 seeds and pulls 1 and 3 (weight 2).
         assert greedy_weighted_dks(g, 2) == (1, 2)
         assert greedy_weighted_dks(g, 2) == reference_greedy_weighted_dks(g, 2)
+
+
+# -- Reference: dksh_candidates before the anchors were skipped in place --
+# The neighborhood searches ran on induced(h, V - anchors), a relabelled copy
+# with its own incidence index, and their winners were lifted back to h's ids
+# and padded again.
+
+
+def reference_dksh_candidates(h, k, sub=greedy_weighted_dks):
+    _require_three_uniform(h)
+    _check_k(h, k)
+    anchors = top_by_degree(h, k // 3)
+    out = [k1_case_split(h, k, anchors, sub), greedy_three_layer(h, k, anchors)]
+    rest, lift = induced(h, set(range(h.n)) - set(anchors))
+    if 3 <= k <= rest.n:
+        for sol in reference_neighborhood_searches(rest, k, sub):
+            lifted = reference_pad_to_k(h.n, {lift[v] for v in sol.vertices}, k)
+            out.append(reference_solution(h, lifted, sol.algorithm))
+    out.append(trivial_pick(h, k))
+    return out
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test's duration; the returned list grows per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def planted_180(seed):
+    spec = PlantedSpec(n=180, noise_edges=800, block_size=20, block_edges=150, seed=seed)
+    return generate_planted(spec).hypergraph
+
+
+@st.composite
+def simple_graphs(draw):
+    """A symmetric adjacency with no repeated pair, plus its pair list."""
+    vertices = sorted(draw(st.sets(st.integers(0, 15), min_size=1, max_size=10)))
+    pool = [(u, v) for u in vertices for v in vertices if u < v]
+    pairs = sorted(draw(st.sets(st.sampled_from(pool)))) if pool else []
+    g = {u: set() for u in vertices}
+    for u, v in pairs:
+        g[u].add(v)
+        g[v].add(u)
+    return g, pairs
+
+
+class TestOnePullOrder:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(simple_graphs(), st.integers(1, 11))
+    def test_one_order_serves_both_selectors(self, case, kk):
+        g, pairs = case
+        before = {u: set(nb) for u, nb in g.items()}
+        seed, by_pull = _pull_order(g, kk // 2)
+        assert g == before
+        assert _st_pick(g, kk) == reference_st_pick(g, kk)
+        # Unit weights: the default subroutine's pick is the seed plus the
+        # first ceil(kk/2) vertices of the same pull order.
+        unit = WeightedGraph(tuple(sorted(g)), tuple((u, v, 1) for u, v in pairs))
+        assert set(seed) | set(by_pull[: kk - kk // 2]) == set(greedy_weighted_dks(unit, kk))
+
+    @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
+    def test_candidates_match_induced_reference(self, sub, monkeypatch):
+        fallbacks = count_calls(monkeypatch, dksh3, "_weighted_from_link")
+        picks = count_calls(monkeypatch, dksh3, "_pull_order")
+        cases = 0
+        for h in differential_instances():
+            for k in range(3, h.n + 1):
+                got = dksh_candidates(h, k, sub)
+                expected = reference_dksh_candidates(h, k, sub)
+                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                cases += 1
+        assert cases >= 300
+        if sub is greedy_weighted_dks:
+            # Both the repeat-free fast path and the repeated-pair fallback ran.
+            assert 0 < len(fallbacks) < len(picks)
+        else:
+            assert 0 < len(fallbacks) == len(picks)
+
+    def test_candidates_match_induced_reference_on_planted_instances(self):
+        for seed in (1, 2, 3):
+            h = planted_180(seed)
+            for k in (12, 20, 30):
+                got = dksh_candidates(h, k)
+                expected = reference_dksh_candidates(h, k)
+                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+
+    def test_skipped_vertices_never_picked_or_padded(self):
+        for h in list(differential_instances())[:40]:
+            skip = top_by_degree(h, 2)
+            for k in range(3, h.n - 1):
+                for sol in neighborhood_searches(h, k, skip=skip):
+                    assert len(sol.vertices) == k
+                    assert not set(sol.vertices) & set(skip)
+
+    def test_too_few_vertices_outside_skip_rejected(self):
+        h = complete_3uniform(6)
+        with pytest.raises(ValueError):
+            neighborhood_searches(h, 5, skip=(0, 1))
+
+
+class TestNoThrowawayBuilds:
+    def test_default_sub_builds_no_weighted_graph_without_repeats(self, monkeypatch):
+        builds = count_calls(monkeypatch, WeightedGraph, "__post_init__")
+        for seed in range(10):
+            h = distinct_3uniform(12, 40, seed)
+            for k in (3, 6, 9):
+                neighborhood_searches(h, k)
+        assert builds == []
+        # A duplicate edge repeats a pair, which takes the fallback.
+        neighborhood_searches(Hypergraph(5, ((0, 1, 2), (0, 1, 2), (1, 2, 3))), 3)
+        assert builds
+
+    def test_candidates_build_no_hypergraph(self, monkeypatch):
+        h = planted_180(1)
+        builds = count_calls(monkeypatch, Hypergraph, "__post_init__")
+        for k in (12, 20, 30):
+            dksh_candidates(h, k)
+        assert builds == []
+
+    def test_sub_outside_pruned_graph_rejected(self):
+        # Vertex 0's link graph is a triangle 1-2-3 plus the pendant pair
+        # (3, 4); threshold 2 prunes vertex 4, which the subroutine still returns.
+        h = Hypergraph(5, ((0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 3, 4)))
+        with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
+            neighborhood_searches(h, 3, lambda graph, kk: (4,))
+
+    def test_sub_returning_skipped_vertex_rejected(self):
+        h = complete_3uniform(7)
+        with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
+            neighborhood_searches(h, 4, lambda graph, kk: (0,), skip=(0, 1))
