@@ -70,8 +70,13 @@ class Hypergraph:
             groups.setdefault(e[-1], []).append((i, em))
         return {v: tuple(group) for v, group in groups.items()}
 
+    @cached_property
+    def _edge_sizes(self) -> frozenset[int]:
+        return frozenset(map(len, self.edges))
+
     def is_uniform(self, size: int) -> bool:
-        return all(len(e) == size for e in self.edges)
+        """Every edge has ``size`` vertices; the edges are scanned once per instance."""
+        return self._edge_sizes <= {size}
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:

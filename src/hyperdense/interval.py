@@ -12,14 +12,17 @@ pays only for the part of interval i that istar does not reach.
 
 Every cell is feasible: with istar the last position before i outside C_i,
 all positions after istar lie in C_i, so jstar = j - (i - istar) lies in
-[1, istar + 1] for every j in (|C_i|, i + 1].  Answers for every p come from
-one fill, and the densest k-set query inverts the table: the largest p whose
-optimal union fits in k vertices.
+[1, istar + 1] for every j in (|C_i|, i + 1].  Each query fills only the part
+of the table it can read: the minimum p-union query fills columns up to p and
+drops every interval longer than a feasible p-union, and the densest k-set
+query, which inverts the table (the largest p whose optimal union fits in k
+vertices), drops every interval longer than k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from hyperdense.core import (
     EdgeSolution,
@@ -53,6 +56,10 @@ class IntervalInstance:
     @property
     def m(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def _hypergraph(self) -> Hypergraph:
+        return Hypergraph(self.n, tuple(tuple(range(a, b + 1)) for a, b in self.intervals))
 
 
 def parse_intervals(text: str | bytes) -> IntervalInstance:
@@ -98,9 +105,12 @@ def serialize_intervals(inst: IntervalInstance) -> str:
 
 
 def to_hypergraph(inst: IntervalInstance) -> Hypergraph:
-    """General-format view of the instance: each interval becomes a full range edge."""
-    edges = tuple(tuple(range(a, b + 1)) for a, b in inst.intervals)
-    return Hypergraph(inst.n, edges)
+    """General-format view of the instance: each interval becomes a full range edge.
+
+    Built once per instance and kept on it (both are immutable), so a solver
+    and its caller share one build.
+    """
+    return inst._hypergraph
 
 
 @dataclass(frozen=True)
@@ -112,7 +122,9 @@ class DPTable:
     positions q <= i with a_q >= a_i.  back[i][j-1] is None for base cells
     (j <= |C_i|, answered by C_i alone) and (istar, jstar) for cells that
     extend predecessor cell (istar, jstar) by the positions of C_i after istar.
-    Every cell is filled: no cell of the table is infeasible.
+    Row i holds its first min(i + 1, width) cells, and no filled cell is
+    infeasible.  Positions number only the intervals the fill kept; order[i]
+    is the input index of position i.
     """
 
     instance: IntervalInstance
@@ -124,7 +136,7 @@ class DPTable:
 
     def best_cell(self, p: int) -> tuple[int, int]:
         """(sorted position, value) of the first cell minimizing the union for p."""
-        column = [self.values[i][p - 1] for i in range(p - 1, self.instance.m)]
+        column = [self.values[i][p - 1] for i in range(p - 1, len(self.values))]
         best = min(column)
         return p - 1 + column.index(best), best
 
@@ -140,10 +152,27 @@ class DPTable:
         return tuple(sorted(self.order[q] for q in picked))
 
 
-def fill_table(inst: IntervalInstance) -> DPTable:
-    """Fill every cell bottom-up; one fill answers all p at once."""
+def fill_table(
+    inst: IntervalInstance, bound: int | None = None, width: int | None = None
+) -> DPTable:
+    """Fill the table bottom-up, only as far as a query can read it.
+
+    With neither argument every cell is filled.  Each cut is exact:
+
+    - ``width`` W fills columns j <= W only.  Column j of a row is built only
+      from predecessor columns below j, so every cell with j <= W, its
+      backpointer included, equals the full table's.
+    - ``bound`` U keeps only the intervals of length <= U, in the same sorted
+      order.  A cell's value is at least the length of every interval it
+      picks, and an interval inside a kept one is kept, so every cell whose
+      full-table value is <= U keeps its value, its backpointer and its place
+      in ``best_cell``'s tie-break; only the positions are renumbered.
+    """
+    kept = [
+        q for q, (a, b) in enumerate(inst.intervals) if bound is None or b - a + 1 <= bound
+    ]
     order = tuple(
-        sorted(range(inst.m), key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
+        sorted(kept, key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
     )
     ivs = tuple(inst.intervals[q] for q in order)
     contained = tuple(
@@ -154,11 +183,14 @@ def fill_table(inst: IntervalInstance) -> DPTable:
     back: list[tuple[tuple[int, int] | None, ...]] = []
     for i, (a_i, b_i) in enumerate(ivs):
         length = b_i - a_i + 1
+        cells = i + 1 if width is None else min(i + 1, width)
+        base = min(len(contained[i]), cells)
+        room = cells - base
         # rec_v[r] is cell j = |C_i| + 1 + r.  A predecessor istar outside C_i
         # adds the positions of C_i after it, so with `inside` the positions of
         # C_i before it, it reaches column r from jstar = inside + 1 + r.  Each
-        # such istar opens exactly one new column (jstar = istar + 1), so all
-        # i + 1 - |C_i| columns are filled.
+        # such istar opens one new column (jstar = istar + 1) until the row
+        # holds its `cells` cells.
         rec_v: list[int] = []
         rec_b: list[tuple[int, int]] = []
         inside = 0
@@ -174,20 +206,35 @@ def fill_table(inst: IntervalInstance) -> DPTable:
                 if cand < rec_v[r]:
                     rec_v[r] = cand
                     rec_b[r] = (istar, inside + r + 1)
-            rec_v.append(prev[istar] + tail)
-            rec_b.append((istar, istar + 1))
-        base = len(contained[i])
+            if len(rec_v) < room:
+                rec_v.append(prev[istar] + tail)
+                rec_b.append((istar, istar + 1))
         values.append((length,) * base + tuple(rec_v))
         back.append((None,) * base + tuple(rec_b))
 
     return DPTable(inst, order, ivs, contained, tuple(values), tuple(back))
 
 
+def _union_of_shortest(inst: IntervalInstance, p: int) -> int:
+    """Joint support of the p shortest intervals, a feasible p-union."""
+    ivs = inst.intervals
+    ranked = sorted(range(inst.m), key=lambda q: (ivs[q][1] - ivs[q][0], q))
+    span: set[int] = set()
+    for q in ranked[:p]:
+        a, b = ivs[q]
+        span.update(range(a, b + 1))
+    return len(span)
+
+
 def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
-    """Exact optimum: p intervals of minimum joint support."""
+    """Exact optimum: p intervals of minimum joint support.
+
+    The fill stops at column p and keeps only the intervals no longer than
+    the union of the p shortest ones, which bounds the optimum.
+    """
     if not 1 <= p <= inst.m:
         raise ValueError(f"p must be in [1, {inst.m}], got {p}")
-    table = fill_table(inst)
+    table = fill_table(inst, _union_of_shortest(inst, p), p)
     best_i, best_value = table.best_cell(p)
     indices = table.reconstruct(best_i, p)
     sol = EdgeSolution.from_indices(to_hypergraph(inst), indices, "interval-dp")
@@ -201,17 +248,18 @@ def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
 def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
     """Exact densest k-set: the largest p whose optimal union fits in k vertices.
 
-    One table fill answers every p; the realizing intervals' span is padded to
-    exactly k vertices.  The optimal union does not decrease in p, so the
-    largest fitting p is found by binary search.  When even a single interval
-    exceeds k, any k vertices (the smallest ids) are returned with zero
-    covered intervals.
+    The fill keeps only the intervals of length <= k, since a fitting union
+    picks no longer one; the realizing intervals' span is padded to exactly k
+    vertices.  The optimal union does not decrease in p, so the largest
+    fitting p, at most the number of kept intervals, is found by binary
+    search.  When no interval fits in k, any k vertices (the smallest ids)
+    are returned with zero covered intervals.
     """
     if not 1 <= k <= inst.n:
         raise ValueError(f"k must be in [1, {inst.n}], got {k}")
     h = to_hypergraph(inst)
-    table = fill_table(inst)
-    lo, hi = 0, inst.m  # the largest fitting p lies in [lo, hi]; p = 0 stands for none
+    table = fill_table(inst, k)
+    lo, hi = 0, len(table.values)  # the largest fitting p is in [lo, hi]; 0 stands for none
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if table.best_cell(mid)[1] <= k:

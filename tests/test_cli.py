@@ -247,6 +247,22 @@ class TestErrors:
         assert code == 2
         assert "3-uniform" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mpu", "--algo", "three-uniform", "--p", "1"),
+            ("dksh", "--explain", "--k", "3"),
+            ("dksh", "--sub", "exact", "--k", "3"),
+        ],
+    )
+    def test_uniformity_violation_exits_2_on_every_solver(self, capsys, tmp_path, argv):
+        mixed = tmp_path / "mixed.hg"
+        mixed.write_text("6 3\n0 1 2\n3 4\n1 2 5\n")
+        code, out, err = run(capsys, "solve", *argv, str(mixed))
+        assert code == 2
+        assert out == ""
+        assert "3-uniform" in err
+
 
 class TestOracle:
     def test_mpu(self, capsys, uniform_file):

@@ -92,6 +92,14 @@ class TestHypergraph:
         with pytest.raises(ValueError, match="repeats"):
             Hypergraph(3, ((1, 1),))
 
+    def test_is_uniform(self):
+        assert Hypergraph(4, ()).is_uniform(3)
+        h = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
+        assert h.is_uniform(3) and h.is_uniform(3)
+        assert not h.is_uniform(2)
+        mixed = Hypergraph(5, ((0, 1, 2), (3, 4)))
+        assert not mixed.is_uniform(3) and not mixed.is_uniform(2)
+
 
 class TestInduced:
     def test_keeps_contained_edges(self):

@@ -4,6 +4,7 @@ import json
 import random
 import tempfile
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from hyperdense.dksh3 import (
     neighborhood_searches,
     trivial_pick,
 )
-from hyperdense.mpu3 import probe_candidates
+from hyperdense.mpu3 import mpu_3uniform, probe_candidates
 from hyperdense.oracle import (
     PlantedSpec,
     brute_dksh,
@@ -765,3 +766,55 @@ class TestNoThrowawayBuilds:
         h = complete_3uniform(7)
         with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
             neighborhood_searches(h, 4, lambda graph, kk: (0,), skip=(0, 1))
+
+
+class TestUniformityCheckedOnce:
+    """Each entry point rejects a non-3-uniform instance, and a solve scans the
+    edge sizes of each instance it checks once, however often it checks."""
+
+    MIXED = Hypergraph(6, ((0, 1, 2), (3, 4), (1, 2, 5)))
+
+    def test_entry_points_reject_non_uniform(self):
+        for call in (
+            lambda h: dksh_candidates(h, 3),
+            lambda h: dksh_candidates(h, 3, exact_weighted_dks),
+            lambda h: dksh_3uniform(h, 3),
+            lambda h: mpu_3uniform(h, 1),
+        ):
+            # A fresh instance and the one whose sizes are already scanned.
+            for h in (Hypergraph(self.MIXED.n, self.MIXED.edges), self.MIXED):
+                with pytest.raises(ValueError, match="3-uniform"):
+                    call(h)
+
+    @staticmethod
+    def _spy_scans(monkeypatch):
+        scans = []
+        original = Hypergraph._edge_sizes.func
+
+        def counted(self):
+            scans.append(self)
+            return original(self)
+
+        spy = cached_property(counted)
+        spy.__set_name__(Hypergraph, "_edge_sizes")
+        monkeypatch.setattr(Hypergraph, "_edge_sizes", spy)
+        return scans
+
+    def test_dksh_scans_once(self, monkeypatch):
+        scans = self._spy_scans(monkeypatch)
+        for k in (12, 20):
+            h = planted_180(2)
+            scans.clear()
+            dksh_3uniform(h, k)
+            assert len(scans) == 1 and scans[0] is h
+
+    def test_mpu3_scans_each_instance_once(self, monkeypatch):
+        scans = self._spy_scans(monkeypatch)
+        spec = PlantedSpec(n=30, noise_edges=60, block_size=8, block_edges=20, seed=4)
+        h = generate_planted(spec).hypergraph
+        for p in (25, 75):
+            mpu_3uniform(h, p)
+        # Later cover rounds of p = 75 run on residual copies, each checked too.
+        assert len(scans) > 1
+        assert sum(g is h for g in scans) == 1
+        assert len({id(g) for g in scans}) == len(scans)

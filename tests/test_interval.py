@@ -1,9 +1,13 @@
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperdense.cli
 from hyperdense import (
+    EdgeSolution,
+    Hypergraph,
     HypergraphFormatError,
     IntervalInstance,
     VertexSolution,
@@ -16,7 +20,7 @@ from hyperdense import (
     to_hypergraph,
     union_of,
 )
-from hyperdense.interval import fill_table
+from hyperdense.interval import _union_of_shortest, fill_table
 from hyperdense.oracle import generate_intervals
 
 
@@ -30,6 +34,16 @@ def interval_instances(draw, max_n=10, max_m=6):
         b = draw(st.integers(a, n - 1))
         intervals.append((a, b))
     return IntervalInstance(n, tuple(intervals))
+
+
+@st.composite
+def repeated_interval_instances(draw, max_n=12, max_m=9):
+    """Interval instances in which some intervals occur more than once."""
+    base = draw(interval_instances(max_n, max_m))
+    picks = draw(st.lists(st.integers(0, base.m - 1), min_size=1, max_size=4))
+    intervals = list(base.intervals) + [base.intervals[q] for q in picks]
+    order = draw(st.permutations(range(len(intervals))))
+    return IntervalInstance(base.n, tuple(intervals[q] for q in order))
 
 
 class TestInstance:
@@ -208,3 +222,236 @@ class TestDkSHInterval:
             dksh_interval(inst, 0)
         with pytest.raises(ValueError):
             dksh_interval(inst, 5)
+
+
+# The unbounded fill and the two queries as they were before each query
+# filled only the part of the table it can read, frozen here as the
+# reference the bounded fill is compared against.
+
+
+@dataclass(frozen=True)
+class ReferenceTable:
+    order: tuple
+    sorted_intervals: tuple
+    contained: tuple
+    values: tuple
+    back: tuple
+    m: int
+
+    def best_cell(self, p):
+        column = [self.values[i][p - 1] for i in range(p - 1, self.m)]
+        best = min(column)
+        return p - 1 + column.index(best), best
+
+    def reconstruct(self, i, j):
+        picked = []
+        while (pointer := self.back[i][j - 1]) is not None:
+            istar = pointer[0]
+            picked.extend(q for q in self.contained[i] if q > istar)
+            i, j = pointer
+        picked.extend(self.contained[i][: j - 1])
+        picked.append(i)
+        return tuple(sorted(self.order[q] for q in picked))
+
+
+def reference_fill_table(inst):
+    order = tuple(
+        sorted(range(inst.m), key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
+    )
+    ivs = tuple(inst.intervals[q] for q in order)
+    contained = tuple(
+        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
+    )
+    values = []
+    back = []
+    for i, (a_i, b_i) in enumerate(ivs):
+        length = b_i - a_i + 1
+        rec_v = []
+        rec_b = []
+        inside = 0
+        for istar in range(i):
+            a_s, b_s = ivs[istar]
+            if a_s >= a_i:
+                inside += 1
+                continue
+            tail = length if b_s < a_i else b_i - b_s
+            prev = values[istar]
+            for r in range(len(rec_v)):
+                cand = prev[inside + r] + tail
+                if cand < rec_v[r]:
+                    rec_v[r] = cand
+                    rec_b[r] = (istar, inside + r + 1)
+            rec_v.append(prev[istar] + tail)
+            rec_b.append((istar, istar + 1))
+        base = len(contained[i])
+        values.append((length,) * base + tuple(rec_v))
+        back.append((None,) * base + tuple(rec_b))
+    return ReferenceTable(order, ivs, contained, tuple(values), tuple(back), inst.m)
+
+
+def reference_to_hypergraph(inst):
+    return Hypergraph(inst.n, tuple(tuple(range(a, b + 1)) for a, b in inst.intervals))
+
+
+def reference_mpu_interval(inst, p):
+    if not 1 <= p <= inst.m:
+        raise ValueError(f"p must be in [1, {inst.m}], got {p}")
+    table = reference_fill_table(inst)
+    best_i, best_value = table.best_cell(p)
+    indices = table.reconstruct(best_i, p)
+    sol = EdgeSolution.from_indices(reference_to_hypergraph(inst), indices, "interval-dp")
+    assert sol.union_size == best_value
+    return sol
+
+
+def reference_dksh_interval(inst, k):
+    if not 1 <= k <= inst.n:
+        raise ValueError(f"k must be in [1, {inst.n}], got {k}")
+    h = reference_to_hypergraph(inst)
+    table = reference_fill_table(inst)
+    lo, hi = 0, inst.m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if table.best_cell(mid)[1] <= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == 0:
+        return VertexSolution.from_vertices(h, range(k), "interval-dp")
+    indices = table.reconstruct(table.best_cell(lo)[0], lo)
+    span = set()
+    for idx in indices:
+        span.update(h.edges[idx])
+    vertices = sorted(span)
+    for v in range(inst.n):
+        if len(vertices) == k:
+            break
+        if v not in span:
+            vertices.append(v)
+            span.add(v)
+    return VertexSolution.from_vertices(h, vertices, "interval-dp")
+
+
+def assert_matches_reference(inst, ps, ks):
+    # Solutions are dataclasses: equality compares the type and every field,
+    # the algorithm tag included.
+    for p in ps:
+        assert mpu_interval(inst, p) == reference_mpu_interval(inst, p), p
+    for k in ks:
+        assert dksh_interval(inst, k) == reference_dksh_interval(inst, k), k
+
+
+def seeded_instances():
+    """200 small seeded instances; every third one repeats some of its intervals."""
+    for seed in range(200):
+        inst = generate_intervals(1 + seed % 23, 1 + seed % 17, seed + 3000)
+        if seed % 3 == 0:
+            inst = IntervalInstance(inst.n, inst.intervals + inst.intervals[::2])
+        yield inst
+
+
+class TestBoundedFill:
+    """Each query fills only the columns and rows it can read; answers stay the same."""
+
+    @given(repeated_interval_instances())
+    def test_matches_reference_with_repeated_intervals(self, inst):
+        assert_matches_reference(inst, range(1, inst.m + 1), range(1, inst.n + 1))
+
+    def test_matches_reference_on_seeded_instances(self):
+        for inst in seeded_instances():
+            assert_matches_reference(inst, range(1, inst.m + 1), range(1, inst.n + 1))
+
+    def test_matches_reference_at_benchmark_size(self):
+        for seed in range(3):
+            inst = generate_intervals(200, 100, seed)
+            assert_matches_reference(inst, (1, 12, 25, 50, 100), (1, 12, 25, 50, 200))
+
+    @given(
+        repeated_interval_instances(),
+        st.one_of(st.none(), st.integers(1, 13)),
+        st.one_of(st.none(), st.integers(1, 14)),
+    )
+    def test_bounded_cells_equal_full_cells(self, inst, bound, width):
+        # A cell of the bounded table equals the full table's cell, backpointer
+        # and contained set included, whenever j <= width and value <= bound.
+        full = reference_fill_table(inst)
+        table = fill_table(inst, bound, width)
+        keep = [
+            q for q in full.order
+            if bound is None or inst.intervals[q][1] - inst.intervals[q][0] + 1 <= bound
+        ]
+        assert table.order == tuple(keep)
+        assert table.sorted_intervals == tuple(inst.intervals[q] for q in keep)
+        pos = {q: i for i, q in enumerate(full.order)}
+        lift = [pos[q] for q in table.order]
+        limit = width if width is not None else len(lift)
+        fits = (lambda value: True) if bound is None else (lambda value: value <= bound)
+        for i, row in enumerate(table.values):
+            assert len(row) == len(table.back[i]) == min(i + 1, limit)
+            assert tuple(lift[q] for q in table.contained[i]) == full.contained[lift[i]]
+            for j, value in enumerate(row, start=1):
+                want = full.values[lift[i]][j - 1]
+                if not fits(want):
+                    assert value > bound
+                    continue
+                assert value == want
+                pointer = table.back[i][j - 1]
+                lifted = None if pointer is None else (lift[pointer[0]], pointer[1])
+                assert lifted == full.back[lift[i]][j - 1]
+        for p in range(1, min(limit, len(lift)) + 1):
+            want_i, want = full.best_cell(p)
+            if fits(want):
+                got_i, got = table.best_cell(p)
+                assert (lift[got_i], got) == (want_i, want)
+
+    def test_no_interval_fits_k(self):
+        inst = IntervalInstance(9, ((0, 4), (3, 8), (2, 6)))
+        assert fill_table(inst, 3).values == ()
+        sol = dksh_interval(inst, 3)
+        assert sol == reference_dksh_interval(inst, 3)
+        assert sol.vertices == (0, 1, 2) and sol.covered_count == 0
+
+    def test_bound_covering_every_interval_fills_the_full_table(self):
+        for inst in (generate_intervals(30, 20, seed) for seed in range(5)):
+            full = reference_fill_table(inst)
+            for bound in (inst.n, max(b - a + 1 for a, b in inst.intervals)):
+                table = fill_table(inst, bound)
+                assert (table.order, table.contained, table.values, table.back) == (
+                    full.order, full.contained, full.values, full.back
+                )
+
+    def test_p_equals_m(self):
+        for inst in (generate_intervals(40, 15, seed) for seed in range(5)):
+            assert mpu_interval(inst, inst.m) == reference_mpu_interval(inst, inst.m)
+
+    def test_mpu_bound_is_the_union_of_the_p_shortest(self):
+        # Lengths 6, 1, 2, 2: the tie at length 2 goes to the lower index.
+        inst = IntervalInstance(10, ((0, 5), (2, 2), (3, 4), (2, 3)))
+        assert [_union_of_shortest(inst, p) for p in range(1, 5)] == [1, 3, 3, 6]
+
+
+class TestOneHypergraphBuild:
+    def test_solver_and_caller_share_one_build(self):
+        inst = generate_intervals(20, 10, 1)
+        assert to_hypergraph(inst) is to_hypergraph(inst)
+        assert to_hypergraph(inst) == reference_to_hypergraph(inst)
+        assert IntervalInstance(inst.n, inst.intervals) == inst
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mpu", "--algo", "interval", "--p", "3"], ["dksh", "--algo", "interval", "--k", "4"]],
+    )
+    def test_cli_op_builds_one_hypergraph(self, tmp_path, monkeypatch, capsys, argv):
+        path = tmp_path / "inst.iv"
+        path.write_text(serialize_intervals(generate_intervals(20, 10, 1)))
+        builds = []
+        original = Hypergraph.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        assert hyperdense.cli.main(["solve", *argv, str(path)]) == 0
+        assert len(builds) == 1
+        capsys.readouterr()
