@@ -10,9 +10,10 @@ concurrent tasks.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 
 class HypergraphFormatError(ValueError):
@@ -23,9 +24,9 @@ class HypergraphFormatError(ValueError):
 class Hypergraph:
     """A vertex count plus an ordered multiset of hyperedges.
 
-    Each edge is normalised to a strictly increasing vertex tuple at
-    construction time; repeated vertices within an edge and out-of-range ids
-    are rejected.  Duplicate edges are allowed.
+    Each edge is normalised to a strictly increasing tuple of integer ids at
+    construction time; non-integer ids, repeated vertices within an edge and
+    out-of-range ids are rejected.  Duplicate edges are allowed.
     """
 
     n: int
@@ -36,7 +37,10 @@ class Hypergraph:
             raise ValueError("vertex count must be nonnegative")
         canon = []
         for pos, edge in enumerate(self.edges):
-            vs = tuple(sorted(edge))
+            try:
+                vs = tuple(sorted(map(operator.index, edge)))
+            except TypeError:
+                raise ValueError(f"edge {pos} has a non-integer vertex id") from None
             if not vs:
                 raise ValueError(f"edge {pos} is empty")
             for a, b in zip(vs, vs[1:]):
@@ -97,13 +101,66 @@ def _content_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
         yield lineno, line.split()
 
 
-def _int_token(token: str, lineno: int) -> int:
+def _int_tokens(tokens: list[str], lineno: int) -> list[int]:
+    """The tokens as integers; the first non-integer token is reported with its line."""
     try:
-        return int(token)
+        return list(map(int, tokens))
     except ValueError:
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                raise HypergraphFormatError(
+                    f"line {lineno}: non-integer token {token!r}"
+                ) from None
+        raise
+
+
+def _parse_rows(text: str | bytes, noun: str, row: Callable) -> tuple[int, list]:
+    """The skeleton both instance formats share: header ``n m``, m rows, nothing after.
+
+    ``row(n, lineno, tokens)`` checks and converts each row as it is read, so a
+    bad row is reported before trailing content.  ``noun`` names a row.
+    """
+    lines = _content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise HypergraphFormatError("line 1: missing 'n m' header")
+    lineno, tokens = header
+    if len(tokens) != 2:
+        raise HypergraphFormatError(f"line {lineno}: header must be 'n m'")
+    n, m = _int_tokens(tokens, lineno)
+    if n < 0 or m < 0:
+        raise HypergraphFormatError(f"line {lineno}: header counts must be nonnegative")
+    rows = []
+    for _ in range(m):
+        line = next(lines, None)
+        if line is None:
+            raise HypergraphFormatError(
+                f"expected {m} {noun} lines, found only {len(rows)}"
+            )
+        rows.append(row(n, *line))
+    extra = next(lines, None)
+    if extra is not None:
         raise HypergraphFormatError(
-            f"line {lineno}: non-integer token {token!r}"
-        ) from None
+            f"line {extra[0]}: trailing content after {m} {noun}s"
+        )
+    return n, rows
+
+
+def _edge_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, ...]:
+    vs = sorted(_int_tokens(tokens, lineno))
+    for a, b in zip(vs, vs[1:]):
+        if a == b:
+            raise HypergraphFormatError(
+                f"line {lineno}: repeated vertex {a} within edge"
+            )
+    if vs and (vs[0] < 0 or vs[-1] >= n):
+        bad = vs[0] if vs[0] < 0 else vs[-1]
+        raise HypergraphFormatError(
+            f"line {lineno}: vertex id {bad} out of range [0, {n})"
+        )
+    return tuple(vs)
 
 
 def parse_hypergraph(text: str | bytes) -> Hypergraph:
@@ -113,41 +170,7 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
     reported with its line number.  Edge order and duplicate edges are
     preserved.
     """
-    lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise HypergraphFormatError("line 1: missing 'n m' header")
-    lineno, tokens = header
-    if len(tokens) != 2:
-        raise HypergraphFormatError(f"line {lineno}: header must be 'n m'")
-    n, m = (_int_token(t, lineno) for t in tokens)
-    if n < 0 or m < 0:
-        raise HypergraphFormatError(f"line {lineno}: header counts must be nonnegative")
-    edges: list[tuple[int, ...]] = []
-    for _ in range(m):
-        row = next(lines, None)
-        if row is None:
-            raise HypergraphFormatError(
-                f"expected {m} edge lines, found only {len(edges)}"
-            )
-        lineno, tokens = row
-        vs = sorted(_int_token(t, lineno) for t in tokens)
-        for a, b in zip(vs, vs[1:]):
-            if a == b:
-                raise HypergraphFormatError(
-                    f"line {lineno}: repeated vertex {a} within edge"
-                )
-        if vs and (vs[0] < 0 or vs[-1] >= n):
-            bad = vs[0] if vs[0] < 0 else vs[-1]
-            raise HypergraphFormatError(
-                f"line {lineno}: vertex id {bad} out of range [0, {n})"
-            )
-        edges.append(tuple(vs))
-    extra = next(lines, None)
-    if extra is not None:
-        raise HypergraphFormatError(
-            f"line {extra[0]}: trailing content after {m} edges"
-        )
+    n, edges = _parse_rows(text, "edge", _edge_row)
     return Hypergraph(n, tuple(edges))
 
 
@@ -193,6 +216,21 @@ def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:
     deg = degrees(h)
     order = sorted(range(h.n), key=lambda v: (-deg[v], v))
     return tuple(sorted(order[: min(t, h.n)]))
+
+
+def _pad_to_k(
+    n: int, base: Iterable[int], k: int, skip: Collection[int] = ()
+) -> tuple[int, ...]:
+    """``base`` plus the smallest ids in [0, n) outside ``skip`` until k are chosen."""
+    chosen = set(base)
+    if len(chosen) > k:
+        raise ValueError("candidate exceeds the vertex budget")
+    for v in range(n):
+        if len(chosen) == k:
+            break
+        if v not in skip:
+            chosen.add(v)
+    return tuple(sorted(chosen))
 
 
 def union_of(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 from hyperdense.core import (
     Hypergraph,
     VertexSolution,
+    _pad_to_k,
     covered_count,
     induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
     top_by_degree,
@@ -65,9 +66,6 @@ class WeightedGraph:
             adj[u][v] = w
             adj[v][u] = w
         return adj
-
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
 
 
 def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
@@ -110,21 +108,6 @@ def _check_k(h: Hypergraph, k: int) -> None:
 def _top_scoring(scores: Sequence[int], t: int) -> list[int]:
     order = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
     return order[:t]
-
-
-def _pad_to_k(
-    n: int, base: Iterable[int], k: int, skip: Collection[int] = ()
-) -> tuple[int, ...]:
-    """``base`` plus the smallest ids in [0, n) outside ``skip`` until k are chosen."""
-    chosen = set(base)
-    if len(chosen) > k:
-        raise ValueError("candidate exceeds the vertex budget")
-    for v in range(n):
-        if len(chosen) == k:
-            break
-        if v not in skip:
-            chosen.add(v)
-    return tuple(sorted(chosen))
 
 
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
@@ -349,6 +332,27 @@ def neighborhood_searches(
         VertexSolution.from_vertices(h, plain[1], "neighborhood"),
         VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
     )
+
+
+def probe_candidates(
+    h: Hypergraph, probe_size: int, skip: Collection[int]
+) -> Iterator[set[int]]:
+    """Pruned link-graph candidates at the given probe size, outside ``skip``.
+
+    Reads the same sweep as ``neighborhood_searches``: edges that meet
+    ``skip`` are left out, so no candidate holds a skipped vertex.  For each
+    vertex and degree threshold, yields the vertex plus either the whole
+    pruned graph (when it has fewer than probe_size vertices) or the greedy
+    two-stage pick of probe_size - 1 companions.
+    """
+    for v, pairs in enumerate(_link_pairs(h, skip)):
+        if not pairs:
+            continue
+        for _, g in _pruned_link_graphs(_link_graph(pairs), probe_size - 1):
+            if len(g) < probe_size:
+                yield {v} | set(g)
+            else:
+                yield {v} | _st_pick(g, probe_size - 1)
 
 
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:

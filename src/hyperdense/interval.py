@@ -21,6 +21,7 @@ vertices), drops every interval longer than k.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +30,10 @@ from hyperdense.core import (
     Hypergraph,
     HypergraphFormatError,
     VertexSolution,
-    _content_lines,
-    _int_token,
+    _int_tokens,
+    _pad_to_k,
+    _parse_rows,
+    union_of,
 )
 
 
@@ -46,11 +49,15 @@ class IntervalInstance:
             raise ValueError("vertex count must be nonnegative")
         canon = []
         for pos, (a, b) in enumerate(self.intervals):
+            try:
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise ValueError(f"interval {pos} has a non-integer end") from None
             if not 0 <= a <= b < self.n:
                 raise ValueError(
                     f"interval {pos} = ({a}, {b}) is not well-ordered inside [0, {self.n})"
                 )
-            canon.append((int(a), int(b)))
+            canon.append((a, b))
         object.__setattr__(self, "intervals", tuple(canon))
 
     @property
@@ -62,39 +69,20 @@ class IntervalInstance:
         return Hypergraph(self.n, tuple(tuple(range(a, b + 1)) for a, b in self.intervals))
 
 
+def _interval_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, int]:
+    if len(tokens) != 2:
+        raise HypergraphFormatError(f"line {lineno}: interval line must be 'a b'")
+    a, b = _int_tokens(tokens, lineno)
+    if not 0 <= a <= b < n:
+        raise HypergraphFormatError(
+            f"line {lineno}: interval ({a}, {b}) out of range for n={n}"
+        )
+    return a, b
+
+
 def parse_intervals(text: str | bytes) -> IntervalInstance:
     """Parse the interval format: header ``n m`` then one ``a b`` pair per line."""
-    lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise HypergraphFormatError("line 1: missing 'n m' header")
-    lineno, tokens = header
-    if len(tokens) != 2:
-        raise HypergraphFormatError(f"line {lineno}: header must be 'n m'")
-    n, m = (_int_token(t, lineno) for t in tokens)
-    if n < 0 or m < 0:
-        raise HypergraphFormatError(f"line {lineno}: header counts must be nonnegative")
-    pairs: list[tuple[int, int]] = []
-    for _ in range(m):
-        row = next(lines, None)
-        if row is None:
-            raise HypergraphFormatError(
-                f"expected {m} interval lines, found only {len(pairs)}"
-            )
-        lineno, tokens = row
-        if len(tokens) != 2:
-            raise HypergraphFormatError(f"line {lineno}: interval line must be 'a b'")
-        a, b = (_int_token(t, lineno) for t in tokens)
-        if not 0 <= a <= b < n:
-            raise HypergraphFormatError(
-                f"line {lineno}: interval ({a}, {b}) out of range for n={n}"
-            )
-        pairs.append((a, b))
-    extra = next(lines, None)
-    if extra is not None:
-        raise HypergraphFormatError(
-            f"line {extra[0]}: trailing content after {m} intervals"
-        )
+    n, pairs = _parse_rows(text, "interval", _interval_row)
     return IntervalInstance(n, tuple(pairs))
 
 
@@ -266,17 +254,5 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
             lo = mid
         else:
             hi = mid - 1
-    if lo == 0:
-        return VertexSolution.from_vertices(h, range(k), "interval-dp")
-    indices = table.reconstruct(table.best_cell(lo)[0], lo)
-    span = set()
-    for idx in indices:
-        span.update(h.edges[idx])
-    vertices = sorted(span)
-    for v in range(inst.n):
-        if len(vertices) == k:
-            break
-        if v not in span:
-            vertices.append(v)
-            span.add(v)
-    return VertexSolution.from_vertices(h, vertices, "interval-dp")
+    span = union_of(h, table.reconstruct(table.best_cell(lo)[0], lo)) if lo else ()
+    return VertexSolution.from_vertices(h, _pad_to_k(inst.n, span, k), "interval-dp")

@@ -6,8 +6,10 @@ a generator that proposes several anchored candidates per round and keeps the
 one with the best exact density (covered residual edges per vertex).  A round
 whose three-layer candidate alone covers p edges returns it before the other
 candidates are built.  The first round of every cover runs on the instance
-itself, not a copy.  The final answer is never worse than the general
-2*sqrt(m) solver because both enter a best-of.
+itself, not a copy, and a round builds no copy of its own: one degree ranking
+gives both anchor sets, and the pruned-neighborhood probe runs on the residual
+with the anchors skipped in place.  The final answer is never worse than the
+general 2*sqrt(m) solver because both enter a best-of.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from hyperdense.core import (
     EdgeSolution,
@@ -23,20 +25,17 @@ from hyperdense.core import (
     VertexSolution,
     covered_edges,
     degrees,
-    induced,
-    top_by_degree,
+    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
+    top_by_degree,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
 )
 from hyperdense.dksh3 import (
     WeightedGraph,
-    _link_graph,
-    _link_pairs,
-    _pruned_link_graphs,
     _require_three_uniform,
-    _st_pick,
     _top_scoring,
     greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
+    probe_candidates,
 )
 from hyperdense.mpu_general import (
     StalledGeneratorError,
@@ -137,23 +136,6 @@ def _densest_single_edge(h: Hypergraph) -> tuple[int, ...]:
     return best_edge
 
 
-def probe_candidates(h: Hypergraph, probe_size: int) -> Iterator[set[int]]:
-    """Pruned link-graph candidates at the given probe size.
-
-    For each vertex and degree threshold, yields the vertex plus either the
-    whole pruned graph (when it has fewer than probe_size vertices) or the
-    greedy two-stage pick of probe_size - 1 companions.
-    """
-    for v, pairs in enumerate(_link_pairs(h)):
-        if not pairs:
-            continue
-        for _, g in _pruned_link_graphs(_link_graph(pairs), probe_size - 1):
-            if len(g) < probe_size:
-                yield {v} | set(g)
-            else:
-                yield {v} | _st_pick(g, probe_size - 1)
-
-
 def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSolution:
     """One cover-loop round: propose anchored candidates, return the densest.
 
@@ -170,19 +152,19 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
     if residual.m == 0:
         raise ValueError("generator needs a nonempty residual")
     _require_three_uniform(residual)
-    n = residual.n
     budget = params.anchor_size
+    # One degree ranking gives both anchor sets: the layer anchors are its prefix.
+    ranked = _top_scoring(degrees(residual), budget)
     layered = None
-    if 3 <= budget <= n:
-        layered = greedy_three_layer(residual, budget, top_by_degree(residual, budget // 3))
+    if 3 <= budget <= residual.n:
+        layered = greedy_three_layer(residual, budget, ranked[: budget // 3])
         if layered.covered_count >= params.p:
             # Covering p edges in one shot ends the loop for this guess.
             return replace(layered, algorithm="three-layer")
 
-    anchors = top_by_degree(residual, params.anchor_size)
-    anchor_set = set(anchors)
-    top = _top_scoring(k1_pair_weights(residual, anchors), params.k)
-    graph = k1_weighted_graph(residual, anchors)
+    anchor_set = set(ranked)
+    top = _top_scoring(k1_pair_weights(residual, anchor_set), params.k)
+    graph = k1_weighted_graph(residual, anchor_set)
     picked = greedy_weighted_spes(graph, params.p)
     candidates = [
         ("anchored-pairs", anchor_set | set(top)),
@@ -190,12 +172,9 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
     ]
     if layered is not None:
         candidates.append(("three-layer", set(layered.vertices)))
-
-    rest, lift = induced(residual, set(range(n)) - anchor_set)
-    if rest.m > 0 and params.khat >= 2:
-        for cand in probe_candidates(rest, params.khat):
-            candidates.append(("pruned-neighborhood", {lift[u] for u in cand}))
-
+    if params.khat >= 2:
+        for cand in probe_candidates(residual, params.khat, anchor_set):
+            candidates.append(("pruned-neighborhood", cand))
     candidates.append(("single-edge", set(_densest_single_edge(residual))))
 
     best: tuple[str, set[int], int, int] | None = None

@@ -8,6 +8,7 @@ from hyperdense import (
     VertexSolution,
     covered_edges,
     parse_hypergraph,
+    parse_intervals,
     serialize_hypergraph,
     solution_json,
     union_of,
@@ -67,6 +68,35 @@ class TestParse:
         with pytest.raises(HypergraphFormatError, match="line 3"):
             parse_hypergraph("3 2\n0 1\n0 9\n")
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_hypergraph, "", "line 1: missing 'n m' header"),
+            (parse_hypergraph, "3\n", "line 1: header must be 'n m'"),
+            (parse_hypergraph, "3 x\n", "line 1: non-integer token 'x'"),
+            (parse_hypergraph, "-1 0\n", "line 1: header counts must be nonnegative"),
+            (parse_hypergraph, "3 2\n0 1\n", "expected 2 edge lines, found only 1"),
+            (parse_hypergraph, "3 1\n0 1\n# c\n1 2\n", "line 4: trailing content after 1 edges"),
+            (parse_hypergraph, "3 1\n0 0\n1 2\n", "line 2: repeated vertex 0 within edge"),
+            (parse_hypergraph, "3 1\n0 a 1 b\n", "line 2: non-integer token 'a'"),
+            (parse_hypergraph, "3 1\n5 0\n1 2\n", "line 2: vertex id 5 out of range [0, 3)"),
+            (parse_intervals, "", "line 1: missing 'n m' header"),
+            (parse_intervals, "5 1 1\n", "line 1: header must be 'n m'"),
+            (parse_intervals, "5 -2\n", "line 1: header counts must be nonnegative"),
+            (parse_intervals, "5 2\n0 1\n", "expected 2 interval lines, found only 1"),
+            (parse_intervals, "5 1\n0 1\n2 3\n", "line 3: trailing content after 1 intervals"),
+            (parse_intervals, "5 1\n0 1 2\n0 1\n", "line 2: interval line must be 'a b'"),
+            (parse_intervals, "5 1\n0 y\n0 1\n", "line 2: non-integer token 'y'"),
+            (parse_intervals, "5 1\n3 2\n0 1\n", "line 2: interval (3, 2) out of range for n=5"),
+        ],
+    )
+    def test_error_messages(self, parse, text, message):
+        # Both formats share one skeleton; a bad row is reported before
+        # trailing content.
+        with pytest.raises(HypergraphFormatError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_bytes_accepted(self):
         assert parse_hypergraph(b"2 1\n0 1\n").edges == ((0, 1),)
 
@@ -91,6 +121,19 @@ class TestHypergraph:
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
             Hypergraph(3, ((1, 1),))
+
+    def test_non_integer_id_rejected(self):
+        # A float id used to be stored as given, and later broke list indexing.
+        for edge in ((0, 1, 2.0), (0, 1.5), (0, "1"), (None, 1)):
+            with pytest.raises(ValueError, match="edge 1 has a non-integer vertex id"):
+                Hypergraph(3, ((0, 1), edge))
+
+    def test_integer_like_ids_become_ints(self):
+        np = pytest.importorskip("numpy")
+        h = Hypergraph(3, ((np.int64(2), np.int32(0), 1),))
+        assert h.edges == ((0, 1, 2),)
+        assert all(type(v) is int for v in h.edges[0])
+        assert Hypergraph(3, (range(3),)) == Hypergraph(3, ((0, 1, 2),))
 
     def test_is_uniform(self):
         assert Hypergraph(4, ()).is_uniform(3)

@@ -39,9 +39,10 @@ from hyperdense.dksh3 import (
     neighborhood_search,
     neighborhood_search_plugged,
     neighborhood_searches,
+    probe_candidates,
     trivial_pick,
 )
-from hyperdense.mpu3 import mpu_3uniform, probe_candidates
+from hyperdense.mpu3 import mpu_3uniform
 from hyperdense.oracle import (
     PlantedSpec,
     brute_dksh,
@@ -73,7 +74,7 @@ class TestWeightedGraph:
     def test_degree_and_total(self):
         g = WeightedGraph((0, 1, 2), ((0, 1, 2), (1, 2, 3)))
         assert sum(g.adjacency[1].values()) == 5
-        assert g.total_weight() == 5
+        assert sum(w for _, _, w in g.edges) == 5
 
     def test_greedy_subroutine_size(self):
         g = WeightedGraph((0, 1, 2, 3), ((0, 1, 5), (2, 3, 1)))
@@ -220,7 +221,7 @@ class TestCaseSplit:
             singles = sum(
                 1 for e in h.edges if len(set(e) & set(anchors)) == 1
             )
-            assert g.total_weight() == singles
+            assert sum(w for _, _, w in g.edges) == singles
 
     def test_pair_weights_count_inner_pairs(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1, 2), (2, 3, 4)))
@@ -456,10 +457,17 @@ class TestMergedNeighborhoodPass:
 
     def test_probe_candidates_match_reference(self):
         for h in differential_instances():
+            # With the top-degree pair skipped, the reference runs on the
+            # induced copy without it and its candidates are lifted back.
+            anchors = set(top_by_degree(h, 2))
+            rest, lift = induced(h, set(range(h.n)) - anchors)
             for probe_size in (2, 3, 4, 6):
-                assert list(probe_candidates(h, probe_size)) == list(
+                assert list(probe_candidates(h, probe_size, ())) == list(
                     reference_probe_candidates(h, probe_size)
                 )
+                assert list(probe_candidates(h, probe_size, anchors)) == [
+                    {lift[u] for u in cand} for cand in reference_probe_candidates(rest, probe_size)
+                ]
 
     def test_invalid_subroutine_rejected(self):
         h = complete_3uniform(6)
@@ -729,6 +737,20 @@ class TestOnePullOrder:
                 for sol in neighborhood_searches(h, k, skip=skip):
                     assert len(sol.vertices) == k
                     assert not set(sol.vertices) & set(skip)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(three_uniform_with_duplicates(), st.data())
+    def test_probe_skips_in_place_like_induced_copy(self, case, data):
+        # The probe outside ``skip`` equals the reference probe on the induced
+        # copy without ``skip``, lifted back to ids of h, candidate by candidate.
+        h, _ = case
+        skip = data.draw(st.sets(st.integers(0, h.n - 1), max_size=3))
+        probe_size = data.draw(st.integers(2, 6))
+        rest, lift = induced(h, set(range(h.n)) - skip)
+        expected = [
+            {lift[u] for u in cand} for cand in reference_probe_candidates(rest, probe_size)
+        ]
+        assert list(probe_candidates(h, probe_size, skip)) == expected
 
     def test_too_few_vertices_outside_skip_rejected(self):
         h = complete_3uniform(6)

@@ -64,6 +64,18 @@ class TestInstance:
         h = to_hypergraph(inst)
         assert h.edges == ((1, 2, 3), (4,))
 
+    def test_rejects_non_integer_ends(self):
+        # int(0.5) used to round the end down to 0.
+        for interval in ((0.5, 2), (0, 2.0), ("0", 2), (0, None)):
+            with pytest.raises(ValueError, match="interval 1 has a non-integer end"):
+                IntervalInstance(5, ((1, 1), interval))
+
+    def test_integer_like_ends_become_ints(self):
+        np = pytest.importorskip("numpy")
+        inst = IntervalInstance(5, ((np.int64(1), np.int32(3)),))
+        assert inst.intervals == ((1, 3),)
+        assert all(type(v) is int for v in inst.intervals[0])
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             IntervalInstance(4, ((2, 1),))

@@ -22,18 +22,19 @@ from hyperdense.core import (
     top_by_degree,
 )
 from hyperdense.dksh3 import (
+    _pruned_link_graphs,
     _require_three_uniform,
     _top_scoring,
     greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
+    probe_candidates,
 )
 from hyperdense.mpu3 import (
     MpU3Params,
     _ceil_sqrt_fraction,
     _densest_single_edge,
     candidate_generator_3u,
-    probe_candidates,
 )
 from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
 from hyperdense.oracle import (
@@ -117,11 +118,11 @@ class TestGenerator:
     def test_whole_pruned_graph_returned_when_probe_exceeds_it(self):
         h = Hypergraph(5, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
         # Probe size above any link graph: candidates are whole pruned graphs.
-        cands = list(probe_candidates(h, 5))
+        cands = list(probe_candidates(h, 5, ()))
         assert {0, 1, 2, 3} in cands
         assert all(len(c) <= 4 for c in cands)
         # Probe size equal to the link graphs: the two-stage pick runs instead.
-        small = list(probe_candidates(h, 3))
+        small = list(probe_candidates(h, 3, ()))
         assert all(len(c) <= 3 for c in small)
 
     def test_generator_always_covers_something(self):
@@ -224,7 +225,38 @@ class TestMpU3Uniform:
 # -- Reference: the cover round before the three-layer short-cut came first --
 # Every round ranked the anchors and built the pair-weight candidates before
 # the three-layer candidate that may end it, and every round, the first
-# included, covered a re-validated copy of its residual.
+# included, covered a re-validated copy of its residual.  The probe ran on an
+# induced copy without the anchors and lifted its candidates back; its body is
+# frozen here with its two-stage pick, so the reference cannot change along
+# with the module's probe.
+
+
+def reference_st_pick(g, kk):
+    size = kk // 2
+    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
+    sset = set(s)
+    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
+    return sset | set(t)
+
+
+def reference_probe_candidates(h, probe_size):
+    pairs = [[] for _ in range(h.n)]
+    for a, b, c in h.edges:
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+    for v, vpairs in enumerate(pairs):
+        if not vpairs:
+            continue
+        adj = {}
+        for u, x in vpairs:
+            adj.setdefault(u, set()).add(x)
+            adj.setdefault(x, set()).add(u)
+        for _, g in _pruned_link_graphs(adj, probe_size - 1):
+            if len(g) < probe_size:
+                yield {v} | set(g)
+            else:
+                yield {v} | reference_st_pick(g, probe_size - 1)
 
 
 def reference_candidate_generator_3u(residual, params):
@@ -254,7 +286,7 @@ def reference_candidate_generator_3u(residual, params):
 
     rest, lift = induced(residual, set(range(n)) - anchor_set)
     if rest.m > 0 and params.khat >= 2:
-        for cand in probe_candidates(rest, params.khat):
+        for cand in reference_probe_candidates(rest, params.khat):
             candidates.append(("pruned-neighborhood", {lift[u] for u in cand}))
 
     candidates.append(("single-edge", set(_densest_single_edge(residual))))
@@ -445,6 +477,30 @@ class TestNoThrowawayWork:
         assert builds == []
         assert sol.edge_indices == tuple(range(12))
 
+    def test_best_of_round_builds_no_hypergraph(self, monkeypatch):
+        # planted-mpu3 shape at guess 3 and p = 60: the three-layer candidate
+        # misses p, so the round reaches the best-of and probes (khat = 2)
+        # outside the anchors, on the instance and on a later residual.
+        spec = PlantedSpec(n=64, noise_edges=300, block_size=12, block_edges=60, seed=6100)
+        h = generate_planted(spec).hypergraph
+        residual = Hypergraph(h.n, h.edges[20:])
+        params = params_for(h, 60, 3)
+        assert params.khat >= 2
+        builds = []
+        original = Hypergraph.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        best_of = _spy(monkeypatch, "k1_pair_weights")
+        probes = _spy(monkeypatch, "probe_candidates")
+        for r in (h, residual):
+            candidate_generator_3u(r, params)
+        assert len(best_of) == len(probes) == 2
+        assert builds == []
+
 
 # -- Reference: the greedy coverage subroutine before running gains --
 # Each round recomputed every outside vertex's weight into the picked set from
@@ -535,7 +591,10 @@ class TestRankedDegrees:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mpu3_module, "degrees", counted)
+        rounds = _spy(monkeypatch, "candidate_generator_3u")
         h = generate_uniform(12, 14, 9600)
         mpu_3uniform(h, 5)
-        # One ranking for the guess loop; the generator's own calls see residuals.
-        assert sum(1 for args in calls if args == (h,)) == 1
+        # One ranking for the guess loop, then one per cover round, which
+        # serves both of the round's anchor sets.
+        assert calls[0] == (h,)
+        assert len(calls) == 1 + len(rounds) > 1

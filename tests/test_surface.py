@@ -93,8 +93,13 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
 
 
 # Imports a module keeps without using them, each a declared decision:
-# perfbench/tracing.py patches cli.covered_edges and dksh3.induced by name.
-UNUSED_IMPORT_ALLOWLIST = {("cli", "covered_edges"), ("dksh3", "induced")}
+# perfbench/tracing.py patches each of these bindings by name.
+UNUSED_IMPORT_ALLOWLIST = {
+    ("cli", "covered_edges"),
+    ("dksh3", "induced"),
+    ("mpu3", "induced"),
+    ("mpu3", "top_by_degree"),
+}
 
 
 def test_every_import_is_used():
@@ -112,3 +117,8 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update((path.stem, name) for name in imported - used)
     assert unused == UNUSED_IMPORT_ALLOWLIST
+    # An import may stay unused only to serve the tracer: each entry is a
+    # binding that one of its ``wrap(<module>, "<name>", ...)`` calls patches.
+    tracing = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    wrapped = set(re.findall(r'\bwrap\((\w+), "(\w+)"', tracing))
+    assert UNUSED_IMPORT_ALLOWLIST <= wrapped
