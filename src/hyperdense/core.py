@@ -13,7 +13,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 
 class HypergraphFormatError(ValueError):
@@ -25,16 +25,16 @@ class Hypergraph:
     """A vertex count plus an ordered multiset of hyperedges.
 
     Each edge is normalised to a strictly increasing tuple of integer ids at
-    construction time; non-integer ids, repeated vertices within an edge and
-    out-of-range ids are rejected.  Duplicate edges are allowed.
+    construction time; a non-integer or negative vertex count, non-integer
+    ids, repeated vertices within an edge and out-of-range ids are rejected.
+    Duplicate edges are allowed.
     """
 
     n: int
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         canon = []
         for pos, edge in enumerate(self.edges):
             try:
@@ -81,6 +81,17 @@ class Hypergraph:
     def is_uniform(self, size: int) -> bool:
         """Every edge has ``size`` vertices; the edges are scanned once per instance."""
         return self._edge_sizes <= {size}
+
+
+def _vertex_count(n: object) -> int:
+    """``n`` as an ``int``; a non-integer or negative vertex count raises ValueError."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count {n!r} is not an integer") from None
+    if count < 0:
+        raise ValueError("vertex count must be nonnegative")
+    return count
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -209,13 +220,16 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _top_scoring(scores: Sequence[int], t: int) -> list[int]:
+    """The min(t, len(scores)) highest-scoring ids, ranked by (-score, id)."""
+    return sorted(range(len(scores)), key=lambda v: (-scores[v], v))[:t]
+
+
 def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:
     """The min(t, n) largest-degree vertices, ties broken by smaller vertex id."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    deg = degrees(h)
-    order = sorted(range(h.n), key=lambda v: (-deg[v], v))
-    return tuple(sorted(order[: min(t, h.n)]))
+    return tuple(sorted(_top_scoring(degrees(h), t)))
 
 
 def _pad_to_k(

@@ -18,9 +18,10 @@ Every candidate is padded to exactly k vertices with the smallest unused ids,
 outside the anchors for the neighborhood searches (padding never uncovers an
 edge), and its covered count is recomputed from the instance's incidence
 index (``Hypergraph.edges_by_last``), which visits only the edges that end
-inside the candidate.  One best-of rule picks every
-winner: the candidate covering the most edges, the earliest on a tie.  The
-neighborhood searches apply it to bare counts and build one solution each.
+inside the candidate.  One best-of rule picks every winner: the builtin
+``max`` over the covered count, which returns the earliest of equal
+candidates.  The neighborhood searches apply it to bare counts and build one
+solution each.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from hyperdense.core import (
     Hypergraph,
     VertexSolution,
     _pad_to_k,
+    _top_scoring,
     covered_count,
     induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
     top_by_degree,
@@ -105,11 +107,6 @@ def _check_k(h: Hypergraph, k: int) -> None:
         raise ValueError(f"k must be in [3, {h.n}], got {k}")
 
 
-def _top_scoring(scores: Sequence[int], t: int) -> list[int]:
-    order = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
-    return order[:t]
-
-
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
     """The candidate ``base`` padded to exactly k vertices, with its cover recounted."""
     return VertexSolution.from_vertices(h, _pad_to_k(h.n, base, k), algorithm)
@@ -117,13 +114,15 @@ def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> Verte
 
 def dksh_best_of(candidates: Iterable[VertexSolution]) -> VertexSolution:
     """The candidate covering the most edges; the earliest one wins a tie."""
-    best: VertexSolution | None = None
-    for sol in candidates:
-        if best is None or sol.covered_count > best.covered_count:
-            best = sol
-    if best is None:
-        raise ValueError("best-of needs at least one candidate")
-    return best
+    return max(candidates, key=lambda sol: sol.covered_count)
+
+
+def _checked_pick(sub: DkSSubroutine, graph: WeightedGraph, budget: int) -> tuple[int, ...]:
+    """``sub``'s pick on ``graph``, rejected unless it is at most ``budget`` of its vertices."""
+    picked = tuple(sub(graph, budget))
+    if len(picked) > budget or not set(picked) <= set(graph.vertices):
+        raise ValueError("subroutine returned an invalid vertex set")
+    return picked
 
 
 def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSolution:
@@ -276,10 +275,10 @@ def neighborhood_searches(
     meet them are left out of every link graph, and candidates are padded
     with the smallest ids outside ``skip``.  Each vertex's link graph is
     pruned once, and at every threshold both selectors pick k-1 companions
-    from the same pruned graph.  Each search keeps its own best over
-    candidates in order of vertex, then threshold, under the best-of rule
-    applied to (covered count, padded k-set) pairs; a plugged pick equal to
-    the plain one reuses its count.  Only the two winners become solutions.
+    from the same pruned graph.  Each search lists its (covered count, padded
+    k-set) pairs in order of vertex, then threshold, for the best-of rule; a
+    plugged pick equal to the plain one reuses its count.  Only the two
+    winners become solutions.
 
     Both picks read one degree order and one pull order (``_pull_order``).
     When ``sub`` is ``greedy_weighted_dks`` and no pair of the vertex's link
@@ -296,8 +295,8 @@ def neighborhood_searches(
         raise ValueError(f"k must be at most {h.n - len(skip)} outside the skipped vertices")
     kk = k - 1
     half = kk // 2
-    plain: tuple[int, tuple[int, ...]] = (-1, ())
-    plugged: tuple[int, tuple[int, ...]] = (-1, ())
+    plain: list[tuple[int, tuple[int, ...]]] = []
+    plugged: list[tuple[int, tuple[int, ...]]] = []
     for v, pairs in enumerate(_link_pairs(h, skip)):
         if not pairs:
             continue
@@ -311,26 +310,20 @@ def neighborhood_searches(
             pick = {v, *seed, *by_pull[:half]}
             plain_set = _pad_to_k(h.n, pick, k, skip)
             plain_count = covered_count(h, plain_set)
-            if plain_count > plain[0]:
-                plain = (plain_count, plain_set)
+            plain.append((plain_count, plain_set))
             if counts is None:
                 pick.update(by_pull[half : kk - half])
             else:
-                picked = tuple(sub(_weighted_from_link(g, counts), kk))
-                if len(picked) > kk or not set(picked) <= set(g):
-                    raise ValueError("subroutine returned an invalid vertex set")
-                pick = {v, *picked}
+                pick = {v, *_checked_pick(sub, _weighted_from_link(g, counts), kk)}
             plugged_set = _pad_to_k(h.n, pick, k, skip)
             plugged_count = (
                 plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
             )
-            if plugged_count > plugged[0]:
-                plugged = (plugged_count, plugged_set)
-    if plain[0] < 0:
-        plain = plugged = (0, _pad_to_k(h.n, (), k, skip))
-    return (
-        VertexSolution.from_vertices(h, plain[1], "neighborhood"),
-        VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
+            plugged.append((plugged_count, plugged_set))
+    empty = (0, _pad_to_k(h.n, (), k, skip))
+    return tuple(
+        VertexSolution.from_vertices(h, max(found, key=lambda c: c[0], default=empty)[1], tag)
+        for found, tag in ((plain, "neighborhood"), (plugged, "neighborhood-plugged"))
     )
 
 
@@ -402,10 +395,7 @@ def k1_case_split(
     top = _top_scoring(k1_pair_weights(h, anchors), budget)
     cand1 = _padded(h, anchors | set(top), k, "k1-case-split")
 
-    graph = k1_weighted_graph(h, anchors)
-    picked = tuple(sub(graph, budget))
-    if len(picked) > budget or not set(picked) <= set(graph.vertices):
-        raise ValueError("subroutine returned an invalid vertex set")
+    picked = _checked_pick(sub, k1_weighted_graph(h, anchors), budget)
     cand2 = _padded(h, anchors | set(picked), k, "k1-case-split")
     return dksh_best_of((cand1, cand2))
 

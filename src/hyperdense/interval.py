@@ -33,20 +33,20 @@ from hyperdense.core import (
     _int_tokens,
     _pad_to_k,
     _parse_rows,
+    _vertex_count,
     union_of,
 )
 
 
 @dataclass(frozen=True)
 class IntervalInstance:
-    """Vertex count plus a multiset of integer intervals (a, b), 0 <= a <= b < n."""
+    """Integer vertex count plus a multiset of integer intervals (a, b), 0 <= a <= b < n."""
 
     n: int
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         canon = []
         for pos, (a, b) in enumerate(self.intervals):
             try:
@@ -115,7 +115,6 @@ class DPTable:
     is the input index of position i.
     """
 
-    instance: IntervalInstance
     order: tuple[int, ...]
     sorted_intervals: tuple[tuple[int, int], ...]
     contained: tuple[tuple[int, ...], ...]
@@ -200,7 +199,7 @@ def fill_table(
         values.append((length,) * base + tuple(rec_v))
         back.append((None,) * base + tuple(rec_b))
 
-    return DPTable(inst, order, ivs, contained, tuple(values), tuple(back))
+    return DPTable(order, ivs, contained, tuple(values), tuple(back))
 
 
 def _union_of_shortest(inst: IntervalInstance, p: int) -> int:

@@ -9,7 +9,10 @@ candidates are built.  The first round of every cover runs on the instance
 itself, not a copy, and a round builds no copy of its own: one degree ranking
 gives both anchor sets, and the pruned-neighborhood probe runs on the residual
 with the anchors skipped in place.  The final answer is never worse than the
-general 2*sqrt(m) solver because both enter a best-of.
+general 2*sqrt(m) solver because both enter a best-of.  One best-of rule picks
+every winner, the builtin ``max`` or ``min`` over an exact key, which returns
+the earliest of equal candidates: a round keeps its first densest candidate,
+and a solve its first smallest union.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 from hyperdense.core import (
     EdgeSolution,
     Hypergraph,
     VertexSolution,
+    _top_scoring,
     covered_edges,
     degrees,
     induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
@@ -31,7 +36,6 @@ from hyperdense.core import (
 from hyperdense.dksh3 import (
     WeightedGraph,
     _require_three_uniform,
-    _top_scoring,
     greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
@@ -112,14 +116,11 @@ def greedy_weighted_spes(graph: WeightedGraph, target_weight: int) -> tuple[int,
     got = w0
     order = sorted(graph.vertices)
     while got < target_weight:
-        best_u, best_gain = -1, 0
-        for u in order:
-            if u not in picked and gain[u] > best_gain:
-                best_u, best_gain = u, gain[u]
-        if best_gain <= 0:
+        best_u = max((u for u in order if u not in picked), key=gain.__getitem__, default=None)
+        if best_u is None or gain[best_u] <= 0:
             break
         picked.add(best_u)
-        got += best_gain
+        got += gain[best_u]
         for u, w in adj[best_u].items():
             gain[u] += w
     return tuple(sorted(picked))
@@ -128,12 +129,7 @@ def greedy_weighted_spes(graph: WeightedGraph, target_weight: int) -> tuple[int,
 def _densest_single_edge(h: Hypergraph) -> tuple[int, ...]:
     """Vertex set of the most repeated edge (ties: smallest vertex tuple)."""
     counts = Counter(h.edges)
-    best_edge, best_count = None, 0
-    for e, c in sorted(counts.items()):
-        if c > best_count:
-            best_edge, best_count = e, c
-    assert best_edge is not None
-    return best_edge
+    return min(counts, key=lambda e: (-counts[e], e))
 
 
 def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSolution:
@@ -177,26 +173,20 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
             candidates.append(("pruned-neighborhood", cand))
     candidates.append(("single-edge", set(_densest_single_edge(residual))))
 
-    best: tuple[str, set[int], int, int] | None = None
-    for tag, verts in candidates:
-        if not verts:
-            continue
-        num = len(covered_edges(residual, verts))
-        den = len(verts)
-        if best is None or num * best[3] > best[2] * den:
-            best = (tag, verts, num, den)
-    assert best is not None
-    return VertexSolution.from_vertices(residual, best[1], best[0])
+    tag, verts = max(
+        candidates, key=lambda c: Fraction(len(covered_edges(residual, c[1])), len(c[1]))
+    )
+    return VertexSolution.from_vertices(residual, verts, tag)
 
 
 def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> EdgeSolution:
     """Minimum p-union by witness-size guessing, floored by the 2*sqrt(m) solver.
 
     Tries every k in 1..n, runs the iterative cover with that guess's
-    parameters, keeps the smallest union, and finally takes the better of that
-    and mpu_sqrt_m so the general guarantee always transfers.  When ``trace``
-    is a list, one row per guess is appended: {k, khat, delta, union}; a guess
-    whose generator stalls appends none.
+    parameters, and keeps the smallest union among the covers, in order of k,
+    and mpu_sqrt_m, listed last, so the general guarantee always transfers.
+    When ``trace`` is a list, one row per guess is appended: {k, khat, delta,
+    union}; a guess whose generator stalls appends none.
 
     A saturated guess (anchor_size == n) runs once: every residual keeps all n
     vertices, so every vertex is an anchor, the probe outside the anchors is
@@ -206,7 +196,7 @@ def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> E
     _require_three_uniform(h)
     _check_p(h, p)
     ranked = sorted(degrees(h), reverse=True)
-    best: EdgeSolution | None = None
+    candidates: list[EdgeSolution] = []
     saturated = False
     for k in range(1, h.n + 1):
         params = MpU3Params.for_guess(h, p, k, ranked)
@@ -230,8 +220,6 @@ def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> E
                     "union": sol.union_size,
                 }
             )
-        if best is None or sol.union_size < best.union_size:
-            best = sol
-    candidates = [] if best is None else [replace(best, algorithm="three-uniform")]
+        candidates.append(replace(sol, algorithm="three-uniform"))
     candidates.append(mpu_sqrt_m(h, p))
     return mpu_best_of(h, p, candidates)

@@ -4,6 +4,9 @@ Two building blocks live here: a two-phase solver with a hard 2*sqrt(m)
 approximation guarantee (repeated minimum-expansion extraction, then a
 smallest-edges top-up), and a generic cover loop that drives any vertex-set
 generator until p edges are collected.
+
+One best-of rule picks a winner among candidate solutions: the builtin
+``min`` over the union size, which returns the earliest of equal candidates.
 """
 
 from __future__ import annotations
@@ -87,16 +90,10 @@ def iterative_cover(
 def mpu_best_of(
     h: Hypergraph, p: int, candidates: Sequence[EdgeSolution]
 ) -> EdgeSolution:
-    """The candidate of minimum union size; ties keep the earliest tag."""
-    if not candidates:
-        raise ValueError("need at least one candidate")
+    """The candidate of minimum union size, each holding p edges; ties keep the earliest."""
     for sol in candidates:
         if len(sol.edge_indices) != p:
             raise ValueError(
                 f"candidate {sol.algorithm!r} has {len(sol.edge_indices)} edges, expected {p}"
             )
-    best = candidates[0]
-    for sol in candidates[1:]:
-        if sol.union_size < best.union_size:
-            best = sol
-    return best
+    return min(candidates, key=lambda sol: sol.union_size)

@@ -455,13 +455,19 @@ class TestLongAugmentingPath:
 
 class TestDeterminismViaSubprocess:
     def test_identical_bytes_across_processes(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
         path = tmp_path / "inst.hg"
         path.write_text(THREE_UNIFORM)
         cmd = [sys.executable, "-m", "hyperdense.cli", "solve", "mpu",
                "--algo", "three-uniform", "--p", "2", str(path)]
-        first = subprocess.run(cmd, capture_output=True, check=True).stdout
-        second = subprocess.run(cmd, capture_output=True, check=True).stdout
+        # The child imports the package this process imported, installed or not.
+        src = str(Path(hyperdense.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
         assert first == second

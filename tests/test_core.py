@@ -135,6 +135,20 @@ class TestHypergraph:
         assert all(type(v) is int for v in h.edges[0])
         assert Hypergraph(3, (range(3),)) == Hypergraph(3, ((0, 1, 2),))
 
+    def test_non_integer_vertex_count_rejected(self):
+        # A float count used to be stored as given, and later broke the solvers.
+        for n in (4.0, 4.5, "4", None):
+            with pytest.raises(ValueError, match="vertex count .* is not an integer"):
+                Hypergraph(n, ((0, 1, 2), (1, 2, 3)))
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Hypergraph(-1, ())
+
+    def test_integer_like_vertex_count_becomes_int(self):
+        np = pytest.importorskip("numpy")
+        h = Hypergraph(np.int64(4), ((0, 1, 2), (1, 2, 3)))
+        assert type(h.n) is int
+        assert h == Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
+
     def test_is_uniform(self):
         assert Hypergraph(4, ()).is_uniform(3)
         h = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
@@ -233,6 +247,14 @@ class TestTopByDegree:
     def test_all_tied(self):
         h = Hypergraph(5, ((2, 3, 4),))
         assert top_by_degree(h, 2) == (2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=hypergraphs(), t=st.integers(min_value=0, max_value=10))
+    def test_matches_reference_ranking(self, h, t):
+        # The body before the ranking moved into the shared top-t helper.
+        deg = degrees(h)
+        order = sorted(range(h.n), key=lambda v: (-deg[v], v))
+        assert top_by_degree(h, t) == tuple(sorted(order[: min(t, h.n)]))
 
 
 class TestUnionOf:

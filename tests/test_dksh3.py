@@ -22,7 +22,7 @@ from hyperdense import (
 )
 from hyperdense import dksh3
 from hyperdense.cli import main
-from hyperdense.core import degrees, induced, top_by_degree
+from hyperdense.core import _pad_to_k, covered_count, degrees, induced, top_by_degree
 from hyperdense.dksh3 import (
     _check_k,
     _link_graph,
@@ -31,6 +31,7 @@ from hyperdense.dksh3 import (
     _pull_order,
     _require_three_uniform,
     _st_pick,
+    dksh_best_of,
     dksh_candidates,
     greedy_three_layer,
     k1_case_split,
@@ -247,6 +248,20 @@ class TestCaseSplit:
             rows.append((sol.covered_count, best))
         print("case-split vs anchored brute force:", rows)
         assert all(got >= 0 for got, _ in rows)
+
+    def test_sub_over_budget_rejected(self):
+        # k = 6: two anchors, and the subroutine may return floor(2k/3) = 4 vertices.
+        h = complete_3uniform(8)
+        with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
+            k1_case_split(h, 6, (0, 1), lambda graph, budget: (2, 3, 4, 5, 6))
+
+    def test_sub_outside_pair_graph_rejected(self):
+        # The pair graph leaves out the anchors, so returning one is invalid.
+        h = complete_3uniform(8)
+        with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
+            k1_case_split(h, 6, (0, 1), lambda graph, budget: (0, 2))
+        with pytest.raises(ValueError, match="subroutine returned an invalid vertex set"):
+            k1_case_split(h, 6, (0, 1), lambda graph, budget: (2, 8))
 
 
 class TestTrivialPick:
@@ -840,3 +855,137 @@ class TestUniformityCheckedOnce:
         assert len(scans) > 1
         assert sum(g is h for g in scans) == 1
         assert len({id(g) for g in scans}) == len(scans)
+
+
+# -- Reference: the best-of loops before the builtin max --
+# dksh_best_of and the two running bests of neighborhood_searches kept the
+# first best by hand, with a sentinel and a fallback for no candidate.  Both
+# bodies are frozen here; the helpers they call are the module's own.
+
+
+def reference_dksh_best_of(candidates):
+    best = None
+    for sol in candidates:
+        if best is None or sol.covered_count > best.covered_count:
+            best = sol
+    if best is None:
+        raise ValueError("best-of needs at least one candidate")
+    return best
+
+
+def reference_running_best_searches(h, k, sub=greedy_weighted_dks, skip=()):
+    _require_three_uniform(h)
+    _check_k(h, k)
+    skip = frozenset(skip)
+    if k > h.n - len(skip):
+        raise ValueError(f"k must be at most {h.n - len(skip)} outside the skipped vertices")
+    kk = k - 1
+    half = kk // 2
+    plain = (-1, ())
+    plugged = (-1, ())
+    for v, pairs in enumerate(_link_pairs(h, skip)):
+        if not pairs:
+            continue
+        link = _link_graph(pairs)
+        counts = None
+        if sub is not greedy_weighted_dks or sum(map(len, link.values())) != 2 * len(pairs):
+            counts = Counter(pairs)
+        for _, g in _pruned_link_graphs(link, kk):
+            seed, by_pull = _pull_order(g, half)
+            pick = {v, *seed, *by_pull[:half]}
+            plain_set = _pad_to_k(h.n, pick, k, skip)
+            plain_count = covered_count(h, plain_set)
+            if plain_count > plain[0]:
+                plain = (plain_count, plain_set)
+            if counts is None:
+                pick.update(by_pull[half : kk - half])
+            else:
+                picked = tuple(sub(dksh3._weighted_from_link(g, counts), kk))
+                if len(picked) > kk or not set(picked) <= set(g):
+                    raise ValueError("subroutine returned an invalid vertex set")
+                pick = {v, *picked}
+            plugged_set = _pad_to_k(h.n, pick, k, skip)
+            plugged_count = (
+                plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
+            )
+            if plugged_count > plugged[0]:
+                plugged = (plugged_count, plugged_set)
+    if plain[0] < 0:
+        plain = plugged = (0, _pad_to_k(h.n, (), k, skip))
+    return (
+        VertexSolution.from_vertices(h, plain[1], "neighborhood"),
+        VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
+    )
+
+
+class TestBestOfRule:
+    def test_best_of_matches_reference(self):
+        rng = random.Random(5)
+        cases = 0
+        for h in list(differential_instances())[:60]:
+            for k in range(3, h.n + 1):
+                cands = dksh_candidates(h, k)
+                # Shuffled lists and single-count lists put ties in every position.
+                for trial in range(4):
+                    order = cands[:] if trial == 0 else rng.sample(cands, len(cands))
+                    if trial == 3:
+                        order = [c for c in order if c.covered_count == order[0].covered_count]
+                    assert dksh_best_of(order) is reference_dksh_best_of(order)
+                    cases += 1
+        assert cases >= 600
+
+    def test_best_of_tie_keeps_earliest(self):
+        h = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
+        a = VertexSolution.from_vertices(h, (0, 1, 2), "first")
+        b = VertexSolution.from_vertices(h, (3, 4, 5), "second")
+        assert dksh_best_of([a, b]) is a
+        assert dksh_best_of(iter([b, a])) is b
+
+    def test_best_of_empty_rejected(self):
+        for best_of in (dksh_best_of, reference_dksh_best_of):
+            with pytest.raises(ValueError):
+                best_of([])
+
+    @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
+    def test_neighborhood_matches_running_best_reference(self, sub):
+        cases = 0
+        for h in differential_instances():
+            for skip in ((), top_by_degree(h, 1), top_by_degree(h, 2)):
+                for k in range(3, h.n - len(skip) + 1):
+                    got = neighborhood_searches(h, k, sub, skip)
+                    expected = reference_running_best_searches(h, k, sub, skip)
+                    assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                    cases += 1
+        assert cases >= 800
+
+    def test_neighborhood_matches_running_best_reference_on_planted_instances(self):
+        for seed in (1, 2):
+            h = planted_180(seed)
+            for k in (12, 20, 30):
+                skip = top_by_degree(h, k // 3)
+                got = neighborhood_searches(h, k, skip=skip)
+                expected = reference_running_best_searches(h, k, skip=skip)
+                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+
+    def test_neighborhood_tie_keeps_earliest_vertex(self):
+        # Vertices 0..2 propose (0, 1, 2) and vertices 3..5 propose (3, 4, 5),
+        # each covering one edge: the proposal of vertex 0 wins.
+        h = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
+        for sol in neighborhood_searches(h, 3):
+            assert sol.vertices == (0, 1, 2)
+
+    def test_neighborhood_tie_keeps_earliest_threshold(self):
+        # Vertex 0 proposes (0, 1, 4) at threshold 1 and (0, 2, 3) at threshold
+        # 2, and vertex 4 ends on (0, 2, 4): all cover one edge, so the first
+        # proposal wins.
+        h = Hypergraph(5, ((0, 2, 4), (0, 3, 4), (0, 2, 3), (0, 1, 4), (2, 3, 4)))
+        for sol in neighborhood_searches(h, 3):
+            assert sol.vertices == (0, 1, 4)
+            assert sol.covered_count == 1
+
+    def test_neighborhood_without_links_pads_the_empty_set(self):
+        # Every edge meets the skipped vertex, so no vertex has a link graph.
+        h = Hypergraph(6, ((0, 1, 2), (0, 3, 4)))
+        for sol in neighborhood_searches(h, 3, skip=(0,)):
+            assert sol.vertices == (1, 2, 3)
+            assert sol.covered_count == 0

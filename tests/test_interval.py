@@ -76,6 +76,20 @@ class TestInstance:
         assert inst.intervals == ((1, 3),)
         assert all(type(v) is int for v in inst.intervals[0])
 
+    def test_non_integer_vertex_count_rejected(self):
+        # A float count used to be stored as given, and mpu_interval answered on it.
+        for n in (5.0, 5.5, "5", None):
+            with pytest.raises(ValueError, match="vertex count .* is not an integer"):
+                IntervalInstance(n, ((0, 2),))
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            IntervalInstance(-1, ())
+
+    def test_integer_like_vertex_count_becomes_int(self):
+        np = pytest.importorskip("numpy")
+        inst = IntervalInstance(np.int64(5), ((0, 2),))
+        assert type(inst.n) is int
+        assert inst == IntervalInstance(5, ((0, 2),))
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             IntervalInstance(4, ((2, 1),))

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from hyperdense import (
 from hyperdense.core import (
     EdgeSolution,
     VertexSolution,
+    _top_scoring,
     covered_edges,
     degrees,
     induced,
@@ -24,7 +26,6 @@ from hyperdense.core import (
 from hyperdense.dksh3 import (
     _pruned_link_graphs,
     _require_three_uniform,
-    _top_scoring,
     greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
@@ -228,7 +229,9 @@ class TestMpU3Uniform:
 # included, covered a re-validated copy of its residual.  The probe ran on an
 # induced copy without the anchors and lifted its candidates back; its body is
 # frozen here with its two-stage pick, so the reference cannot change along
-# with the module's probe.
+# with the module's probe.  The single-edge candidate and the final best-of
+# are the hand-written first-best loops that preceded the builtin min, frozen
+# too, so the reference shares no best-of code with the module.
 
 
 def reference_st_pick(g, kk):
@@ -257,6 +260,31 @@ def reference_probe_candidates(h, probe_size):
                 yield {v} | set(g)
             else:
                 yield {v} | reference_st_pick(g, probe_size - 1)
+
+
+def reference_densest_single_edge(h):
+    counts = Counter(h.edges)
+    best_edge, best_count = None, 0
+    for e, c in sorted(counts.items()):
+        if c > best_count:
+            best_edge, best_count = e, c
+    assert best_edge is not None
+    return best_edge
+
+
+def reference_mpu_best_of(h, p, candidates):
+    if not candidates:
+        raise ValueError("need at least one candidate")
+    for sol in candidates:
+        if len(sol.edge_indices) != p:
+            raise ValueError(
+                f"candidate {sol.algorithm!r} has {len(sol.edge_indices)} edges, expected {p}"
+            )
+    best = candidates[0]
+    for sol in candidates[1:]:
+        if sol.union_size < best.union_size:
+            best = sol
+    return best
 
 
 def reference_candidate_generator_3u(residual, params):
@@ -289,7 +317,7 @@ def reference_candidate_generator_3u(residual, params):
         for cand in reference_probe_candidates(rest, params.khat):
             candidates.append(("pruned-neighborhood", {lift[u] for u in cand}))
 
-    candidates.append(("single-edge", set(_densest_single_edge(residual))))
+    candidates.append(("single-edge", set(reference_densest_single_edge(residual))))
 
     best = None
     for tag, verts in candidates:
@@ -340,7 +368,7 @@ def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_
     if best is not None:
         candidates.append(EdgeSolution.from_indices(h, best.edge_indices, "three-uniform"))
     candidates.append(mpu_sqrt_m(h, p))
-    return mpu_best_of(h, p, candidates)
+    return reference_mpu_best_of(h, p, candidates)
 
 
 def _differential_instances():
@@ -598,3 +626,46 @@ class TestRankedDegrees:
         # serves both of the round's anchor sets.
         assert calls[0] == (h,)
         assert len(calls) == 1 + len(rounds) > 1
+
+
+def edge_solutions(h, p, rng, count):
+    """``count`` random p-edge solutions of h, tagged by position."""
+    return [
+        EdgeSolution.from_indices(h, rng.sample(range(h.m), p), f"c{i}") for i in range(count)
+    ]
+
+
+class TestBestOfRule:
+    def test_densest_single_edge_matches_reference(self):
+        rng = random.Random(11)
+        for seed in range(200):
+            n = 5 + seed % 5
+            base = generate_uniform(n, 3 + seed % 6, seed + 5000).edges
+            # Repeat some edges, so multiplicities differ and tie.
+            edges = list(base) + [rng.choice(base) for _ in range(seed % 5)]
+            rng.shuffle(edges)
+            h = Hypergraph(n, tuple(edges))
+            assert _densest_single_edge(h) == reference_densest_single_edge(h)
+
+    def test_densest_single_edge_tie_keeps_smaller_tuple(self):
+        h = Hypergraph(6, ((3, 4, 5), (1, 2, 3), (0, 1, 5), (3, 4, 5), (0, 1, 5)))
+        assert _densest_single_edge(h) == (0, 1, 5)
+
+    def test_mpu_best_of_matches_reference(self):
+        rng = random.Random(12)
+        for seed in range(100):
+            h = generate_uniform(8, 10, seed + 5200)
+            p = 1 + seed % 4
+            sols = edge_solutions(h, p, rng, 1 + seed % 6)
+            assert mpu_best_of(h, p, sols) is reference_mpu_best_of(h, p, sols)
+        with pytest.raises(ValueError):
+            mpu_best_of(h, p, [])
+
+    def test_round_density_tie_keeps_earlier_tag(self):
+        # anchored-pairs proposes (0, 3, 6) and single-edge (0, 1, 3), one
+        # covered edge each on three vertices: the earlier candidate wins.
+        h = Hypergraph(7, ((0, 5, 6), (0, 1, 3), (0, 3, 6)))
+        params = params_for(h, 1, 1)
+        sol = candidate_generator_3u(h, params)
+        assert (sol.algorithm, sol.vertices) == ("anchored-pairs", (0, 3, 6))
+        assert sol == reference_candidate_generator_3u(h, params)
