@@ -22,7 +22,6 @@ from hyperdense.core import (
     serialize_hypergraph,
     solution_json,
     union_of,
-    vertex_mask,
 )
 from hyperdense.dksh3 import (
     dksh_3uniform,
@@ -79,14 +78,14 @@ def _digest(text: str) -> str:
 
 
 def _scan_covered(h: Hypergraph, vertices) -> tuple[int, ...]:
-    """Edges inside the vertex set by a scan of all m edge masks.
+    """Edges inside the vertex set by a scan of all m edges.
 
     The solvers count covers through the incidence index
     (``Hypergraph.edges_by_last``); this scan does not read it, so a fault in
     the index cannot vouch for its own answer.
     """
-    vm = vertex_mask(vertices)
-    return tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+    vs = set(vertices)
+    return tuple(i for i, e in enumerate(h.edges) if vs.issuperset(e))
 
 
 def _reverify(h: Hypergraph, sol: EdgeSolution | VertexSolution) -> None:
@@ -198,7 +197,7 @@ def _solution_payload(text: str) -> dict:
     parameter, union_size and covered_count, and lists of ints."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
         raise HypergraphFormatError(f"solution file is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise HypergraphFormatError("solution file must hold a JSON object")

@@ -56,22 +56,17 @@ class Hypergraph:
         return len(self.edges)
 
     @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """One bitmask per edge, bit v set iff vertex v belongs to the edge."""
-        return tuple(vertex_mask(e) for e in self.edges)
+    def edges_by_last(self) -> dict[int, tuple[int, ...]]:
+        """Incidence index: vertex -> ids of the edges it ends, in edge order.
 
-    @cached_property
-    def edges_by_last(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Incidence index: vertex -> (edge id, edge mask) of each edge it ends.
-
-        An edge is listed once, under its largest vertex, in edge order.  Only
-        vertices that end an edge are keys, so the index grows with m, not n.
-        The largest vertex, not the smallest, because candidate sets are padded
-        with the smallest ids, and those end few edges.
+        An edge is listed once, under its largest vertex.  Only vertices that
+        end an edge are keys, so the index grows with m, not n.  The largest
+        vertex, not the smallest, because candidate sets are padded with the
+        smallest ids, and those end few edges.
         """
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, (e, em) in enumerate(zip(self.edges, self.edge_masks)):
-            groups.setdefault(e[-1], []).append((i, em))
+        groups: dict[int, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            groups.setdefault(e[-1], []).append(i)
         return {v: tuple(group) for v, group in groups.items()}
 
     @cached_property
@@ -92,13 +87,6 @@ def _vertex_count(n: object) -> int:
     if count < 0:
         raise ValueError("vertex count must be nonnegative")
     return count
-
-
-def vertex_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _content_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
@@ -260,14 +248,13 @@ def _contained(h: Hypergraph, vertices: Iterable[int]) -> list[int]:
 
     An edge lies inside the set only if its largest vertex does, so only the
     set's groups of ``h.edges_by_last`` are visited.  Ids >= n end no edge and
-    are ignored; a negative id raises ValueError.
+    are ignored; a negative id raises ValueError, a non-integer one TypeError.
     """
-    vs = set(vertices)
-    if vs and max(vs) >= h.n:
-        vs = {v for v in vs if v < h.n}
-    vm = vertex_mask(vs)
-    groups = h.edges_by_last
-    return [i for v in vs if v in groups for i, em in groups[v] if em & vm == em]
+    vs = set(map(operator.index, vertices))
+    if vs and min(vs) < 0:
+        raise ValueError("vertex ids must be nonnegative")
+    groups, edges = h.edges_by_last, h.edges
+    return [i for v in vs if v in groups for i in groups[v] if vs.issuperset(edges[i])]
 
 
 def covered_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, ...]:

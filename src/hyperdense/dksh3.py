@@ -53,6 +53,8 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
+            raise ValueError("vertex ids must be distinct")
         for u, v, w in self.edges:
             if u >= v:
                 raise ValueError(f"edge ({u}, {v}) must be ordered and loop-free")

@@ -13,12 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from hyperdense.core import (
-    EdgeSolution,
-    Hypergraph,
-    VertexSolution,
-    vertex_mask,
-)
+from hyperdense.core import EdgeSolution, Hypergraph, VertexSolution
 from hyperdense.dksh3 import WeightedGraph
 from hyperdense.expansion import (
     EmptyHypergraphError,
@@ -53,12 +48,21 @@ def _check_budget(count: int, budget: int | None, what: str) -> None:
         raise OracleBudgetError(f"{what} needs {count} subsets, budget is {limit}")
 
 
+def _mask(vertices) -> int:
+    """Bit v set for each vertex v: the searches below union and count edges
+    bit-parallel, which pays off over the C(m, p) or C(n, k) subsets they visit."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def brute_mpu(h: Hypergraph, p: int, budget: int | None = None) -> EdgeSolution:
     """Exact minimum p-union by enumerating all C(m, p) subsets (lexicographic ties)."""
     if not 1 <= p <= h.m:
         raise ValueError(f"p must be in [1, {h.m}], got {p}")
     _check_budget(math.comb(h.m, p), budget, "brute_mpu")
-    masks = h.edge_masks
+    masks = [_mask(e) for e in h.edges]
     best_size, best_combo = h.n + 1, None
     for combo in combinations(range(h.m), p):
         u = 0
@@ -76,10 +80,10 @@ def brute_dksh(h: Hypergraph, k: int, budget: int | None = None) -> VertexSoluti
     if not 1 <= k <= h.n:
         raise ValueError(f"k must be in [1, {h.n}], got {k}")
     _check_budget(math.comb(h.n, k), budget, "brute_dksh")
-    masks = h.edge_masks
+    masks = [_mask(e) for e in h.edges]
     best_count, best_combo = -1, None
     for combo in combinations(range(h.n), k):
-        vm = vertex_mask(combo)
+        vm = _mask(combo)
         count = sum(1 for em in masks if em & vm == em)
         if count > best_count:
             best_count, best_combo = count, combo
@@ -96,7 +100,7 @@ def brute_min_expansion(h: Hypergraph, budget: int | None = None) -> ExpansionCe
     if h.m == 0:
         raise EmptyHypergraphError("expansion needs at least one edge")
     _check_budget(2 ** h.m - 1, budget, "brute_min_expansion")
-    masks = h.edge_masks
+    masks = [_mask(e) for e in h.edges]
     best_num, best_den, best_combo = 0, 1, None
     for size in range(1, h.m + 1):
         for combo in combinations(range(h.m), size):

@@ -395,10 +395,12 @@ class TestVerify:
             '{"problem": "dksh", "parameter": 1, "vertices": [0], "edge_indices": [],'
             ' "union_size": 1}',
             "not json",
+            "[" * 200_000 + "]" * 200_000,
+            '{"problem": "mpu", "parameter": ' + "9" * 5000 + "}",
         ],
         ids=["array", "missing-parameter", "non-int-vertex", "non-int-edge",
              "missing-problem", "unknown-problem", "string-union-size",
-             "missing-covered-count", "not-json"],
+             "missing-covered-count", "not-json", "deep-nesting", "huge-int"],
     )
     def test_malformed_solution_exits_3(self, capsys, tmp_path, uniform_file, payload):
         sol = tmp_path / "sol.json"
@@ -410,7 +412,7 @@ class TestVerify:
 
 
 class TestIndependentScan:
-    """Re-verification and ``verify`` scan all edge masks; they never consult
+    """Re-verification and ``verify`` scan all m edges; they never consult
     the incidence index the solvers count covers with."""
 
     def test_reverify_catches_a_cover_from_a_broken_index(self):

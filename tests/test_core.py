@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +16,7 @@ from hyperdense import (
     solution_json,
     union_of,
 )
-import hyperdense.core
+import hyperdense.cli
 from hyperdense.core import (
     covered_count,
     degrees,
@@ -306,29 +309,20 @@ class TestSolutions:
 
     def test_covered_edges_ignores_ids_beyond_n(self):
         h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
-        assert covered_edges(h, {0, 1, 2, 4, 60}) == (0, 1)
-
-    def test_ids_beyond_n_never_reach_the_mask(self, monkeypatch):
-        h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
-        masked = []
-        real_mask = hyperdense.core.vertex_mask
-
-        def spy(vertices):
-            vertices = list(vertices)
-            masked.extend(vertices)
-            # A wide id is only recorded, never shifted: 1 << (1 << 40) would
-            # take 128 GiB.
-            return real_mask(v for v in vertices if v < h.n)
-
-        monkeypatch.setattr(hyperdense.core, "vertex_mask", spy)
-        assert covered_edges(h, {0, 1, 2, 1 << 40}) == (0, 1)
+        assert covered_edges(h, {0, 1, 2, 4, 60, 1 << 40}) == (0, 1)
         assert covered_count(h, {0, 1, 2, 4, 1 << 40}) == 2
-        assert masked and max(masked) < h.n
 
     def test_covered_edges_rejects_negative_id(self):
         h = Hypergraph(4, ((0, 1, 2),))
         with pytest.raises(ValueError):
             covered_edges(h, {0, 1, 2, -1})
+
+    def test_covered_edges_rejects_non_integer_id(self):
+        h = Hypergraph(4, ((0, 1, 2),))
+        with pytest.raises(TypeError):
+            covered_edges(h, {0.0, 1.0, 2.0})
+        with pytest.raises(TypeError):
+            VertexSolution.from_vertices(h, [0.0, 1.0, 2.0])
 
     def test_solution_json_is_canonical(self):
         h = Hypergraph(3, ((0, 1),))
@@ -346,7 +340,8 @@ def reference_covered_edges(h, vertices):
     vm = 0
     for v in vertices:
         vm |= 1 << v
-    return tuple(i for i, em in enumerate(h.edge_masks) if em & vm == em)
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    return tuple(i for i, em in enumerate(masks) if em & vm == em)
 
 
 @st.composite
@@ -396,12 +391,27 @@ class TestCoveredEdgesIndex:
     @settings(deadline=None, derandomize=True)
     @given(hypergraphs_with_duplicates())
     def test_index_lists_each_edge_once_under_its_last_vertex(self, h):
-        listed = sorted(
-            (i, v, em) for v, group in h.edges_by_last.items() for i, em in group
-        )
-        assert listed == [(i, e[-1], em) for i, (e, em) in enumerate(zip(h.edges, h.edge_masks))]
+        listed = sorted((i, v) for v, group in h.edges_by_last.items() for i in group)
+        assert listed == [(i, e[-1]) for i, e in enumerate(h.edges)]
+        assert all(list(group) == sorted(group) for group in h.edges_by_last.values())
 
     def test_index_keys_follow_m_not_n(self):
         h = Hypergraph(10**6, ((0, 5), (3, 5), (7, 999_999)))
         assert sorted(h.edges_by_last) == [5, 999_999]
         assert covered_edges(h, {0, 3, 5}) == (0, 1)
+
+    def test_wide_ids_allocate_little(self):
+        # Containment is a set test, so memory follows the edges and the query,
+        # not the largest id: a bitmask per edge would take about 5 MB here.
+        rng = random.Random(7)
+        h = Hypergraph(10**6, tuple(tuple(rng.sample(range(10**6), 3)) for _ in range(50)))
+        vs = {v for e in h.edges[:20] for v in e} | {5, 10**6 - 1}
+        tracemalloc.start()
+        try:
+            covered = covered_edges(h, vs)
+            assert covered_count(h, vs) == len(covered) >= 20
+            hyperdense.cli._reverify(h, VertexSolution(tuple(sorted(vs)), covered))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -221,7 +221,7 @@ def assert_sound(h, cert):
 
 def largest_optimal_subset(h):
     """Union of all subsets of maximum ratio |E'| / |Gamma(E')|, by enumeration."""
-    masks = h.edge_masks
+    masks = [sum(1 << v for v in e) for e in h.edges]
     best, union = Fraction(0), 0
     for subset in range(1, 2 ** h.m):
         cover = 0

@@ -1,5 +1,5 @@
-"""The package's public names, the README example, the tracer's bindings, and
-unused imports."""
+"""The package's public names, the README example, the tracer's bindings,
+unused imports, and where bitmasks may live."""
 
 import ast
 import contextlib
@@ -122,3 +122,17 @@ def test_every_import_is_used():
     tracing = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
     wrapped = set(re.findall(r'\bwrap\((\w+), "(\w+)"', tracing))
     assert UNUSED_IMPORT_ALLOWLIST <= wrapped
+
+
+def test_only_the_oracle_builds_bitmasks():
+    # The solvers test containment with sets, so their memory never grows with
+    # the largest vertex id; the exhaustive oracles union edges bit-parallel.
+    found = set()
+    for path in sorted((ROOT / "src" / "hyperdense").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.LShift) or (
+                isinstance(node, ast.Attribute) and node.attr == "bit_count"
+            ):
+                found.add(path.name)
+    assert found == {"oracle.py"}
