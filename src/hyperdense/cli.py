@@ -3,11 +3,15 @@
 Report rows are JSON lines on stdout (or key=value pairs with --format tsv);
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage error, 3 parse
 error, 4 oracle budget exceeded, 1 failed verification.
+
+The argument parser is built once per process and reused by every ``main``
+call; each parsed instance is validated once, row by row as it is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -263,7 +267,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if valid else EXIT_INVALID
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on first use and then shared.
+
+    It holds no per-call state: every default is None, a str, a bool or an
+    int, and each command is a function of the parsed namespace alone.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperdense",
         description="Solvers, oracles, and generators for dense-subhypergraph problems.",

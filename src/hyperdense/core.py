@@ -78,6 +78,19 @@ class Hypergraph:
         return self._edge_sizes <= {size}
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without running ``__post_init__``.
+
+    Only for fields that are already canonical: rows the parse has checked,
+    or edges taken from a built instance.  Every other caller goes through
+    the public constructor and its checks.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _vertex_count(n: object) -> int:
     """``n`` as an ``int``; a non-integer or negative vertex count raises ValueError."""
     try:
@@ -167,10 +180,11 @@ def parse_hypergraph(text: str | bytes) -> Hypergraph:
 
     ``#`` starts a comment line, blank lines are skipped, and every error is
     reported with its line number.  Edge order and duplicate edges are
-    preserved.
+    preserved.  Each row is checked and sorted as it is read, so the instance
+    is built without a second validation.
     """
     n, edges = _parse_rows(text, "edge", _edge_row)
-    return Hypergraph(n, tuple(edges))
+    return _trusted(Hypergraph, n=n, edges=tuple(edges))
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -276,11 +290,14 @@ def edge_subhypergraph(h: Hypergraph, edge_indices: Iterable[int]) -> Hypergraph
 
     The ids 0..m-1 in order select all of h, so h itself is returned: it is
     immutable, so a copy would be the same value, minus h's cached indexes.
+    An id outside [0, m) raises ValueError.
     """
     ids = list(edge_indices)
     if ids == list(range(h.m)):
         return h
-    return Hypergraph(h.n, tuple(h.edges[i] for i in ids))
+    if any(not 0 <= i < h.m for i in ids):
+        raise ValueError("edge index out of range")
+    return _trusted(Hypergraph, n=h.n, edges=tuple(h.edges[i] for i in ids))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from hyperdense.core import (
     _int_tokens,
     _pad_to_k,
     _parse_rows,
+    _trusted,
     _vertex_count,
     union_of,
 )
@@ -66,7 +67,9 @@ class IntervalInstance:
 
     @cached_property
     def _hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.n, tuple(tuple(range(a, b + 1)) for a, b in self.intervals))
+        # Range edges of checked intervals are sorted, distinct and in range.
+        edges = tuple(tuple(range(a, b + 1)) for a, b in self.intervals)
+        return _trusted(Hypergraph, n=self.n, edges=edges)
 
 
 def _interval_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, int]:
@@ -81,9 +84,13 @@ def _interval_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, int]:
 
 
 def parse_intervals(text: str | bytes) -> IntervalInstance:
-    """Parse the interval format: header ``n m`` then one ``a b`` pair per line."""
+    """Parse the interval format: header ``n m`` then one ``a b`` pair per line.
+
+    Each row is checked as it is read, so the instance is built without a
+    second validation.
+    """
     n, pairs = _parse_rows(text, "interval", _interval_row)
-    return IntervalInstance(n, tuple(pairs))
+    return _trusted(IntervalInstance, n=n, intervals=tuple(pairs))
 
 
 def serialize_intervals(inst: IntervalInstance) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -409,6 +410,52 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("parse error: ")
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no call may leak into the next."""
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch, uniform_file):
+        calls = [
+            ["solve", "dksh", "--k", "4", "--explain", uniform_file],
+            ["solve", "dksh", "--k", "4", uniform_file],
+            ["solve", "mpu", "--algo", "three-uniform", "--p", "2", "--trace", uniform_file],
+            ["solve", "mpu", "--algo", "three-uniform", "--p", "2", uniform_file],
+            ["--format", "tsv", "solve", "dksh", "--k", "3", "--sub", "exact", "--explain",
+             uniform_file],
+            ["solve", "dksh", "--k", "3", "--explain", uniform_file],
+            ["solve", "mpu", "--p", "2", "--bogus", uniform_file],
+            ["solve", "mpu", "--p", "2", uniform_file],
+            ["solve", "mpu", uniform_file],
+            ["solve", "dksh", "--k", "4", uniform_file],
+            ["--help"],
+            ["solve", "mpu", "--help"],
+            ["solve", "mpu", "--p", "1", uniform_file],
+        ]
+        assert hyperdense.cli.build_parser() is hyperdense.cli.build_parser()
+        shared = [run(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(
+            hyperdense.cli, "build_parser", hyperdense.cli.build_parser.__wrapped__
+        )
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0]
+        assert shared[6][2].startswith("usage: hyperdense")
+        assert shared[10][1].startswith("usage: hyperdense")
+        for flagged, plain in ((0, 1), (2, 3), (4, 5)):
+            assert shared[flagged][1] != shared[plain][1]
+
+    def test_no_action_has_a_mutable_default(self):
+        parsers = [hyperdense.cli.build_parser()]
+        defaults = []
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                defaults.append(action.default)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(defaults) > 30
+        assert all(d is None or type(d) in (str, bool, int) for d in defaults)
 
 
 class TestIndependentScan:

@@ -17,6 +17,7 @@ from hyperdense import (
     union_of,
 )
 import hyperdense.cli
+from builds import assert_as_validated
 from hyperdense.core import (
     covered_count,
     degrees,
@@ -105,7 +106,9 @@ class TestParse:
 
     @given(hypergraphs())
     def test_roundtrip(self, h):
-        assert parse_hypergraph(serialize_hypergraph(h)) == h
+        parsed = parse_hypergraph(serialize_hypergraph(h))
+        assert parsed == h
+        assert_as_validated(parsed)
 
 
 class TestHypergraph:
@@ -214,8 +217,19 @@ class TestEdgeSubhypergraph:
     @given(hypergraphs(), st.data())
     def test_same_value_as_a_copy(self, h, data):
         ids = data.draw(st.lists(st.integers(0, max(h.m - 1, 0)), max_size=h.m)) if h.m else []
-        assert edge_subhypergraph(h, ids) == Hypergraph(h.n, tuple(h.edges[i] for i in ids))
+        sub = edge_subhypergraph(h, ids)
+        assert sub == Hypergraph(h.n, tuple(h.edges[i] for i in ids))
+        assert_as_validated(sub)
         assert edge_subhypergraph(h, range(h.m)) == Hypergraph(h.n, h.edges)
+
+    def test_ids_outside_range_rejected(self):
+        # A negative id used to wrap to an edge from the end, and m raised IndexError.
+        h = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
+        for ids in ([-1], [0, -2], [2], [1, 0, 5]):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                edge_subhypergraph(h, ids)
+        with pytest.raises(ValueError, match="edge index out of range"):
+            edge_subhypergraph(Hypergraph(3, ()), [0])
 
 
 class TestDegrees:
@@ -415,3 +429,19 @@ class TestCoveredEdgesIndex:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestTrustedBuilds:
+    """Parse builds without a second validation; the result is the value the
+    validating constructor gives."""
+
+    @settings(deadline=None, derandomize=True)
+    @given(hypergraphs_with_duplicates(), st.randoms(use_true_random=False))
+    def test_parse_of_unsorted_rows(self, h, rng):
+        rows = [rng.sample(e, len(e)) for e in h.edges]
+        text = f"# shuffled\n{h.n} {h.m}\n" + "".join(
+            " ".join(map(str, row)) + "\n\n" for row in rows
+        )
+        parsed = parse_hypergraph(text)
+        assert parsed == Hypergraph(h.n, tuple(map(tuple, rows)))
+        assert_as_validated(parsed)

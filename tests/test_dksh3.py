@@ -51,6 +51,7 @@ from hyperdense.oracle import (
     generate_planted,
     generate_uniform,
 )
+from builds import count_hypergraph_builds
 
 
 def complete_3uniform(n):
@@ -797,7 +798,7 @@ class TestNoThrowawayBuilds:
 
     def test_candidates_build_no_hypergraph(self, monkeypatch):
         h = planted_180(1)
-        builds = count_calls(monkeypatch, Hypergraph, "__post_init__")
+        builds = count_hypergraph_builds(monkeypatch)
         for k in (12, 20, 30):
             dksh_candidates(h, k)
         assert builds == []

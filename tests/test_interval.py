@@ -22,6 +22,7 @@ from hyperdense import (
 )
 from hyperdense.interval import _union_of_shortest, fill_table
 from hyperdense.oracle import generate_intervals
+from builds import assert_as_validated, count_hypergraph_builds
 
 
 @st.composite
@@ -457,6 +458,15 @@ class TestBoundedFill:
 
 
 class TestOneHypergraphBuild:
+    @given(repeated_interval_instances())
+    def test_parse_and_view_build_validated_values(self, inst):
+        parsed = parse_intervals(serialize_intervals(inst))
+        assert parsed == inst
+        assert_as_validated(parsed)
+        view = to_hypergraph(parsed)
+        assert view == reference_to_hypergraph(inst)
+        assert_as_validated(view)
+
     def test_solver_and_caller_share_one_build(self):
         inst = generate_intervals(20, 10, 1)
         assert to_hypergraph(inst) is to_hypergraph(inst)
@@ -470,14 +480,7 @@ class TestOneHypergraphBuild:
     def test_cli_op_builds_one_hypergraph(self, tmp_path, monkeypatch, capsys, argv):
         path = tmp_path / "inst.iv"
         path.write_text(serialize_intervals(generate_intervals(20, 10, 1)))
-        builds = []
-        original = Hypergraph.__post_init__
-
-        def counted(self):
-            builds.append(self)
-            original(self)
-
-        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        builds = count_hypergraph_builds(monkeypatch)
         assert hyperdense.cli.main(["solve", *argv, str(path)]) == 0
         assert len(builds) == 1
         capsys.readouterr()

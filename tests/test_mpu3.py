@@ -44,6 +44,7 @@ from hyperdense.oracle import (
     generate_planted,
     generate_uniform,
 )
+from builds import count_hypergraph_builds
 
 
 def params_for(h, p, k):
@@ -486,14 +487,7 @@ class TestNoThrowawayWork:
     def test_one_round_cover_builds_no_hypergraph(self, monkeypatch):
         h = self._block()
         params = params_for(h, 12, 5)
-        builds = []
-        original = Hypergraph.__post_init__
-
-        def counted(self):
-            builds.append(self)
-            original(self)
-
-        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        builds = count_hypergraph_builds(monkeypatch)
         rounds = []
 
         def generator(residual, _k):
@@ -514,14 +508,7 @@ class TestNoThrowawayWork:
         residual = Hypergraph(h.n, h.edges[20:])
         params = params_for(h, 60, 3)
         assert params.khat >= 2
-        builds = []
-        original = Hypergraph.__post_init__
-
-        def counted(self):
-            builds.append(self)
-            original(self)
-
-        monkeypatch.setattr(Hypergraph, "__post_init__", counted)
+        builds = count_hypergraph_builds(monkeypatch)
         best_of = _spy(monkeypatch, "k1_pair_weights")
         probes = _spy(monkeypatch, "probe_candidates")
         for r in (h, residual):

@@ -136,3 +136,32 @@ def test_only_the_oracle_builds_bitmasks():
             ):
                 found.add(path.name)
     assert found == {"oracle.py"}
+
+
+def test_trusted_builds_only_where_fields_are_canonical():
+    # ``core._trusted`` skips validation, so it may build only from rows the
+    # parse has checked or from edges of an instance already built.
+    sites = set()
+    for path in sorted((ROOT / "src" / "hyperdense").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if "_trusted" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    sites.add((path.name, func.name))
+        imports = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if "_trusted" in imports:
+            sites.add((path.name, "import"))
+    assert sites == {
+        ("core.py", "parse_hypergraph"),
+        ("core.py", "edge_subhypergraph"),
+        ("interval.py", "import"),
+        ("interval.py", "parse_intervals"),
+        ("interval.py", "_hypergraph"),
+    }
