@@ -249,10 +249,18 @@ def _pad_to_k(
     return tuple(sorted(chosen))
 
 
+def _edge_ids(h: Hypergraph, edge_indices: Iterable[int]) -> list[int]:
+    """The ids as a list; an id outside [0, m) raises ValueError."""
+    ids = list(edge_indices)
+    if ids and (min(ids) < 0 or max(ids) >= h.m):
+        raise ValueError("edge index out of range")
+    return ids
+
+
 def union_of(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted union of the referenced edges' vertices."""
+    """Sorted union of the referenced edges' vertices; an id outside [0, m) raises ValueError."""
     out: set[int] = set()
-    for i in edge_indices:
+    for i in _edge_ids(h, edge_indices):
         out.update(h.edges[i])
     return tuple(sorted(out))
 
@@ -292,11 +300,9 @@ def edge_subhypergraph(h: Hypergraph, edge_indices: Iterable[int]) -> Hypergraph
     immutable, so a copy would be the same value, minus h's cached indexes.
     An id outside [0, m) raises ValueError.
     """
-    ids = list(edge_indices)
+    ids = _edge_ids(h, edge_indices)
     if ids == list(range(h.m)):
         return h
-    if any(not 0 <= i < h.m for i in ids):
-        raise ValueError("edge index out of range")
     return _trusted(Hypergraph, n=h.n, edges=tuple(h.edges[i] for i in ids))
 
 
@@ -315,8 +321,6 @@ class EdgeSolution:
         idx = tuple(sorted(edge_indices))
         if len(set(idx)) != len(idx):
             raise ValueError("edge indices must be distinct")
-        if idx and (idx[0] < 0 or idx[-1] >= h.m):
-            raise ValueError("edge index out of range")
         return cls(idx, union_of(h, idx), algorithm)
 
     @property

@@ -123,7 +123,6 @@ class DPTable:
     """
 
     order: tuple[int, ...]
-    sorted_intervals: tuple[tuple[int, int], ...]
     contained: tuple[tuple[int, ...], ...]
     values: tuple[tuple[int, ...], ...]
     back: tuple[tuple[tuple[int, int] | None, ...], ...]
@@ -206,7 +205,7 @@ def fill_table(
         values.append((length,) * base + tuple(rec_v))
         back.append((None,) * base + tuple(rec_b))
 
-    return DPTable(order, ivs, contained, tuple(values), tuple(back))
+    return DPTable(order, contained, tuple(values), tuple(back))
 
 
 def _union_of_shortest(inst: IntervalInstance, p: int) -> int:

@@ -61,14 +61,27 @@ def _ceil_sqrt_fraction(num: int, den: int) -> int:
     return z
 
 
+def _anchor_size(k: int, n: int) -> int:
+    """ceil(k * n^(2/5)) capped at n, in exact integers: the least a with
+    a^5 >= k^5 * n^2, or n if no a < n qualifies."""
+    target = k**5 * n**2
+    # The float estimate is at most a step off; correct it exactly.
+    a = min(n, math.ceil(k * n**0.4))
+    while a > 1 and (a - 1) ** 5 >= target:
+        a -= 1
+    while a < n and a**5 < target:
+        a += 1
+    return a
+
+
 @dataclass(frozen=True)
 class MpU3Params:
     """Parameters derived from one witness-size guess k.
 
-    anchor_size caps ceil(k * n^(2/5)) at n; delta is the minimum degree among
-    the anchor_size top-degree vertices; khat is the probe size for the
-    pruned-neighborhood route, the exact integer ceiling of
-    sqrt(k^4 * delta / (9p)) and at least 1.
+    anchor_size caps ceil(k * n^(2/5)) at n, in exact integers; delta is the
+    minimum degree among the anchor_size top-degree vertices; khat is the
+    probe size for the pruned-neighborhood route, the exact integer ceiling
+    of sqrt(k^4 * delta / (9p)) and at least 1.
     """
 
     k: int
@@ -87,7 +100,7 @@ class MpU3Params:
         _check_p(h, p)
         if not 1 <= k <= h.n:
             raise ValueError(f"k must be in [1, {h.n}], got {k}")
-        anchor_size = min(math.ceil(k * h.n ** 0.4), h.n)
+        anchor_size = _anchor_size(k, h.n)
         # The least degree among the top anchor_size vertices (anchor_size >= 1).
         delta = ranked_degrees[anchor_size - 1]
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))

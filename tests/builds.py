@@ -1,4 +1,6 @@
-"""Helpers for tests of how instances are built.
+"""Helpers for tests of what a solve builds and calls.
+
+``spy`` records the calls made through one binding.
 
 An instance is built either through its public constructor, which runs
 ``__post_init__``, or through ``core._trusted``, which skips it for fields
@@ -34,6 +36,19 @@ def count_hypergraph_builds(monkeypatch):
     for module in (core, interval):
         monkeypatch.setattr(module, "_trusted", counted_trusted)
     return builds
+
+
+def spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test's duration; the list grows by each call's args."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
 
 
 def _shape(value):

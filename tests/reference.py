@@ -1,0 +1,462 @@
+"""Frozen references: one exact copy of each solver stage a speed change replaced.
+
+Each function here is the body of a stage before a change made it faster,
+copied so that it cannot change along with the code it checks.  The tests
+compare the package against these functions on seeded instances.  A new
+speed change freezes its parent here, one copy per stage, and
+``tests/test_surface.py`` pins that no test file defines its own.  The
+paper's LP route is the reference of acceptance criterion 2 and lives in
+``lp_reference.py``.
+
+A reference calls package code only where that code is not the stage under
+test: the data types, ``induced``, the link-graph pruning, and the parts a
+stage composes (the mpu3 round's candidate builders, the flow network and
+``mpu_sqrt_m``).
+"""
+
+import math
+from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
+
+from hyperdense import (
+    EdgeSolution,
+    Hypergraph,
+    VertexSolution,
+    WeightedGraph,
+    greedy_weighted_dks,
+    greedy_weighted_spes,
+    mpu_sqrt_m,
+)
+from hyperdense.core import _top_scoring, covered_edges, degrees, induced, top_by_degree
+from hyperdense.dksh3 import (
+    _pruned_link_graphs,
+    _require_three_uniform,
+    greedy_three_layer,
+    k1_pair_weights,
+    k1_weighted_graph,
+)
+from hyperdense.expansion import (
+    build_expansion_network,
+    expansion_certificate,
+    max_flow_min_cut,
+)
+from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction
+from hyperdense.mpu_general import StalledGeneratorError
+
+
+# -- Covers and padding: the full edge-mask scan the incidence index replaced --
+
+
+@lru_cache(maxsize=4)
+def _edge_masks(h):
+    return tuple(sum(1 << v for v in e) for e in h.edges)
+
+
+def reference_covered_edges(h, vertices):
+    """Ids of the edges inside ``vertices``, from a scan of every edge's mask."""
+    vm = 0
+    for v in vertices:
+        vm |= 1 << v
+    return tuple(i for i, em in enumerate(_edge_masks(h)) if em & vm == em)
+
+
+def reference_pad_to_k(n, base, k):
+    chosen = set(base)
+    if len(chosen) > k:
+        raise ValueError("candidate exceeds the vertex budget")
+    for v in range(n):
+        if len(chosen) == k:
+            break
+        chosen.add(v)
+    return tuple(sorted(chosen))
+
+
+# -- dksh3: link graphs, selectors, neighborhood searches and the probe --
+# The bodies before one link-pair sweep, one pull order and count-first
+# scoring served the searches, and before the anchors were skipped in place.
+
+
+def reference_link(h, v):
+    """Vertex v's link graph and its pair counts, from a scan of all edges."""
+    adj, counts = {}, {}
+    for e in h.edges:
+        if v in e:
+            u, x = (w for w in e if w != v)
+            adj.setdefault(u, set()).add(x)
+            adj.setdefault(x, set()).add(u)
+            counts[(u, x)] = counts.get((u, x), 0) + 1
+    return adj, counts
+
+
+def reference_st_pick(g, kk):
+    size = kk // 2
+    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
+    sset = set(s)
+    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
+    return sset | set(t)
+
+
+def reference_weighted_from_link(g, counts):
+    vertices = tuple(sorted(g))
+    edges = tuple(
+        (u, v, counts[(u, v)]) for u in vertices for v in sorted(g[u]) if u < v
+    )
+    return WeightedGraph(vertices, edges)
+
+
+def reference_greedy_weighted_dks(graph, k):
+    if k <= 0 or not graph.vertices:
+        return ()
+    adj = graph.adjacency
+    s_size = k // 2
+    by_degree = sorted(graph.vertices, key=lambda u: (-sum(adj[u].values()), u))
+    seed = set(by_degree[:s_size])
+
+    def weight_into(u):
+        return sum(w for v, w in adj[u].items() if v in seed)
+
+    by_pull = sorted(graph.vertices, key=lambda u: (-weight_into(u), u))
+    return tuple(sorted(seed | set(by_pull[: k - s_size])))
+
+
+def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks, skip=()):
+    """Both neighborhood searches outside ``skip``: (plain, plugged) solutions.
+
+    They run on the induced copy without ``skip``.  Every vertex's link graph
+    and pair counts come from a scan of all edges, and each threshold of its
+    pruned link graph proposes the two-stage pick and ``sub``'s pick on the
+    weighted link graph (``sub`` is always called).  A proposal is padded in
+    the copy, lifted back to ids of h and scored by the mask scan; the first
+    best proposal of each search wins.
+    """
+    _require_three_uniform(h)
+    skip = set(skip)
+    if not 3 <= k <= h.n - len(skip):
+        raise ValueError(f"k must be in [3, {h.n - len(skip)}] outside the skipped vertices")
+    rest, lift = induced(h, set(range(h.n)) - skip)
+    best = {"neighborhood": None, "neighborhood-plugged": None}
+
+    def offer(proposal, tag):
+        vertices = tuple(lift[u] for u in reference_pad_to_k(rest.n, proposal, k))
+        covered = reference_covered_edges(h, vertices)
+        if best[tag] is None or len(covered) > best[tag].covered_count:
+            best[tag] = VertexSolution(vertices, covered, tag)
+
+    for v in range(rest.n):
+        adj, counts = reference_link(rest, v)
+        if not adj:
+            continue
+        for _, g in _pruned_link_graphs(adj, k - 1):
+            offer({v} | reference_st_pick(g, k - 1), "neighborhood")
+            picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
+            if len(picked) > k - 1 or not set(picked) <= set(g):
+                raise ValueError("subroutine returned an invalid vertex set")
+            offer({v} | set(picked), "neighborhood-plugged")
+    for tag, sol in best.items():
+        if sol is None:
+            offer(set(), tag)
+    return best["neighborhood"], best["neighborhood-plugged"]
+
+
+def reference_probe_candidates(h, probe_size, skip=()):
+    """The probe's candidates outside ``skip``, from the induced copy lifted back."""
+    rest, lift = induced(h, set(range(h.n)) - set(skip))
+    for v in range(rest.n):
+        adj, _ = reference_link(rest, v)
+        if not adj:
+            continue
+        for _, g in _pruned_link_graphs(adj, probe_size - 1):
+            if len(g) < probe_size:
+                picked = set(g)
+            else:
+                picked = reference_st_pick(g, probe_size - 1)
+            yield {lift[u] for u in {v} | picked}
+
+
+def reference_dksh_best_of(candidates):
+    best = None
+    for sol in candidates:
+        if best is None or sol.covered_count > best.covered_count:
+            best = sol
+    if best is None:
+        raise ValueError("best-of needs at least one candidate")
+    return best
+
+
+# -- mpu3: the cover round and the guess loop --
+# The round before the three-layer short-cut came first: it ranked the
+# anchors and built the pair-weight candidates first, and every round, the
+# first included, covered a re-validated copy of its residual.  The probe ran
+# on an induced copy without the anchors.  The single-edge candidate, the
+# round's density pick and the final best-of are the hand-written first-best
+# loops that preceded the builtin min, so the reference shares no best-of
+# code with the module.  The guess loop runs every k, without reuse, with
+# delta from ``top_by_degree``.
+
+
+def reference_greedy_weighted_spes(graph, target_weight):
+    """Each round recomputes every outside vertex's weight into the picked set."""
+    if target_weight <= 0 or not graph.edges:
+        return ()
+    adj = graph.adjacency
+    u0, v0, w0 = min(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
+    picked = {u0, v0}
+    got = w0
+    while got < target_weight:
+        best_u, best_gain = -1, 0
+        for u in sorted(graph.vertices):
+            if u in picked:
+                continue
+            gain = sum(w for v, w in adj[u].items() if v in picked)
+            if gain > best_gain:
+                best_u, best_gain = u, gain
+        if best_gain <= 0:
+            break
+        picked.add(best_u)
+        got += best_gain
+    return tuple(sorted(picked))
+
+
+def reference_densest_single_edge(h):
+    counts = Counter(h.edges)
+    best_edge, best_count = None, 0
+    for e, c in sorted(counts.items()):
+        if c > best_count:
+            best_edge, best_count = e, c
+    assert best_edge is not None
+    return best_edge
+
+
+def reference_mpu_best_of(h, p, candidates):
+    if not candidates:
+        raise ValueError("need at least one candidate")
+    for sol in candidates:
+        if len(sol.edge_indices) != p:
+            raise ValueError(
+                f"candidate {sol.algorithm!r} has {len(sol.edge_indices)} edges, expected {p}"
+            )
+    best = candidates[0]
+    for sol in candidates[1:]:
+        if sol.union_size < best.union_size:
+            best = sol
+    return best
+
+
+def reference_candidate_generator_3u(residual, params):
+    if residual.m == 0:
+        raise ValueError("generator needs a nonempty residual")
+    _require_three_uniform(residual)
+    n = residual.n
+    anchors = top_by_degree(residual, params.anchor_size)
+    anchor_set = set(anchors)
+    candidates = []
+
+    pair_counts = k1_pair_weights(residual, anchors)
+    top = _top_scoring(pair_counts, params.k)
+    candidates.append(("anchored-pairs", anchor_set | set(top)))
+
+    graph = k1_weighted_graph(residual, anchors)
+    picked = tuple(greedy_weighted_spes(graph, params.p))
+    candidates.append(("anchored-spes", anchor_set | set(picked)))
+
+    budget = params.anchor_size
+    if 3 <= budget <= n:
+        layer_anchors = top_by_degree(residual, budget // 3)
+        layered = greedy_three_layer(residual, budget, layer_anchors)
+        if layered.covered_count >= params.p:
+            return VertexSolution.from_vertices(residual, layered.vertices, "three-layer")
+        candidates.append(("three-layer", set(layered.vertices)))
+
+    if params.khat >= 2:
+        for cand in reference_probe_candidates(residual, params.khat, anchor_set):
+            candidates.append(("pruned-neighborhood", cand))
+
+    candidates.append(("single-edge", set(reference_densest_single_edge(residual))))
+
+    best = None
+    for tag, verts in candidates:
+        if not verts:
+            continue
+        num = len(covered_edges(residual, verts))
+        den = len(verts)
+        if best is None or num * best[3] > best[2] * den:
+            best = (tag, verts, num, den)
+    return VertexSolution.from_vertices(residual, best[1], best[0])
+
+
+def reference_iterative_cover(h, p, k, generator):
+    chosen = []
+    residual = list(range(h.m))
+    while len(chosen) < p:
+        sub = Hypergraph(h.n, tuple(h.edges[i] for i in residual))
+        picked = generator(sub, k)
+        found = [residual[j] for j in covered_edges(sub, picked.vertices)]
+        if not found:
+            raise StalledGeneratorError("generator covered no edge on a nonempty residual")
+        chosen.extend(found)
+        taken = set(found)
+        residual = [i for i in residual if i not in taken]
+    return EdgeSolution.from_indices(h, chosen[:p], "iterative-cover")
+
+
+def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_3u):
+    """The guess loop without reuse: parameters from the top-degree anchors and
+    one reference cover for every k, then the best-of with mpu_sqrt_m.
+
+    anchor_size keeps the float ceil(k * n^0.4): it is exact on the n these
+    instances use, none of which is a fifth power from 243 up.
+    """
+    best = None
+    for k in range(1, h.n + 1):
+        anchor_size = min(math.ceil(k * h.n**0.4), h.n)
+        deg = degrees(h)
+        delta = min((deg[v] for v in top_by_degree(h, anchor_size)), default=0)
+        khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
+        params = MpU3Params(k, p, h.n, anchor_size, delta, khat)
+        try:
+            sol = reference_iterative_cover(
+                h, p, anchor_size, lambda residual, _k: generator(residual, params)
+            )
+        except StalledGeneratorError:
+            continue
+        trace.append({"k": k, "khat": khat, "delta": delta, "union": sol.union_size})
+        if best is None or sol.union_size < best.union_size:
+            best = sol
+    candidates = []
+    if best is not None:
+        candidates.append(EdgeSolution.from_indices(h, best.edge_indices, "three-uniform"))
+    candidates.append(mpu_sqrt_m(h, p))
+    return reference_mpu_best_of(h, p, candidates)
+
+
+# -- expansion: the improvement loop before peeling, nesting and core pruning --
+
+
+def unpruned_decision(h, a, b):
+    """The threshold decision on one network over all of h, without core pruning."""
+    value, s_side = max_flow_min_cut(build_expansion_network(h, a, b))
+    if value >= h.m * b:
+        return None
+    return expansion_certificate(h, [i for i in range(h.m) if i + 1 in s_side])
+
+
+def reference_improving_certificates(h):
+    """The improvement loop from the full edge set, every decision on all of h.
+
+    No peeling start, no nested scope and no core pruning.
+    """
+    current = expansion_certificate(h, range(h.m))
+    sequence = [current]
+    while True:
+        better = unpruned_decision(h, current.ratio_num, current.ratio_den)
+        if better is None:
+            return sequence
+        current = better
+        sequence.append(current)
+
+
+def reference_min_expansion_flow(h):
+    return reference_improving_certificates(h)[-1]
+
+
+# -- interval: the unbounded fill and both queries --
+# As they were before each query filled only the part of the table it can
+# read.
+
+
+@dataclass(frozen=True)
+class ReferenceTable:
+    order: tuple
+    contained: tuple
+    values: tuple
+    back: tuple
+    m: int
+
+    def best_cell(self, p):
+        column = [self.values[i][p - 1] for i in range(p - 1, self.m)]
+        best = min(column)
+        return p - 1 + column.index(best), best
+
+    def reconstruct(self, i, j):
+        picked = []
+        while (pointer := self.back[i][j - 1]) is not None:
+            istar = pointer[0]
+            picked.extend(q for q in self.contained[i] if q > istar)
+            i, j = pointer
+        picked.extend(self.contained[i][: j - 1])
+        picked.append(i)
+        return tuple(sorted(self.order[q] for q in picked))
+
+
+def reference_fill_table(inst):
+    order = tuple(
+        sorted(range(inst.m), key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
+    )
+    ivs = tuple(inst.intervals[q] for q in order)
+    contained = tuple(
+        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
+    )
+    values = []
+    back = []
+    for i, (a_i, b_i) in enumerate(ivs):
+        length = b_i - a_i + 1
+        rec_v = []
+        rec_b = []
+        inside = 0
+        for istar in range(i):
+            a_s, b_s = ivs[istar]
+            if a_s >= a_i:
+                inside += 1
+                continue
+            tail = length if b_s < a_i else b_i - b_s
+            prev = values[istar]
+            for r in range(len(rec_v)):
+                cand = prev[inside + r] + tail
+                if cand < rec_v[r]:
+                    rec_v[r] = cand
+                    rec_b[r] = (istar, inside + r + 1)
+            rec_v.append(prev[istar] + tail)
+            rec_b.append((istar, istar + 1))
+        base = len(contained[i])
+        values.append((length,) * base + tuple(rec_v))
+        back.append((None,) * base + tuple(rec_b))
+    return ReferenceTable(order, contained, tuple(values), tuple(back), inst.m)
+
+
+def reference_to_hypergraph(inst):
+    return Hypergraph(inst.n, tuple(tuple(range(a, b + 1)) for a, b in inst.intervals))
+
+
+def reference_mpu_interval(inst, p):
+    if not 1 <= p <= inst.m:
+        raise ValueError(f"p must be in [1, {inst.m}], got {p}")
+    table = reference_fill_table(inst)
+    best_i, best_value = table.best_cell(p)
+    indices = table.reconstruct(best_i, p)
+    sol = EdgeSolution.from_indices(reference_to_hypergraph(inst), indices, "interval-dp")
+    assert sol.union_size == best_value
+    return sol
+
+
+def reference_dksh_interval(inst, k):
+    if not 1 <= k <= inst.n:
+        raise ValueError(f"k must be in [1, {inst.n}], got {k}")
+    h = reference_to_hypergraph(inst)
+    table = reference_fill_table(inst)
+    # The largest fitting p, scanned down from m: no monotonicity in p assumed.
+    p = next((p for p in range(inst.m, 0, -1) if table.best_cell(p)[1] <= k), None)
+    if p is None:
+        return VertexSolution.from_vertices(h, range(k), "interval-dp")
+    indices = table.reconstruct(table.best_cell(p)[0], p)
+    span = set()
+    for idx in indices:
+        span.update(h.edges[idx])
+    vertices = sorted(span)
+    for v in range(inst.n):
+        if len(vertices) == k:
+            break
+        if v not in span:
+            vertices.append(v)
+            span.add(v)
+    return VertexSolution.from_vertices(h, vertices, "interval-dp")

@@ -9,6 +9,7 @@ import hyperdense.dksh3
 from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
+from builds import spy
 
 SIMPLE = "3 2\n0 1\n1 2\n"
 THREE_UNIFORM = "6 4\n0 1 2\n0 1 2\n1 2 3\n3 4 5\n"
@@ -148,19 +149,12 @@ class TestExplain:
         assert out == EXPLAIN_STDOUT[(fmt, k)]
 
     def test_candidates_built_once(self, capsys, monkeypatch, planted_file):
-        calls = []
-        original = hyperdense.dksh3.dksh_candidates
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
+        calls = spy(monkeypatch, hyperdense.dksh3, "dksh_candidates")
         # Both bindings: the CLI's own import and the one dksh_3uniform resolves.
-        monkeypatch.setattr(hyperdense.cli, "dksh_candidates", counted)
-        monkeypatch.setattr(hyperdense.dksh3, "dksh_candidates", counted)
+        monkeypatch.setattr(hyperdense.cli, "dksh_candidates", hyperdense.dksh3.dksh_candidates)
         code, _, _ = run(capsys, "solve", "dksh", "--k", "9", "--explain", planted_file)
         assert code == 0
-        assert calls == [9]
+        assert [args[1] for args in calls] == [9]
 
 
 class TestIgnoredFlags:

@@ -25,6 +25,7 @@ from hyperdense.core import (
     induced,
     top_by_degree,
 )
+from reference import reference_covered_edges
 
 
 @st.composite
@@ -287,6 +288,15 @@ class TestUnionOf:
         h = Hypergraph(2, ((0, 1), (0, 1)))
         assert union_of(h, (0, 1)) == (0, 1)
 
+    def test_ids_outside_range_rejected(self):
+        # A negative id used to wrap to an edge from the end.
+        h = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
+        for ids in ([-1], [0, -2], [2], [1, 0, 5]):
+            with pytest.raises(ValueError, match="edge index out of range"):
+                union_of(h, ids)
+        with pytest.raises(ValueError, match="edge index out of range"):
+            union_of(Hypergraph(3, ()), [0])
+
     @given(hypergraphs(), st.data())
     def test_adding_covered_edge_keeps_union(self, h, data):
         if h.m == 0:
@@ -345,17 +355,6 @@ class TestSolutions:
         b = solution_json("mpu", 1, EdgeSolution.from_indices(h, [0], "sqrt-m"))
         assert a == b
         assert '"problem":"mpu"' in a
-
-
-# -- Reference: the full edge-mask scan the incidence index replaced --
-
-
-def reference_covered_edges(h, vertices):
-    vm = 0
-    for v in vertices:
-        vm |= 1 << v
-    masks = [sum(1 << v for v in e) for e in h.edges]
-    return tuple(i for i, em in enumerate(masks) if em & vm == em)
 
 
 @st.composite

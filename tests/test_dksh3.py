@@ -3,7 +3,6 @@ import io
 import json
 import random
 import tempfile
-from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -22,14 +21,12 @@ from hyperdense import (
 )
 from hyperdense import dksh3
 from hyperdense.cli import main
-from hyperdense.core import _pad_to_k, covered_count, degrees, induced, top_by_degree
+from hyperdense.core import degrees, top_by_degree
 from hyperdense.dksh3 import (
-    _check_k,
     _link_graph,
     _link_pairs,
     _pruned_link_graphs,
     _pull_order,
-    _require_three_uniform,
     _st_pick,
     dksh_best_of,
     dksh_candidates,
@@ -51,7 +48,15 @@ from hyperdense.oracle import (
     generate_planted,
     generate_uniform,
 )
-from builds import count_hypergraph_builds
+from builds import count_hypergraph_builds, spy
+from reference import (
+    reference_covered_edges,
+    reference_dksh_best_of,
+    reference_greedy_weighted_dks,
+    reference_neighborhood_searches,
+    reference_probe_candidates,
+    reference_st_pick,
+)
 
 
 def complete_3uniform(n):
@@ -329,117 +334,6 @@ class TestCombined:
             dksh_3uniform(h, 7)
 
 
-# -- Frozen selection helpers --
-# The bodies of _pad_to_k, _st_pick and _weighted_from_link before one pull
-# order served both selectors, copied here so that the references below cannot
-# change along with the code they check.
-
-
-def reference_pad_to_k(n, base, k):
-    chosen = set(base)
-    if len(chosen) > k:
-        raise ValueError("candidate exceeds the vertex budget")
-    for v in range(n):
-        if len(chosen) == k:
-            break
-        chosen.add(v)
-    return tuple(sorted(chosen))
-
-
-def reference_st_pick(g, kk):
-    size = kk // 2
-    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
-    sset = set(s)
-    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
-    return sset | set(t)
-
-
-def reference_weighted_from_link(g, counts):
-    vertices = tuple(sorted(g))
-    edges = tuple(
-        (u, v, counts[(u, v)]) for u in vertices for v in sorted(g[u]) if u < v
-    )
-    return WeightedGraph(vertices, edges)
-
-
-# -- Reference: the two-pass neighborhood searches the merged pass replaced --
-# Each search rebuilt every vertex's link graph (and the plugged one its pair
-# counts) with a scan over all edges, and pruned it on its own.  The pruning
-# helper is shared with the merged pass.
-
-
-def reference_link_graph(h, v):
-    adj = {}
-    for e in h.edges:
-        if v in e:
-            u, x = (w for w in e if w != v)
-            adj.setdefault(u, set()).add(x)
-            adj.setdefault(x, set()).add(u)
-    return adj
-
-
-def reference_link_pair_counts(h, v):
-    counts = {}
-    for e in h.edges:
-        if v in e:
-            u, x = (w for w in e if w != v)
-            pair = (u, x) if u < x else (x, u)
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
-def reference_neighborhood_best(h, k, select_factory, tag):
-    _require_three_uniform(h)
-    _check_k(h, k)
-    best = None
-    for v in range(h.n):
-        adj = reference_link_graph(h, v)
-        if not adj:
-            continue
-        select = select_factory(v)
-        for _, g in _pruned_link_graphs(adj, k - 1):
-            cand = {v} | select(g)
-            sol = VertexSolution.from_vertices(h, reference_pad_to_k(h.n, cand, k), tag)
-            if best is None or sol.covered_count > best.covered_count:
-                best = sol
-    if best is None:
-        best = VertexSolution.from_vertices(h, reference_pad_to_k(h.n, set(), k), tag)
-    return best
-
-
-def reference_neighborhood_search(h, k):
-    return reference_neighborhood_best(
-        h, k, lambda _v: (lambda g: reference_st_pick(g, k - 1)), "neighborhood"
-    )
-
-
-def reference_neighborhood_search_plugged(h, k, sub):
-    def factory(v):
-        counts = reference_link_pair_counts(h, v)
-
-        def select(g):
-            picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
-            if len(picked) > k - 1 or not set(picked) <= set(g):
-                raise ValueError("subroutine returned an invalid vertex set")
-            return set(picked)
-
-        return select
-
-    return reference_neighborhood_best(h, k, factory, "neighborhood-plugged")
-
-
-def reference_probe_candidates(h, probe_size):
-    for v in range(h.n):
-        adj = reference_link_graph(h, v)
-        if not adj:
-            continue
-        for _, g in _pruned_link_graphs(adj, probe_size - 1):
-            if len(g) < probe_size:
-                yield {v} | set(g)
-            else:
-                yield {v} | reference_st_pick(g, probe_size - 1)
-
-
 def differential_instances():
     """120 seeded 3-uniform instances, n = 5..10, dense enough to repeat edges."""
     for seed in range(120):
@@ -447,8 +341,47 @@ def differential_instances():
         yield generate_uniform(n, 2 + seed % (2 * n), seed + 3000)
 
 
+def planted_differential_instances():
+    """Twelve planted 3-uniform instances, n = 24..35, with a dense block."""
+    for seed in range(12):
+        spec = PlantedSpec(n=24 + seed, noise_edges=40 + 5 * seed, block_size=8,
+                           block_edges=20 + seed, seed=7100 + seed)
+        yield generate_planted(spec).hypergraph
+
+
+def planted_180(seed):
+    spec = PlantedSpec(n=180, noise_edges=800, block_size=20, block_edges=150, seed=seed)
+    return generate_planted(spec).hypergraph
+
+
 def as_tuple(sol):
     return sol.vertices, sol.covered, sol.algorithm
+
+
+def plain_pick_as_sub(graph, kk):
+    """The plain selector as a plugged subroutine: every plugged pick is the plain one."""
+    g = {u: set(nbrs) for u, nbrs in graph.adjacency.items()}
+    return tuple(_st_pick(g, kk))
+
+
+@lru_cache(maxsize=None)
+def _expected_searches(h, k, sub, skip):
+    return [as_tuple(s) for s in reference_neighborhood_searches(h, k, sub, skip)]
+
+
+def assert_matches_reference(got, h, k, sub=greedy_weighted_dks, skip=()):
+    """``got`` (plain, plugged) equals ``reference_neighborhood_searches``.
+
+    The tests below reach the searches through different entry points on
+    overlapping cases; each case's reference is computed once.
+    """
+    assert [as_tuple(s) for s in got] == _expected_searches(h, k, sub, tuple(skip))
+
+
+def assert_anchored_and_trivial(got, h, k, sub, anchors):
+    """The candidates around the searches: both anchored strategies first, the trivial pick last."""
+    assert got[:2] == [k1_case_split(h, k, anchors, sub), greedy_three_layer(h, k, anchors)]
+    assert got[-1] == trivial_pick(h, k)
 
 
 class TestMergedNeighborhoodPass:
@@ -458,37 +391,31 @@ class TestMergedNeighborhoodPass:
 
     @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
     def test_matches_two_pass_reference(self, sub):
+        cases = 0
         for h in differential_instances():
             for k in range(3, h.n + 1):
-                plain, plugged = neighborhood_searches(h, k, sub)
-                assert as_tuple(plain) == as_tuple(reference_neighborhood_search(h, k))
-                assert as_tuple(plugged) == as_tuple(
-                    reference_neighborhood_search_plugged(h, k, sub)
-                )
+                assert_matches_reference(neighborhood_searches(h, k, sub), h, k, sub)
+                cases += 1
+        assert cases >= 660
 
     def test_wrappers_match_reference(self):
-        for h in list(differential_instances())[:30]:
+        # The plain selector plugged in, through both wrappers.
+        for h in differential_instances():
             for k in range(3, h.n + 1):
-                assert as_tuple(neighborhood_search(h, k)) == as_tuple(
-                    reference_neighborhood_search(h, k)
+                got = (
+                    neighborhood_search(h, k),
+                    neighborhood_search_plugged(h, k, plain_pick_as_sub),
                 )
-                assert as_tuple(
-                    neighborhood_search_plugged(h, k, exact_weighted_dks)
-                ) == as_tuple(reference_neighborhood_search_plugged(h, k, exact_weighted_dks))
+                assert_matches_reference(got, h, k, plain_pick_as_sub)
 
     def test_probe_candidates_match_reference(self):
         for h in differential_instances():
-            # With the top-degree pair skipped, the reference runs on the
-            # induced copy without it and its candidates are lifted back.
             anchors = set(top_by_degree(h, 2))
-            rest, lift = induced(h, set(range(h.n)) - anchors)
             for probe_size in (2, 3, 4, 6):
-                assert list(probe_candidates(h, probe_size, ())) == list(
-                    reference_probe_candidates(h, probe_size)
-                )
-                assert list(probe_candidates(h, probe_size, anchors)) == [
-                    {lift[u] for u in cand} for cand in reference_probe_candidates(rest, probe_size)
-                ]
+                for skip in ((), anchors):
+                    assert list(probe_candidates(h, probe_size, skip)) == list(
+                        reference_probe_candidates(h, probe_size, skip)
+                    )
 
     def test_invalid_subroutine_rejected(self):
         h = complete_3uniform(6)
@@ -530,75 +457,6 @@ class TestCombinedProperty:
         assert json.loads(stdout.getvalue())["valid"] is True
 
 
-# -- Reference: the merged pass before count-first scoring --
-# Every candidate became a padded VertexSolution and met the best-of rule on
-# its own; the greedy subroutine summed each vertex's weights through the
-# adjacency one vertex at a time.  Covers here come from a full edge-mask scan,
-# so the comparison also checks the incidence index.
-
-
-@lru_cache(maxsize=4)
-def reference_edge_masks(h):
-    return tuple(sum(1 << v for v in e) for e in h.edges)
-
-
-def reference_solution(h, vertices, algorithm):
-    vm = 0
-    for v in vertices:
-        vm |= 1 << v
-    covered = tuple(i for i, em in enumerate(reference_edge_masks(h)) if em & vm == em)
-    return VertexSolution(tuple(vertices), covered, algorithm)
-
-
-def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks):
-    _require_three_uniform(h)
-    _check_k(h, k)
-    best = {"neighborhood": None, "neighborhood-plugged": None}
-
-    def offer(cand, tag):
-        sol = reference_solution(h, reference_pad_to_k(h.n, cand, k), tag)
-        if best[tag] is None or sol.covered_count > best[tag].covered_count:
-            best[tag] = sol
-
-    for v, pairs in enumerate(_link_pairs(h)):
-        if not pairs:
-            continue
-        counts = Counter(pairs)
-        for _, g in _pruned_link_graphs(_link_graph(pairs), k - 1):
-            offer({v} | reference_st_pick(g, k - 1), "neighborhood")
-            picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
-            if len(picked) > k - 1 or not set(picked) <= set(g):
-                raise ValueError("subroutine returned an invalid vertex set")
-            offer({v} | set(picked), "neighborhood-plugged")
-    if best["neighborhood"] is None:
-        for tag in best:
-            best[tag] = reference_solution(h, reference_pad_to_k(h.n, (), k), tag)
-    return best["neighborhood"], best["neighborhood-plugged"]
-
-
-def reference_greedy_weighted_dks(graph, k):
-    if k <= 0 or not graph.vertices:
-        return ()
-    adj = graph.adjacency
-    s_size = k // 2
-    by_degree = sorted(graph.vertices, key=lambda u: (-sum(adj[u].values()), u))
-    seed = set(by_degree[:s_size])
-
-    def weight_into(u):
-        return sum(w for v, w in adj[u].items() if v in seed)
-
-    by_pull = sorted(graph.vertices, key=lambda u: (-weight_into(u), u))
-    return tuple(sorted(seed | set(by_pull[: k - s_size])))
-
-
-def planted_differential_instances():
-    """Twelve planted 3-uniform instances, n = 24..35, with a dense block."""
-    for seed in range(12):
-        spec = PlantedSpec(n=24 + seed, noise_edges=40 + 5 * seed, block_size=8,
-                           block_edges=20 + seed, seed=7100 + seed)
-        yield generate_planted(spec).hypergraph
-
-
 @st.composite
 def weighted_graphs_with_duplicate_pairs(draw):
     """Weighted graphs whose edge list may repeat a pair with other weights."""
@@ -615,40 +473,35 @@ def weighted_graphs_with_duplicate_pairs(draw):
 class TestCountFirstNeighborhood:
     @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
     def test_matches_per_candidate_reference(self, sub):
+        # Through the wrappers, the plugged one given ``sub``.
         for h in differential_instances():
             for k in range(3, h.n + 1):
-                got = neighborhood_searches(h, k, sub)
-                expected = reference_neighborhood_searches(h, k, sub)
-                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                got = (neighborhood_search(h, k), neighborhood_search_plugged(h, k, sub))
+                assert_matches_reference(got, h, k, sub)
 
     def test_matches_reference_on_planted_instances(self):
+        # Through the wrappers with their default subroutine.
         for h in planted_differential_instances():
             for k in (3, 5, 8, 12):
-                got = neighborhood_searches(h, k)
-                expected = reference_neighborhood_searches(h, k)
-                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                got = (neighborhood_search(h, k), neighborhood_search_plugged(h, k))
+                assert_matches_reference(got, h, k)
 
     def test_combined_matches_reference_pipeline(self):
+        # Covers come from the full edge-mask scan, so the comparison also
+        # checks the incidence index.
         for h in planted_differential_instances():
             for k in (6, 9, 12):
                 sol = dksh_3uniform(h, k)
-                assert as_tuple(sol) == as_tuple(reference_solution(h, sol.vertices, sol.algorithm))
+                assert sol.covered == reference_covered_edges(h, sol.vertices)
 
     def test_plugged_pick_equal_to_plain_pick(self):
         # The plain selector as the plugged subroutine: every plugged pick
         # equals the plain pick, so every plugged count is a reused one.
-        def plain_as_sub(graph, kk):
-            g = {u: set(nbrs) for u, nbrs in graph.adjacency.items()}
-            return tuple(_st_pick(g, kk))
-
         for h in list(differential_instances())[:60]:
             for k in range(3, h.n + 1):
-                plain, plugged = neighborhood_searches(h, k, plain_as_sub)
+                plain, plugged = neighborhood_searches(h, k, plain_pick_as_sub)
                 assert plain.vertices == plugged.vertices
                 assert plain.covered == plugged.covered
-                assert [as_tuple(s) for s in (plain, plugged)] == [
-                    as_tuple(s) for s in reference_neighborhood_searches(h, k, plain_as_sub)
-                ]
 
 
 class TestGreedyWeightedDksOnePass:
@@ -663,44 +516,6 @@ class TestGreedyWeightedDksOnePass:
         # Weighted degrees 1, 3, 4, 2: vertex 2 seeds and pulls 1 and 3 (weight 2).
         assert greedy_weighted_dks(g, 2) == (1, 2)
         assert greedy_weighted_dks(g, 2) == reference_greedy_weighted_dks(g, 2)
-
-
-# -- Reference: dksh_candidates before the anchors were skipped in place --
-# The neighborhood searches ran on induced(h, V - anchors), a relabelled copy
-# with its own incidence index, and their winners were lifted back to h's ids
-# and padded again.
-
-
-def reference_dksh_candidates(h, k, sub=greedy_weighted_dks):
-    _require_three_uniform(h)
-    _check_k(h, k)
-    anchors = top_by_degree(h, k // 3)
-    out = [k1_case_split(h, k, anchors, sub), greedy_three_layer(h, k, anchors)]
-    rest, lift = induced(h, set(range(h.n)) - set(anchors))
-    if 3 <= k <= rest.n:
-        for sol in reference_neighborhood_searches(rest, k, sub):
-            lifted = reference_pad_to_k(h.n, {lift[v] for v in sol.vertices}, k)
-            out.append(reference_solution(h, lifted, sol.algorithm))
-    out.append(trivial_pick(h, k))
-    return out
-
-
-def count_calls(monkeypatch, owner, name):
-    """Wrap ``owner.name`` for the test's duration; the returned list grows per call."""
-    calls = []
-    original = getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
-
-
-def planted_180(seed):
-    spec = PlantedSpec(n=180, noise_edges=800, block_size=20, block_edges=150, seed=seed)
-    return generate_planted(spec).hypergraph
 
 
 @st.composite
@@ -732,14 +547,20 @@ class TestOnePullOrder:
 
     @pytest.mark.parametrize("sub", [greedy_weighted_dks, exact_weighted_dks])
     def test_candidates_match_induced_reference(self, sub, monkeypatch):
-        fallbacks = count_calls(monkeypatch, dksh3, "_weighted_from_link")
-        picks = count_calls(monkeypatch, dksh3, "_pull_order")
+        # dksh_candidates runs the searches with its anchors skipped, between
+        # the anchored candidates and the trivial pick.
+        fallbacks = spy(monkeypatch, dksh3, "_weighted_from_link")
+        picks = spy(monkeypatch, dksh3, "_pull_order")
         cases = 0
         for h in differential_instances():
             for k in range(3, h.n + 1):
+                anchors = top_by_degree(h, k // 3)
                 got = dksh_candidates(h, k, sub)
-                expected = reference_dksh_candidates(h, k, sub)
-                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                assert_anchored_and_trivial(got, h, k, sub, anchors)
+                if k <= h.n - len(anchors):
+                    assert_matches_reference(got[2:-1], h, k, sub, anchors)
+                else:
+                    assert got[2:-1] == []
                 cases += 1
         assert cases >= 300
         if sub is greedy_weighted_dks:
@@ -752,9 +573,10 @@ class TestOnePullOrder:
         for seed in (1, 2, 3):
             h = planted_180(seed)
             for k in (12, 20, 30):
+                anchors = top_by_degree(h, k // 3)
                 got = dksh_candidates(h, k)
-                expected = reference_dksh_candidates(h, k)
-                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                assert_anchored_and_trivial(got, h, k, greedy_weighted_dks, anchors)
+                assert_matches_reference(got[2:-1], h, k, greedy_weighted_dks, anchors)
 
     def test_skipped_vertices_never_picked_or_padded(self):
         for h in list(differential_instances())[:40]:
@@ -772,10 +594,7 @@ class TestOnePullOrder:
         h, _ = case
         skip = data.draw(st.sets(st.integers(0, h.n - 1), max_size=3))
         probe_size = data.draw(st.integers(2, 6))
-        rest, lift = induced(h, set(range(h.n)) - skip)
-        expected = [
-            {lift[u] for u in cand} for cand in reference_probe_candidates(rest, probe_size)
-        ]
+        expected = list(reference_probe_candidates(h, probe_size, skip))
         assert list(probe_candidates(h, probe_size, skip)) == expected
 
     def test_too_few_vertices_outside_skip_rejected(self):
@@ -786,7 +605,7 @@ class TestOnePullOrder:
 
 class TestNoThrowawayBuilds:
     def test_default_sub_builds_no_weighted_graph_without_repeats(self, monkeypatch):
-        builds = count_calls(monkeypatch, WeightedGraph, "__post_init__")
+        builds = spy(monkeypatch, WeightedGraph, "__post_init__")
         for seed in range(10):
             h = distinct_3uniform(12, 40, seed)
             for k in (3, 6, 9):
@@ -868,67 +687,6 @@ class TestUniformityCheckedOnce:
         assert len({id(g) for g in scans}) == len(scans)
 
 
-# -- Reference: the best-of loops before the builtin max --
-# dksh_best_of and the two running bests of neighborhood_searches kept the
-# first best by hand, with a sentinel and a fallback for no candidate.  Both
-# bodies are frozen here; the helpers they call are the module's own.
-
-
-def reference_dksh_best_of(candidates):
-    best = None
-    for sol in candidates:
-        if best is None or sol.covered_count > best.covered_count:
-            best = sol
-    if best is None:
-        raise ValueError("best-of needs at least one candidate")
-    return best
-
-
-def reference_running_best_searches(h, k, sub=greedy_weighted_dks, skip=()):
-    _require_three_uniform(h)
-    _check_k(h, k)
-    skip = frozenset(skip)
-    if k > h.n - len(skip):
-        raise ValueError(f"k must be at most {h.n - len(skip)} outside the skipped vertices")
-    kk = k - 1
-    half = kk // 2
-    plain = (-1, ())
-    plugged = (-1, ())
-    for v, pairs in enumerate(_link_pairs(h, skip)):
-        if not pairs:
-            continue
-        link = _link_graph(pairs)
-        counts = None
-        if sub is not greedy_weighted_dks or sum(map(len, link.values())) != 2 * len(pairs):
-            counts = Counter(pairs)
-        for _, g in _pruned_link_graphs(link, kk):
-            seed, by_pull = _pull_order(g, half)
-            pick = {v, *seed, *by_pull[:half]}
-            plain_set = _pad_to_k(h.n, pick, k, skip)
-            plain_count = covered_count(h, plain_set)
-            if plain_count > plain[0]:
-                plain = (plain_count, plain_set)
-            if counts is None:
-                pick.update(by_pull[half : kk - half])
-            else:
-                picked = tuple(sub(dksh3._weighted_from_link(g, counts), kk))
-                if len(picked) > kk or not set(picked) <= set(g):
-                    raise ValueError("subroutine returned an invalid vertex set")
-                pick = {v, *picked}
-            plugged_set = _pad_to_k(h.n, pick, k, skip)
-            plugged_count = (
-                plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
-            )
-            if plugged_count > plugged[0]:
-                plugged = (plugged_count, plugged_set)
-    if plain[0] < 0:
-        plain = plugged = (0, _pad_to_k(h.n, (), k, skip))
-    return (
-        VertexSolution.from_vertices(h, plain[1], "neighborhood"),
-        VertexSolution.from_vertices(h, plugged[1], "neighborhood-plugged"),
-    )
-
-
 class TestBestOfRule:
     def test_best_of_matches_reference(self):
         rng = random.Random(5)
@@ -961,22 +719,19 @@ class TestBestOfRule:
     def test_neighborhood_matches_running_best_reference(self, sub):
         cases = 0
         for h in differential_instances():
-            for skip in ((), top_by_degree(h, 1), top_by_degree(h, 2)):
+            for skip in (top_by_degree(h, 1), top_by_degree(h, 2)):
                 for k in range(3, h.n - len(skip) + 1):
                     got = neighborhood_searches(h, k, sub, skip)
-                    expected = reference_running_best_searches(h, k, sub, skip)
-                    assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                    assert_matches_reference(got, h, k, sub, skip)
                     cases += 1
         assert cases >= 800
 
     def test_neighborhood_matches_running_best_reference_on_planted_instances(self):
+        # Nothing skipped: the anchored cases run in TestOnePullOrder.
         for seed in (1, 2):
             h = planted_180(seed)
             for k in (12, 20, 30):
-                skip = top_by_degree(h, k // 3)
-                got = neighborhood_searches(h, k, skip=skip)
-                expected = reference_running_best_searches(h, k, skip=skip)
-                assert [as_tuple(s) for s in got] == [as_tuple(s) for s in expected]
+                assert_matches_reference(neighborhood_searches(h, k), h, k)
 
     def test_neighborhood_tie_keeps_earliest_vertex(self):
         # Vertices 0..2 propose (0, 1, 2) and vertices 3..5 propose (3, 4, 5),

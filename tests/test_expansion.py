@@ -32,6 +32,11 @@ from lp_reference import (
     optimal_expansion_lp_solution,
     round_expansion_lp,
 )
+from reference import (
+    reference_improving_certificates,
+    reference_min_expansion_flow,
+    unpruned_decision,
+)
 
 PAIR = Hypergraph(2, ((0, 1),))
 TWIN = Hypergraph(5, ((0, 1), (0, 1), (2, 3, 4)))
@@ -184,33 +189,6 @@ class TestMinExpansionFlow:
     def test_matches_brute_force_on_corpus(self):
         for h in corpus(80, seed0=400):
             assert min_expansion_flow(h).ratio == brute_min_expansion(h).ratio
-
-
-def unpruned_decision(h, a, b):
-    """The threshold decision on one network over all of h, without core pruning."""
-    value, s_side = max_flow_min_cut(build_expansion_network(h, a, b))
-    if value >= h.m * b:
-        return None
-    return expansion_certificate(h, [i for i in range(h.m) if i + 1 in s_side])
-
-
-def reference_improving_certificates(h):
-    """The improvement loop from the full edge set, every decision on all of h.
-
-    No peeling start, no nested scope and no core pruning.
-    """
-    current = expansion_certificate(h, range(h.m))
-    sequence = [current]
-    while True:
-        better = unpruned_decision(h, current.ratio_num, current.ratio_den)
-        if better is None:
-            return sequence
-        current = better
-        sequence.append(current)
-
-
-def reference_min_expansion_flow(h):
-    return reference_improving_certificates(h)[-1]
 
 
 def assert_sound(h, cert):

@@ -1,4 +1,3 @@
-from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -6,11 +5,8 @@ from hypothesis import given, strategies as st
 
 import hyperdense.cli
 from hyperdense import (
-    EdgeSolution,
-    Hypergraph,
     HypergraphFormatError,
     IntervalInstance,
-    VertexSolution,
     brute_dksh,
     brute_mpu,
     dksh_interval,
@@ -23,6 +19,12 @@ from hyperdense import (
 from hyperdense.interval import _union_of_shortest, fill_table
 from hyperdense.oracle import generate_intervals
 from builds import assert_as_validated, count_hypergraph_builds
+from reference import (
+    reference_dksh_interval,
+    reference_fill_table,
+    reference_mpu_interval,
+    reference_to_hypergraph,
+)
 
 
 @st.composite
@@ -164,7 +166,7 @@ class TestMpUInterval:
         for seed in range(40):
             inst = generate_intervals(3 + seed % 8, 1 + seed % 8, seed)
             table = fill_table(inst)
-            ivs = table.sorted_intervals
+            ivs = [inst.intervals[q] for q in table.order]
             for i in range(inst.m):
                 assert len(table.values[i]) == len(table.back[i]) == i + 1
                 for j in range(1, i + 2):
@@ -183,32 +185,13 @@ class TestMpUInterval:
             table = fill_table(inst)
             h = to_hypergraph(inst)
             for i in range(inst.m):
-                a, b = table.sorted_intervals[i]
+                a, b = inst.intervals[table.order[i]]
                 for j in range(1, i + 2):
                     assert table.values[i][j - 1] >= b - a + 1
                     picked = table.reconstruct(i, j)
                     assert len(picked) == j
                     assert table.order[i] in picked
                     assert len(union_of(h, picked)) == table.values[i][j - 1]
-
-
-def scanned_dksh_interval(inst, k):
-    """dksh_interval with the largest fitting p found by scanning down from m."""
-    h = to_hypergraph(inst)
-    table = fill_table(inst)
-    for p in range(inst.m, 0, -1):
-        best_i, best_value = table.best_cell(p)
-        if best_value <= k:
-            span = set(union_of(h, table.reconstruct(best_i, p)))
-            vertices = sorted(span)
-            for v in range(inst.n):
-                if len(vertices) == k:
-                    break
-                if v not in span:
-                    vertices.append(v)
-                    span.add(v)
-            return VertexSolution.from_vertices(h, vertices, "interval-dp")
-    return VertexSolution.from_vertices(h, range(k), "interval-dp")
 
 
 class TestDkSHInterval:
@@ -238,10 +221,7 @@ class TestDkSHInterval:
         ]
         cases += [generate_intervals(60, 40, seed) for seed in range(3)]
         for inst in cases:
-            for k in range(1, inst.n + 1):
-                got = dksh_interval(inst, k)
-                want = scanned_dksh_interval(inst, k)
-                assert got == want
+            assert_matches_reference(inst, (), range(1, inst.n + 1))
 
     def test_k_out_of_range(self):
         inst = IntervalInstance(4, ((0, 1),))
@@ -249,114 +229,6 @@ class TestDkSHInterval:
             dksh_interval(inst, 0)
         with pytest.raises(ValueError):
             dksh_interval(inst, 5)
-
-
-# The unbounded fill and the two queries as they were before each query
-# filled only the part of the table it can read, frozen here as the
-# reference the bounded fill is compared against.
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    order: tuple
-    sorted_intervals: tuple
-    contained: tuple
-    values: tuple
-    back: tuple
-    m: int
-
-    def best_cell(self, p):
-        column = [self.values[i][p - 1] for i in range(p - 1, self.m)]
-        best = min(column)
-        return p - 1 + column.index(best), best
-
-    def reconstruct(self, i, j):
-        picked = []
-        while (pointer := self.back[i][j - 1]) is not None:
-            istar = pointer[0]
-            picked.extend(q for q in self.contained[i] if q > istar)
-            i, j = pointer
-        picked.extend(self.contained[i][: j - 1])
-        picked.append(i)
-        return tuple(sorted(self.order[q] for q in picked))
-
-
-def reference_fill_table(inst):
-    order = tuple(
-        sorted(range(inst.m), key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
-    )
-    ivs = tuple(inst.intervals[q] for q in order)
-    contained = tuple(
-        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
-    )
-    values = []
-    back = []
-    for i, (a_i, b_i) in enumerate(ivs):
-        length = b_i - a_i + 1
-        rec_v = []
-        rec_b = []
-        inside = 0
-        for istar in range(i):
-            a_s, b_s = ivs[istar]
-            if a_s >= a_i:
-                inside += 1
-                continue
-            tail = length if b_s < a_i else b_i - b_s
-            prev = values[istar]
-            for r in range(len(rec_v)):
-                cand = prev[inside + r] + tail
-                if cand < rec_v[r]:
-                    rec_v[r] = cand
-                    rec_b[r] = (istar, inside + r + 1)
-            rec_v.append(prev[istar] + tail)
-            rec_b.append((istar, istar + 1))
-        base = len(contained[i])
-        values.append((length,) * base + tuple(rec_v))
-        back.append((None,) * base + tuple(rec_b))
-    return ReferenceTable(order, ivs, contained, tuple(values), tuple(back), inst.m)
-
-
-def reference_to_hypergraph(inst):
-    return Hypergraph(inst.n, tuple(tuple(range(a, b + 1)) for a, b in inst.intervals))
-
-
-def reference_mpu_interval(inst, p):
-    if not 1 <= p <= inst.m:
-        raise ValueError(f"p must be in [1, {inst.m}], got {p}")
-    table = reference_fill_table(inst)
-    best_i, best_value = table.best_cell(p)
-    indices = table.reconstruct(best_i, p)
-    sol = EdgeSolution.from_indices(reference_to_hypergraph(inst), indices, "interval-dp")
-    assert sol.union_size == best_value
-    return sol
-
-
-def reference_dksh_interval(inst, k):
-    if not 1 <= k <= inst.n:
-        raise ValueError(f"k must be in [1, {inst.n}], got {k}")
-    h = reference_to_hypergraph(inst)
-    table = reference_fill_table(inst)
-    lo, hi = 0, inst.m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if table.best_cell(mid)[1] <= k:
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo == 0:
-        return VertexSolution.from_vertices(h, range(k), "interval-dp")
-    indices = table.reconstruct(table.best_cell(lo)[0], lo)
-    span = set()
-    for idx in indices:
-        span.update(h.edges[idx])
-    vertices = sorted(span)
-    for v in range(inst.n):
-        if len(vertices) == k:
-            break
-        if v not in span:
-            vertices.append(v)
-            span.add(v)
-    return VertexSolution.from_vertices(h, vertices, "interval-dp")
 
 
 def assert_matches_reference(inst, ps, ks):
@@ -408,7 +280,6 @@ class TestBoundedFill:
             if bound is None or inst.intervals[q][1] - inst.intervals[q][0] + 1 <= bound
         ]
         assert table.order == tuple(keep)
-        assert table.sorted_intervals == tuple(inst.intervals[q] for q in keep)
         pos = {q: i for i, q in enumerate(full.order)}
         lift = [pos[q] for q in table.order]
         limit = width if width is not None else len(lift)

@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 
@@ -16,40 +15,42 @@ from hyperdense import (
 from hyperdense.core import (
     EdgeSolution,
     VertexSolution,
-    _top_scoring,
-    covered_edges,
     degrees,
-    induced,
     solution_json,
     top_by_degree,
 )
-from hyperdense.dksh3 import (
-    _pruned_link_graphs,
-    _require_three_uniform,
-    greedy_three_layer,
-    k1_pair_weights,
-    k1_weighted_graph,
-    probe_candidates,
-)
+from hyperdense.dksh3 import k1_weighted_graph, probe_candidates
 from hyperdense.mpu3 import (
     MpU3Params,
     _ceil_sqrt_fraction,
     _densest_single_edge,
     candidate_generator_3u,
 )
-from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
+from hyperdense.mpu_general import iterative_cover, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
     brute_mpu,
     generate_planted,
     generate_uniform,
 )
-from builds import count_hypergraph_builds
+from builds import count_hypergraph_builds, spy
+from reference import (
+    reference_candidate_generator_3u,
+    reference_densest_single_edge,
+    reference_greedy_weighted_spes,
+    reference_mpu_3uniform,
+    reference_mpu_best_of,
+)
 
 
 def params_for(h, p, k):
     """``MpU3Params.for_guess`` with the degree ranking a solve passes it."""
     return MpU3Params.for_guess(h, p, k, sorted(degrees(h), reverse=True))
+
+
+def least_anchor_size(k, n):
+    """ceil(k * n^(2/5)) capped at n, by its definition: the least a with a^5 >= k^5 n^2."""
+    return next((a for a in range(1, n + 1) if a**5 >= k**5 * n**2), n)
 
 
 class TestParams:
@@ -73,6 +74,16 @@ class TestParams:
                         assert 9 * p * (params.khat - 1) ** 2 < lhs
                     else:
                         assert params.khat == 1
+
+    def test_anchor_size_is_exact_integer_ceiling(self):
+        # At a fifth power n >= 243, k * n**0.4 in floats lands just above the
+        # integer k * n^(2/5), and a float ceiling took one anchor too many.
+        for n in (5, 12, 32, 64, 243, 244, 1024, 3125):
+            h = Hypergraph(n, ((0, 1, 2),))
+            for k in (*range(1, min(n, 30) + 1), n):
+                assert params_for(h, 1, k).anchor_size == least_anchor_size(k, n)
+        for n, size in ((243, 9), (1024, 16), (3125, 25)):
+            assert params_for(Hypergraph(n, ((0, 1, 2),)), 1, 1).anchor_size == size
 
     def test_ceil_sqrt_fraction(self):
         assert _ceil_sqrt_fraction(0, 5) == 0
@@ -193,24 +204,15 @@ class TestMpU3Uniform:
         assert all({"k", "khat", "delta", "union"} <= set(row) for row in trace)
         assert [row["k"] for row in trace] == list(range(1, h.n + 1))
 
-    def test_early_exit_when_layers_cover_everything(self):
+    def test_early_exit_when_layers_cover_everything(self, monkeypatch):
         # A planted block dense enough that the three-layer route alone covers
         # p edges: for guesses whose anchor budget spans the block, the cover
         # loop must finish after one generator call.
         spec = PlantedSpec(n=12, noise_edges=0, block_size=6, block_edges=12, seed=2)
         h = generate_planted(spec).hypergraph
-        calls_per_guess: dict[int, int] = {}
-        original = candidate_generator_3u
-
-        def counting(residual, params):
-            calls_per_guess[params.k] = calls_per_guess.get(params.k, 0) + 1
-            return original(residual, params)
-
-        try:
-            mpu3_module.candidate_generator_3u = counting
-            sol = mpu_3uniform(h, 12)
-        finally:
-            mpu3_module.candidate_generator_3u = original
+        rounds = spy(monkeypatch, mpu3_module, "candidate_generator_3u")
+        sol = mpu_3uniform(h, 12)
+        calls_per_guess = Counter(params.k for _, params in rounds)
         assert sol.union_size <= 6
         # 12^(2/5) > 2.7, so every guess k >= 5 caps its anchor budget at n and
         # the three-layer candidate covers all 12 edges in one shot.  Guess 5 is
@@ -222,154 +224,6 @@ class TestMpU3Uniform:
         h = Hypergraph(4, ((0, 1),))
         with pytest.raises(ValueError):
             mpu_3uniform(h, 1)
-
-
-# -- Reference: the cover round before the three-layer short-cut came first --
-# Every round ranked the anchors and built the pair-weight candidates before
-# the three-layer candidate that may end it, and every round, the first
-# included, covered a re-validated copy of its residual.  The probe ran on an
-# induced copy without the anchors and lifted its candidates back; its body is
-# frozen here with its two-stage pick, so the reference cannot change along
-# with the module's probe.  The single-edge candidate and the final best-of
-# are the hand-written first-best loops that preceded the builtin min, frozen
-# too, so the reference shares no best-of code with the module.
-
-
-def reference_st_pick(g, kk):
-    size = kk // 2
-    s = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
-    sset = set(s)
-    t = sorted(g, key=lambda u: (-len(g[u] & sset), u))[:size]
-    return sset | set(t)
-
-
-def reference_probe_candidates(h, probe_size):
-    pairs = [[] for _ in range(h.n)]
-    for a, b, c in h.edges:
-        pairs[a].append((b, c))
-        pairs[b].append((a, c))
-        pairs[c].append((a, b))
-    for v, vpairs in enumerate(pairs):
-        if not vpairs:
-            continue
-        adj = {}
-        for u, x in vpairs:
-            adj.setdefault(u, set()).add(x)
-            adj.setdefault(x, set()).add(u)
-        for _, g in _pruned_link_graphs(adj, probe_size - 1):
-            if len(g) < probe_size:
-                yield {v} | set(g)
-            else:
-                yield {v} | reference_st_pick(g, probe_size - 1)
-
-
-def reference_densest_single_edge(h):
-    counts = Counter(h.edges)
-    best_edge, best_count = None, 0
-    for e, c in sorted(counts.items()):
-        if c > best_count:
-            best_edge, best_count = e, c
-    assert best_edge is not None
-    return best_edge
-
-
-def reference_mpu_best_of(h, p, candidates):
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    for sol in candidates:
-        if len(sol.edge_indices) != p:
-            raise ValueError(
-                f"candidate {sol.algorithm!r} has {len(sol.edge_indices)} edges, expected {p}"
-            )
-    best = candidates[0]
-    for sol in candidates[1:]:
-        if sol.union_size < best.union_size:
-            best = sol
-    return best
-
-
-def reference_candidate_generator_3u(residual, params):
-    if residual.m == 0:
-        raise ValueError("generator needs a nonempty residual")
-    _require_three_uniform(residual)
-    n = residual.n
-    anchors = top_by_degree(residual, params.anchor_size)
-    anchor_set = set(anchors)
-    candidates = []
-
-    pair_counts = k1_pair_weights(residual, anchors)
-    top = _top_scoring(pair_counts, params.k)
-    candidates.append(("anchored-pairs", anchor_set | set(top)))
-
-    graph = k1_weighted_graph(residual, anchors)
-    picked = tuple(greedy_weighted_spes(graph, params.p))
-    candidates.append(("anchored-spes", anchor_set | set(picked)))
-
-    budget = params.anchor_size
-    if 3 <= budget <= n:
-        layer_anchors = top_by_degree(residual, budget // 3)
-        layered = greedy_three_layer(residual, budget, layer_anchors)
-        if layered.covered_count >= params.p:
-            return VertexSolution.from_vertices(residual, layered.vertices, "three-layer")
-        candidates.append(("three-layer", set(layered.vertices)))
-
-    rest, lift = induced(residual, set(range(n)) - anchor_set)
-    if rest.m > 0 and params.khat >= 2:
-        for cand in reference_probe_candidates(rest, params.khat):
-            candidates.append(("pruned-neighborhood", {lift[u] for u in cand}))
-
-    candidates.append(("single-edge", set(reference_densest_single_edge(residual))))
-
-    best = None
-    for tag, verts in candidates:
-        if not verts:
-            continue
-        num = len(covered_edges(residual, verts))
-        den = len(verts)
-        if best is None or num * best[3] > best[2] * den:
-            best = (tag, verts, num, den)
-    return VertexSolution.from_vertices(residual, best[1], best[0])
-
-
-def reference_iterative_cover(h, p, k, generator):
-    chosen = []
-    residual = list(range(h.m))
-    while len(chosen) < p:
-        sub = Hypergraph(h.n, tuple(h.edges[i] for i in residual))
-        picked = generator(sub, k)
-        found = [residual[j] for j in covered_edges(sub, picked.vertices)]
-        if not found:
-            raise StalledGeneratorError("generator covered no edge on a nonempty residual")
-        chosen.extend(found)
-        taken = set(found)
-        residual = [i for i in residual if i not in taken]
-    return EdgeSolution.from_indices(h, chosen[:p], "iterative-cover")
-
-
-def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_3u):
-    """The guess loop without reuse: parameters from the top-degree anchors and
-    one reference cover for every k, then the best-of with mpu_sqrt_m."""
-    best = None
-    for k in range(1, h.n + 1):
-        anchor_size = min(math.ceil(k * h.n**0.4), h.n)
-        deg = degrees(h)
-        delta = min((deg[v] for v in top_by_degree(h, anchor_size)), default=0)
-        khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
-        params = MpU3Params(k, p, h.n, anchor_size, delta, khat)
-        try:
-            sol = reference_iterative_cover(
-                h, p, anchor_size, lambda residual, _k: generator(residual, params)
-            )
-        except StalledGeneratorError:
-            continue
-        trace.append({"k": k, "khat": khat, "delta": delta, "union": sol.union_size})
-        if best is None or sol.union_size < best.union_size:
-            best = sol
-    candidates = []
-    if best is not None:
-        candidates.append(EdgeSolution.from_indices(h, best.edge_indices, "three-uniform"))
-    candidates.append(mpu_sqrt_m(h, p))
-    return reference_mpu_best_of(h, p, candidates)
 
 
 def _differential_instances():
@@ -392,23 +246,10 @@ def _assert_same_as_reference(h, p, generator=reference_candidate_generator_3u):
     return trace
 
 
-def _spy(monkeypatch, name):
-    """Count the calls made through ``hyperdense.mpu3.<name>``."""
-    calls = []
-    original = getattr(mpu3_module, name)
-
-    def spied(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mpu3_module, name, spied)
-    return calls
-
-
 class TestSaturatedGuessReuse:
     def test_matches_loop_without_reuse(self, monkeypatch):
-        rounds = _spy(monkeypatch, "candidate_generator_3u")
-        best_of_rounds = _spy(monkeypatch, "k1_pair_weights")
+        rounds = spy(monkeypatch, mpu3_module, "candidate_generator_3u")
+        best_of_rounds = spy(monkeypatch, mpu3_module, "k1_pair_weights")
         cases = 0
         for h in _differential_instances():
             for p in sorted({1, (h.m + 1) // 2, h.m}):
@@ -475,8 +316,8 @@ class TestNoThrowawayWork:
 
     def test_short_cut_builds_no_pair_weights(self, monkeypatch):
         h = self._block()
-        pair_calls = _spy(monkeypatch, "k1_pair_weights")
-        graph_calls = _spy(monkeypatch, "k1_weighted_graph")
+        pair_calls = spy(monkeypatch, mpu3_module, "k1_pair_weights")
+        graph_calls = spy(monkeypatch, mpu3_module, "k1_weighted_graph")
         sol = candidate_generator_3u(h, params_for(h, 12, 5))
         assert sol.algorithm == "three-layer" and sol.covered_count >= 12
         assert pair_calls == [] and graph_calls == []
@@ -509,39 +350,12 @@ class TestNoThrowawayWork:
         params = params_for(h, 60, 3)
         assert params.khat >= 2
         builds = count_hypergraph_builds(monkeypatch)
-        best_of = _spy(monkeypatch, "k1_pair_weights")
-        probes = _spy(monkeypatch, "probe_candidates")
+        best_of = spy(monkeypatch, mpu3_module, "k1_pair_weights")
+        probes = spy(monkeypatch, mpu3_module, "probe_candidates")
         for r in (h, residual):
             candidate_generator_3u(r, params)
         assert len(best_of) == len(probes) == 2
         assert builds == []
-
-
-# -- Reference: the greedy coverage subroutine before running gains --
-# Each round recomputed every outside vertex's weight into the picked set from
-# its adjacency.
-
-
-def reference_greedy_weighted_spes(graph, target_weight):
-    if target_weight <= 0 or not graph.edges:
-        return ()
-    adj = graph.adjacency
-    u0, v0, w0 = min(graph.edges, key=lambda e: (-e[2], e[0], e[1]))
-    picked = {u0, v0}
-    got = w0
-    while got < target_weight:
-        best_u, best_gain = -1, 0
-        for u in sorted(graph.vertices):
-            if u in picked:
-                continue
-            gain = sum(w for v, w in adj[u].items() if v in picked)
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        if best_gain <= 0:
-            break
-        picked.add(best_u)
-        got += best_gain
-    return tuple(sorted(picked))
 
 
 def weighted_graphs(count):
@@ -589,7 +403,7 @@ class TestRankedDegrees:
             deg = degrees(h)
             ranked = sorted(deg, reverse=True)
             for k in range(1, h.n + 1):
-                anchor_size = min(math.ceil(k * h.n**0.4), h.n)
+                anchor_size = least_anchor_size(k, h.n)
                 delta = min(deg[v] for v in top_by_degree(h, anchor_size))
                 for p in (1, h.m):
                     khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
@@ -598,15 +412,8 @@ class TestRankedDegrees:
                     )
 
     def test_one_degree_pass_per_solve(self, monkeypatch):
-        calls = []
-        original = mpu3_module.degrees
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mpu3_module, "degrees", counted)
-        rounds = _spy(monkeypatch, "candidate_generator_3u")
+        calls = spy(monkeypatch, mpu3_module, "degrees")
+        rounds = spy(monkeypatch, mpu3_module, "candidate_generator_3u")
         h = generate_uniform(12, 14, 9600)
         mpu_3uniform(h, 5)
         # One ranking for the guess loop, then one per cover round, which

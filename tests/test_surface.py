@@ -1,5 +1,5 @@
 """The package's public names, the README example, the tracer's bindings,
-unused imports, and where bitmasks may live."""
+unused imports, where bitmasks may live, and where frozen references live."""
 
 import ast
 import contextlib
@@ -165,3 +165,20 @@ def test_trusted_builds_only_where_fields_are_canonical():
         ("interval.py", "parse_intervals"),
         ("interval.py", "_hypergraph"),
     }
+
+
+def test_frozen_references_live_in_one_module():
+    # Each frozen reference is defined once, in tests/reference.py, so the next
+    # speed change freezes its parent there, not in its own test file.
+    defined = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name.startswith("reference_") or node.name == "ReferenceTable"
+            ):
+                defined.append((path.name, node.name))
+    names = [name for _, name in defined]
+    assert {file for file, _ in defined} == {"reference.py"}
+    assert len(names) == len(set(names))
+    assert "ReferenceTable" in names
