@@ -6,6 +6,10 @@ error, 4 oracle budget exceeded, 1 failed verification.
 
 The argument parser is built once per process and reused by every ``main``
 call; each parsed instance is validated once, row by row as it is read.
+
+One checker, ``_issues``, defines a valid answer: ``verify`` runs it on a
+solution file, and ``solve`` and ``oracle mpu|dksh`` run it on the exact line
+they are about to print, so no command prints a line ``verify`` would reject.
 """
 
 from __future__ import annotations
@@ -17,10 +21,8 @@ import json
 import sys
 
 from hyperdense.core import (
-    EdgeSolution,
     Hypergraph,
     HypergraphFormatError,
-    VertexSolution,
     covered_edges,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
     parse_hypergraph,
     serialize_hypergraph,
@@ -92,14 +94,19 @@ def _scan_covered(h: Hypergraph, vertices) -> tuple[int, ...]:
     return tuple(i for i, e in enumerate(h.edges) if vs.issuperset(e))
 
 
-def _reverify(h: Hypergraph, sol: EdgeSolution | VertexSolution) -> None:
-    """Independent containment/union scan; a mismatch is an internal error."""
-    if isinstance(sol, EdgeSolution):
-        if union_of(h, sol.edge_indices) != sol.union:
-            raise RuntimeError("solution union failed re-verification")
-    else:
-        if _scan_covered(h, sol.vertices) != sol.covered:
-            raise RuntimeError("solution cover failed re-verification")
+def _reverify(h: Hypergraph, line: str) -> None:
+    """``verify``'s checks on a line about to be printed; any issue is an internal error."""
+    issues = _issues(h, json.loads(line))
+    if issues:
+        raise RuntimeError(f"solution failed re-verification: {'; '.join(issues)}")
+
+
+def _answer(h: Hypergraph, problem: str, parameter: int, sol) -> int:
+    """Print the solution line, once it passes re-verification against h."""
+    line = solution_json(problem, parameter, sol)
+    _reverify(h, line)
+    print(line)
+    return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -110,65 +117,46 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         flag = "--explain" if args.explain else "--sub"
         raise ValueError(f"{flag} does not apply to --algo interval")
     text = _read(args.file)
-    if args.problem == "mpu":
-        if args.algo == "interval":
-            inst = parse_intervals(text)
-            sol = mpu_interval(inst, args.p)
-            base = to_hypergraph(inst)
-        else:
-            base = parse_hypergraph(text)
-            if args.algo == "sqrt-m":
-                sol = mpu_sqrt_m(base, args.p)
-            else:
-                trace: list[dict] | None = [] if args.trace else None
-                sol = mpu_3uniform(base, args.p, trace=trace)
-                if trace:
-                    for row in trace:
-                        _emit(row, args.format)
-        _reverify(base, sol)
-        print(solution_json("mpu", args.p, sol))
-        return EXIT_OK
-
     if args.algo == "interval":
         inst = parse_intervals(text)
-        sol = dksh_interval(inst, args.k)
-        base = to_hypergraph(inst)
+        solver = mpu_interval if args.problem == "mpu" else dksh_interval
+        sol = solver(inst, args.parameter)
+        h = to_hypergraph(inst)
     else:
-        base = parse_hypergraph(text)
-        sub = exact_weighted_dks if args.sub == "exact" else greedy_weighted_dks
-        if args.explain:
-            candidates = dksh_candidates(base, args.k, sub)
-            breakdown = [
-                {"algorithm": cand.algorithm, "covered": cand.covered_count}
-                for cand in candidates
-            ]
-            if args.format == "tsv":
-                for row in breakdown:
-                    _emit(row, "tsv")
-            else:
-                print(json.dumps(breakdown, sort_keys=True, separators=(",", ":")))
-            sol = dksh_best_of(candidates)
+        h = parse_hypergraph(text)
+        if args.algo == "sqrt-m":
+            sol = mpu_sqrt_m(h, args.parameter)
+        elif args.problem == "mpu":
+            trace: list[dict] | None = [] if args.trace else None
+            sol = mpu_3uniform(h, args.parameter, trace=trace)
+            for row in trace or ():
+                _emit(row, args.format)
         else:
-            sol = dksh_3uniform(base, args.k, sub)
-    _reverify(base, sol)
-    print(solution_json("dksh", args.k, sol))
-    return EXIT_OK
+            sub = exact_weighted_dks if args.sub == "exact" else greedy_weighted_dks
+            if args.explain:
+                candidates = dksh_candidates(h, args.parameter, sub)
+                breakdown = [
+                    {"algorithm": cand.algorithm, "covered": cand.covered_count}
+                    for cand in candidates
+                ]
+                if args.format == "tsv":
+                    for row in breakdown:
+                        _emit(row, "tsv")
+                else:
+                    print(json.dumps(breakdown, sort_keys=True, separators=(",", ":")))
+                sol = dksh_best_of(candidates)
+            else:
+                sol = dksh_3uniform(h, args.parameter, sub)
+    return _answer(h, args.problem, args.parameter, sol)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    text = _read(args.file)
-    h = parse_hypergraph(text)
-    if args.problem == "mpu":
-        sol = brute_mpu(h, args.p)
-        _reverify(h, sol)
-        print(solution_json("mpu", args.p, sol))
-    elif args.problem == "dksh":
-        sol = brute_dksh(h, args.k)
-        _reverify(h, sol)
-        print(solution_json("dksh", args.k, sol))
-    else:
+    h = parse_hypergraph(_read(args.file))
+    if args.problem == "minexp":
         print(brute_min_expansion(h).to_json())
-    return EXIT_OK
+        return EXIT_OK
+    brute = brute_mpu if args.problem == "mpu" else brute_dksh
+    return _answer(h, args.problem, args.parameter, brute(h, args.parameter))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -217,14 +205,9 @@ def _solution_payload(text: str) -> dict:
     return payload
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    text = _read(args.instance)
-    payload = _solution_payload(_read(args.solution))
+def _issues(h: Hypergraph, payload: dict) -> list[str]:
+    """Every way a decoded solution fails against h; empty when it is valid."""
     problem = payload["problem"]
-    if args.intervals:
-        h = to_hypergraph(parse_intervals(text))
-    else:
-        h = parse_hypergraph(text)
     parameter = payload["parameter"]
     vertices = payload["vertices"]
     edge_indices = payload["edge_indices"]
@@ -262,9 +245,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 problems.append("edge indices differ from the recomputed cover")
             if payload["covered_count"] != len(covered):
                 problems.append("covered_count differs from the recomputed cover")
-    valid = not problems
-    _emit({"valid": valid, "problem": problem, "issues": problems}, args.format)
-    return EXIT_OK if valid else EXIT_INVALID
+    return problems
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    text = _read(args.instance)
+    payload = _solution_payload(_read(args.solution))
+    if args.intervals:
+        h = to_hypergraph(parse_intervals(text))
+    else:
+        h = parse_hypergraph(text)
+    problems = _issues(h, payload)
+    _emit({"valid": not problems, "problem": payload["problem"], "issues": problems},
+          args.format)
+    return EXIT_INVALID if problems else EXIT_OK
 
 
 @functools.cache
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_mpu = solve_sub.add_parser("mpu")
     s_mpu.add_argument("--algo", choices=("sqrt-m", "three-uniform", "interval"),
                        default="sqrt-m")
-    s_mpu.add_argument("--p", type=int, required=True)
+    s_mpu.add_argument("--p", dest="parameter", metavar="P", type=int, required=True)
     s_mpu.add_argument("--trace", action="store_true",
                        help="emit one row per witness-size guess (three-uniform only)")
     s_mpu.add_argument("file")
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_dksh = solve_sub.add_parser("dksh")
     s_dksh.add_argument("--algo", choices=("three-uniform", "interval"),
                         default="three-uniform")
-    s_dksh.add_argument("--k", type=int, required=True)
+    s_dksh.add_argument("--k", dest="parameter", metavar="K", type=int, required=True)
     s_dksh.add_argument("--sub", choices=("greedy", "exact"), default=None,
                         help="weighted densest-k subroutine (default: greedy)")
     s_dksh.add_argument("--explain", action="store_true",
@@ -305,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="run a brute-force exact solver")
     oracle_sub = oracle.add_subparsers(dest="problem", required=True)
     o_mpu = oracle_sub.add_parser("mpu")
-    o_mpu.add_argument("--p", type=int, required=True)
+    o_mpu.add_argument("--p", dest="parameter", metavar="P", type=int, required=True)
     o_mpu.add_argument("file")
     o_mpu.set_defaults(func=_cmd_oracle)
     o_dksh = oracle_sub.add_parser("dksh")
-    o_dksh.add_argument("--k", type=int, required=True)
+    o_dksh.add_argument("--k", dest="parameter", metavar="K", type=int, required=True)
     o_dksh.add_argument("file")
     o_dksh.set_defaults(func=_cmd_oracle)
     o_minexp = oracle_sub.add_parser("minexp")

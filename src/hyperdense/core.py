@@ -102,6 +102,12 @@ def _vertex_count(n: object) -> int:
     return count
 
 
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """A ValueError naming the parameter and its range unless lo <= value <= hi."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
 def _content_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, tokens) for non-blank, non-comment lines."""
     if isinstance(text, (bytes, bytearray)):

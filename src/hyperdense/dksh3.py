@@ -34,6 +34,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 from hyperdense.core import (
     Hypergraph,
     VertexSolution,
+    _check_range,
     _pad_to_k,
     _top_scoring,
     covered_count,
@@ -105,8 +106,7 @@ def _require_three_uniform(h: Hypergraph) -> None:
 
 
 def _check_k(h: Hypergraph, k: int) -> None:
-    if k < 3 or k > h.n:
-        raise ValueError(f"k must be in [3, {h.n}], got {k}")
+    _check_range("k", k, 3, h.n)
 
 
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:

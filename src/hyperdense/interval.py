@@ -30,6 +30,7 @@ from hyperdense.core import (
     Hypergraph,
     HypergraphFormatError,
     VertexSolution,
+    _check_range,
     _int_tokens,
     _pad_to_k,
     _parse_rows,
@@ -49,7 +50,11 @@ class IntervalInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _vertex_count(self.n))
         canon = []
-        for pos, (a, b) in enumerate(self.intervals):
+        for pos, pair in enumerate(self.intervals):
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"interval {pos} is not an (a, b) pair") from None
             try:
                 a, b = operator.index(a), operator.index(b)
             except TypeError:
@@ -225,8 +230,7 @@ def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
     The fill stops at column p and keeps only the intervals no longer than
     the union of the p shortest ones, which bounds the optimum.
     """
-    if not 1 <= p <= inst.m:
-        raise ValueError(f"p must be in [1, {inst.m}], got {p}")
+    _check_range("p", p, 1, inst.m)
     table = fill_table(inst, _union_of_shortest(inst, p), p)
     best_i, best_value = table.best_cell(p)
     indices = table.reconstruct(best_i, p)
@@ -248,8 +252,7 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
     search.  When no interval fits in k, any k vertices (the smallest ids)
     are returned with zero covered intervals.
     """
-    if not 1 <= k <= inst.n:
-        raise ValueError(f"k must be in [1, {inst.n}], got {k}")
+    _check_range("k", k, 1, inst.n)
     h = to_hypergraph(inst)
     table = fill_table(inst, k)
     lo, hi = 0, len(table.values)  # the largest fitting p is in [lo, hi]; 0 stands for none

@@ -27,6 +27,7 @@ from hyperdense.core import (
     EdgeSolution,
     Hypergraph,
     VertexSolution,
+    _check_range,
     _top_scoring,
     covered_edges,
     degrees,
@@ -98,8 +99,7 @@ class MpU3Params:
         """Parameters for guess k; ``ranked_degrees`` is ``sorted(degrees(h),
         reverse=True)``, which one solve computes once for all its guesses."""
         _check_p(h, p)
-        if not 1 <= k <= h.n:
-            raise ValueError(f"k must be in [1, {h.n}], got {k}")
+        _check_range("k", k, 1, h.n)
         anchor_size = _anchor_size(k, h.n)
         # The least degree among the top anchor_size vertices (anchor_size >= 1).
         delta = ranked_degrees[anchor_size - 1]
@@ -235,4 +235,4 @@ def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> E
             )
         candidates.append(replace(sol, algorithm="three-uniform"))
     candidates.append(mpu_sqrt_m(h, p))
-    return mpu_best_of(h, p, candidates)
+    return mpu_best_of(p, candidates)

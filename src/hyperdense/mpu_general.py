@@ -18,6 +18,7 @@ from hyperdense.core import (
     EdgeSolution,
     Hypergraph,
     VertexSolution,
+    _check_range,
     covered_edges,
     edge_subhypergraph,
 )
@@ -31,8 +32,7 @@ class StalledGeneratorError(RuntimeError):
 
 
 def _check_p(h: Hypergraph, p: int) -> None:
-    if not 1 <= p <= h.m:
-        raise ValueError(f"p must be in [1, {h.m}], got {p}")
+    _check_range("p", p, 1, h.m)
 
 
 def mpu_sqrt_m(h: Hypergraph, p: int) -> EdgeSolution:
@@ -87,9 +87,7 @@ def iterative_cover(
     return EdgeSolution.from_indices(h, chosen[:p], "iterative-cover")
 
 
-def mpu_best_of(
-    h: Hypergraph, p: int, candidates: Sequence[EdgeSolution]
-) -> EdgeSolution:
+def mpu_best_of(p: int, candidates: Sequence[EdgeSolution]) -> EdgeSolution:
     """The candidate of minimum union size, each holding p edges; ties keep the earliest."""
     for sol in candidates:
         if len(sol.edge_indices) != p:

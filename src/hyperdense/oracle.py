@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from hyperdense.core import EdgeSolution, Hypergraph, VertexSolution
+from hyperdense.core import EdgeSolution, Hypergraph, VertexSolution, _check_range
 from hyperdense.dksh3 import WeightedGraph
 from hyperdense.expansion import (
     EmptyHypergraphError,
@@ -59,8 +59,7 @@ def _mask(vertices) -> int:
 
 def brute_mpu(h: Hypergraph, p: int, budget: int | None = None) -> EdgeSolution:
     """Exact minimum p-union by enumerating all C(m, p) subsets (lexicographic ties)."""
-    if not 1 <= p <= h.m:
-        raise ValueError(f"p must be in [1, {h.m}], got {p}")
+    _check_range("p", p, 1, h.m)
     _check_budget(math.comb(h.m, p), budget, "brute_mpu")
     masks = [_mask(e) for e in h.edges]
     best_size, best_combo = h.n + 1, None
@@ -77,8 +76,7 @@ def brute_mpu(h: Hypergraph, p: int, budget: int | None = None) -> EdgeSolution:
 
 def brute_dksh(h: Hypergraph, k: int, budget: int | None = None) -> VertexSolution:
     """Exact densest k-set by enumerating all C(n, k) subsets (lexicographic ties)."""
-    if not 1 <= k <= h.n:
-        raise ValueError(f"k must be in [1, {h.n}], got {k}")
+    _check_range("k", k, 1, h.n)
     _check_budget(math.comb(h.n, k), budget, "brute_dksh")
     masks = [_mask(e) for e in h.edges]
     best_count, best_combo = -1, None

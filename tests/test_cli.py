@@ -6,7 +6,7 @@ import pytest
 import hyperdense.cli
 import hyperdense.core
 import hyperdense.dksh3
-from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph
+from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph, solution_json
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
 from builds import spy
@@ -462,9 +462,9 @@ class TestIndependentScan:
         h.__dict__["edges_by_last"] = {}  # the cached index now lists no edge
         bad = VertexSolution.from_vertices(h, (0, 1, 2, 3))
         assert good.covered == (0, 1) and bad.covered == ()
-        hyperdense.cli._reverify(h, good)
+        hyperdense.cli._reverify(h, solution_json("dksh", 4, good))
         with pytest.raises(RuntimeError):
-            hyperdense.cli._reverify(h, bad)
+            hyperdense.cli._reverify(h, solution_json("dksh", 4, bad))
 
     def test_verify_ignores_covered_edges(self, capsys, monkeypatch, tmp_path, uniform_file):
         _, out, _ = run(capsys, "solve", "dksh", "--k", "4", uniform_file)
@@ -476,6 +476,28 @@ class TestIndependentScan:
         code, verdict, _ = run(capsys, "verify", uniform_file, str(sol))
         assert code == 0
         assert json.loads(verdict)["valid"] is True
+
+
+class TestAnswerCheck:
+    """``solve`` and ``oracle`` run ``verify``'s checks on the very line they print."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "mpu", "--p", "2"), ("solve", "dksh", "--k", "4"),
+         ("oracle", "mpu", "--p", "2"), ("oracle", "dksh", "--k", "3")],
+    )
+    def test_a_tampered_line_is_never_printed(self, capsys, monkeypatch, uniform_file, argv):
+        real = hyperdense.cli.solution_json
+
+        def drop_a_vertex(problem, parameter, sol):
+            row = json.loads(real(problem, parameter, sol))
+            row["vertices"] = row["vertices"][1:]
+            return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+        monkeypatch.setattr(hyperdense.cli, "solution_json", drop_a_vertex)
+        with pytest.raises(RuntimeError, match="failed re-verification: "):
+            main([*argv, uniform_file])
+        assert capsys.readouterr().out == ""
 
 
 class TestLongAugmentingPath:

@@ -8,8 +8,15 @@ from hyperdense import (
     EdgeSolution,
     Hypergraph,
     HypergraphFormatError,
+    IntervalInstance,
     VertexSolution,
+    brute_dksh,
+    brute_mpu,
     covered_edges,
+    dksh_3uniform,
+    dksh_interval,
+    mpu_interval,
+    mpu_sqrt_m,
     parse_hypergraph,
     parse_intervals,
     serialize_hypergraph,
@@ -17,6 +24,7 @@ from hyperdense import (
     union_of,
 )
 import hyperdense.cli
+from hyperdense.mpu3 import MpU3Params
 from builds import assert_as_validated
 from hyperdense.core import (
     covered_count,
@@ -382,6 +390,25 @@ def vertex_queries(draw):
     return h, vs
 
 
+class TestCheckRange:
+    def test_every_solver_words_its_range_the_same_way(self):
+        h = Hypergraph(4, ((0, 1, 2), (1, 2, 3)))
+        inst = IntervalInstance(4, ((0, 1), (2, 3)))
+        cases = [
+            (lambda: mpu_sqrt_m(h, 3), "p must be in [1, 2], got 3"),
+            (lambda: dksh_3uniform(h, 2), "k must be in [3, 4], got 2"),
+            (lambda: mpu_interval(inst, 0), "p must be in [1, 2], got 0"),
+            (lambda: dksh_interval(inst, 5), "k must be in [1, 4], got 5"),
+            (lambda: brute_mpu(h, -1), "p must be in [1, 2], got -1"),
+            (lambda: brute_dksh(h, 0), "k must be in [1, 4], got 0"),
+            (lambda: MpU3Params.for_guess(h, 1, 5, (2, 2, 2, 1)), "k must be in [1, 4], got 5"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
 class TestCoveredEdgesIndex:
     @settings(deadline=None, derandomize=True, max_examples=250)
     @given(vertex_queries())
@@ -423,7 +450,8 @@ class TestCoveredEdgesIndex:
         try:
             covered = covered_edges(h, vs)
             assert covered_count(h, vs) == len(covered) >= 20
-            hyperdense.cli._reverify(h, VertexSolution(tuple(sorted(vs)), covered))
+            sol = VertexSolution(tuple(sorted(vs)), covered)
+            hyperdense.cli._reverify(h, solution_json("dksh", len(vs), sol))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

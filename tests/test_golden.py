@@ -8,6 +8,7 @@ it after a declared behaviour change, run
 ``PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.jsonl``.
 """
 
+import json
 from pathlib import Path
 
 from hyperdense import (
@@ -18,7 +19,9 @@ from hyperdense import (
     mpu_interval,
     mpu_sqrt_m,
     solution_json,
+    to_hypergraph,
 )
+from hyperdense.cli import _issues
 from hyperdense.dksh3 import dksh_candidates
 from hyperdense.oracle import (
     PlantedSpec,
@@ -100,6 +103,31 @@ def golden_lines() -> list[str]:
         for pos, cand in enumerate(dksh_candidates(h, k)):
             add(f"{name} dksh_candidates[{pos}]", "dksh", k, cand)
     return lines
+
+
+def golden_instances() -> dict:
+    """Each instance ``golden_lines`` solves, by the label its cases start with."""
+    out = {}
+    for n, m, seed in INTERVAL_CASES:
+        out[f"interval n={n} m={m} seed={seed}"] = to_hypergraph(generate_intervals(n, m, seed))
+    for n, m, seed in UNIFORM_CASES:
+        out[f"uniform n={n} m={m} seed={seed}"] = generate_uniform(n, m, seed)
+    for n, m, seed in FLOW_CASES:
+        out[f"uniform2-4 n={n} m={m} seed={seed}"] = generate_uniform(n, m, seed, sizes=(2, 4))
+    for spec in (PLANTED_SPEC, DKSH_PLANTED_SPEC, DKSH_BENCH_SPEC):
+        h = generate_planted(spec).hypergraph
+        out[f"planted n={h.n} m={h.m} seed={spec.seed}"] = h
+    return out
+
+
+def test_every_golden_solution_passes_the_cli_answer_check():
+    instances = golden_instances()
+    rows = [json.loads(line) for line in FIXTURE.read_text(encoding="utf-8").splitlines()]
+    solved = [row for row in rows if "solution" in row]
+    assert len(solved) == 74
+    for row in solved:
+        h = instances[row["case"].rsplit(" ", 1)[0]]
+        assert _issues(h, row["solution"]) == [], row["case"]
 
 
 def test_answers_match_golden_bytes():

@@ -73,6 +73,12 @@ class TestInstance:
             with pytest.raises(ValueError, match="interval 1 has a non-integer end"):
                 IntervalInstance(5, ((1, 1), interval))
 
+    def test_rejects_rows_that_are_not_pairs(self):
+        # An int row raised TypeError, and a triple an unpacking error with no position.
+        for interval in (1, (1, 2, 3), (2,), ()):
+            with pytest.raises(ValueError, match=r"^interval 1 is not an \(a, b\) pair$"):
+                IntervalInstance(5, ((1, 1), interval))
+
     def test_integer_like_ends_become_ints(self):
         np = pytest.importorskip("numpy")
         inst = IntervalInstance(5, ((np.int64(1), np.int32(3)),))

@@ -451,9 +451,9 @@ class TestBestOfRule:
             h = generate_uniform(8, 10, seed + 5200)
             p = 1 + seed % 4
             sols = edge_solutions(h, p, rng, 1 + seed % 6)
-            assert mpu_best_of(h, p, sols) is reference_mpu_best_of(h, p, sols)
+            assert mpu_best_of(p, sols) is reference_mpu_best_of(h, p, sols)
         with pytest.raises(ValueError):
-            mpu_best_of(h, p, [])
+            mpu_best_of(p, [])
 
     def test_round_density_tie_keeps_earlier_tag(self):
         # anchored-pairs proposes (0, 3, 6) and single-edge (0, 1, 3), one

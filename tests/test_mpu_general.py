@@ -154,26 +154,25 @@ class TestBestOf:
         h = Hypergraph(6, ((0, 1, 2, 3), (4, 5), (0, 1)))
         a = self._sol(h, [0], "a")
         b = self._sol(h, [1], "b")
-        assert mpu_best_of(h, 1, [a, b]) is b
+        assert mpu_best_of(1, [a, b]) is b
 
     def test_single_candidate(self):
         h = Hypergraph(2, ((0, 1),))
         a = self._sol(h, [0], "a")
-        assert mpu_best_of(h, 1, [a]) is a
+        assert mpu_best_of(1, [a]) is a
 
     def test_tie_keeps_first_tag(self):
         h = Hypergraph(4, ((0, 1), (2, 3)))
         a = self._sol(h, [0], "first")
         b = self._sol(h, [1], "second")
-        assert mpu_best_of(h, 1, [a, b]).algorithm == "first"
+        assert mpu_best_of(1, [a, b]).algorithm == "first"
 
     def test_wrong_size_rejected(self):
         h = Hypergraph(4, ((0, 1), (2, 3)))
         a = self._sol(h, [0], "a")
         with pytest.raises(ValueError):
-            mpu_best_of(h, 2, [a])
+            mpu_best_of(2, [a])
 
     def test_empty_rejected(self):
-        h = Hypergraph(2, ((0, 1),))
         with pytest.raises(ValueError):
-            mpu_best_of(h, 1, [])
+            mpu_best_of(1, [])
