@@ -2,7 +2,8 @@
 
 Report rows are JSON lines on stdout (or key=value pairs with --format tsv);
 diagnostics go to stderr.  Exit codes: 0 success, 2 usage error, 3 parse
-error, 4 oracle budget exceeded, 1 failed verification.
+error, 4 oracle budget exceeded, 1 failed verification, 5 internal error (a
+solver or self-check found its own answer unsound; nothing goes to stdout).
 
 The argument parser is built once per process and reused by every ``main``
 call; each parsed instance is validated once, row by row as it is read.
@@ -61,6 +62,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(row: dict, fmt: str) -> None:
@@ -355,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleBudgetError as exc:
         print(f"oracle budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,15 @@ istar outside C_i; then C_i minus C_istar is the slice of C_i after istar, so
 the step adds |C_i| minus (the positions of C_i up to istar) intervals and
 pays only for the part of interval i that istar does not reach.
 
+The predecessors that end before interval i starts (b_s < a_i) are a prefix
+0..P-1 of the sorted order, since the order is by right end.  Each of them
+lies outside C_i with no position of C_i before it, and pays the whole length
+of interval i, so their part of column r is the first minimum of column r
+over rows r..P-1 plus that length.  One running per-column minimum, updated
+with a strict < after each row so that it keeps the earliest argmin as the
+scan it replaces did, answers it; only the predecessors that reach into
+interval i are scanned.
+
 Every cell is feasible: with istar the last position before i outside C_i,
 all positions after istar lie in C_i, so jstar = j - (i - istar) lies in
 [1, istar + 1] for every j in (|C_i|, i + 1].  Each query fills only the part
@@ -22,8 +31,10 @@ vertices), drops every interval longer than k.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from hyperdense.core import (
     EdgeSolution,
@@ -165,6 +176,18 @@ def fill_table(
       picks, and an interval inside a kept one is kept, so every cell whose
       full-table value is <= U keeps its value, its backpointer and its place
       in ``best_cell``'s tie-break; only the positions are renumbered.
+
+    The predecessors with b_s < a_i are the prefix 0..P-1, with
+    P = bisect_left(right ends, a_i).  Every one of them lies outside C_i,
+    has no position of C_i before it (inside = 0) and adds the constant
+    tail ``length``, so the scan would give column r the first minimum of
+    values[s][r] over s in [r, P) plus ``length``, with backpointer
+    (s, r + 1).  The running minimum holds exactly that: it takes a row only
+    on a strict <, which keeps the earliest argmin, and its state is kept at
+    each prefix length a later row reads.  The row is seeded with its first
+    min(P, room) columns and the scan resumes at P, so the table is the one
+    the full scan fills.  The kept states hold at most width cells per row,
+    the table's own order of memory.
     """
     kept = [
         q for q, (a, b) in enumerate(inst.intervals) if bound is None or b - a + 1 <= bound
@@ -173,13 +196,26 @@ def fill_table(
         sorted(kept, key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
     )
     ivs = tuple(inst.intervals[q] for q in order)
+    lefts = [a for a, _ in ivs]
+    rights = [b for _, b in ivs]
     contained = tuple(
-        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
+        tuple(compress(range(i + 1), map(a_i.__le__, lefts))) for i, a_i in enumerate(lefts)
     )
+    # starts[i] = P: positions 0..P-1 end before interval i starts.
+    starts = [bisect_left(rights, a_i) for a_i in lefts]
+    read = set(starts)
 
     values: list[tuple[int, ...]] = []
     back: list[tuple[tuple[int, int] | None, ...]] = []
+    # run_v[r] is the minimum of values[s][r] over the filled rows s >= r and
+    # run_b[r] = (s, r + 1) its first argmin; prefix[P] is the pair as it
+    # stood when rows 0..P-1 were filled.
+    run_v: list[int] = []
+    run_b: list[tuple[int, int]] = []
+    prefix: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
     for i, (a_i, b_i) in enumerate(ivs):
+        if i in read:
+            prefix[i] = (tuple(run_v), tuple(run_b))
         length = b_i - a_i + 1
         cells = i + 1 if width is None else min(i + 1, width)
         base = min(len(contained[i]), cells)
@@ -188,16 +224,20 @@ def fill_table(
         # adds the positions of C_i after it, so with `inside` the positions of
         # C_i before it, it reaches column r from jstar = inside + 1 + r.  Each
         # such istar opens one new column (jstar = istar + 1) until the row
-        # holds its `cells` cells.
-        rec_v: list[int] = []
-        rec_b: list[tuple[int, int]] = []
+        # holds its `cells` cells.  The predecessors 0..P-1 that end before
+        # a_i come from the prefix minimum; the scan covers the rest.
+        start = starts[i]
+        snap_v, snap_b = prefix[start]
+        seeded = min(start, room)
+        rec_v = [v + length for v in snap_v[:seeded]]
+        rec_b = list(snap_b[:seeded])
         inside = 0
-        for istar in range(i):
+        for istar in range(start, i):
             a_s, b_s = ivs[istar]
             if a_s >= a_i:
                 inside += 1
                 continue
-            tail = length if b_s < a_i else b_i - b_s
+            tail = b_i - b_s
             prev = values[istar]
             for r in range(len(rec_v)):
                 cand = prev[inside + r] + tail
@@ -207,8 +247,16 @@ def fill_table(
             if len(rec_v) < room:
                 rec_v.append(prev[istar] + tail)
                 rec_b.append((istar, istar + 1))
-        values.append((length,) * base + tuple(rec_v))
+        row = (length,) * base + tuple(rec_v)
+        values.append(row)
         back.append((None,) * base + tuple(rec_b))
+        # Strict < keeps the earliest argmin, as the scan's strict < does.
+        for r in compress(range(len(run_v)), map(operator.lt, row, run_v)):
+            run_v[r] = row[r]
+            run_b[r] = (i, r + 1)
+        if len(row) > len(run_v):
+            run_v.append(row[i])
+            run_b.append((i, i + 1))
 
     return DPTable(order, contained, tuple(values), tuple(back))
 

@@ -41,6 +41,7 @@ from hyperdense.expansion import (
     expansion_certificate,
     max_flow_min_cut,
 )
+from hyperdense.interval import DPTable
 from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction
 from hyperdense.mpu_general import StalledGeneratorError
 
@@ -362,7 +363,7 @@ def reference_min_expansion_flow(h):
 
 # -- interval: the unbounded fill and both queries --
 # As they were before each query filled only the part of the table it can
-# read.
+# read, and the bounded fill as it was before its prefix minimum.
 
 
 @dataclass(frozen=True)
@@ -422,6 +423,48 @@ def reference_fill_table(inst):
         values.append((length,) * base + tuple(rec_v))
         back.append((None,) * base + tuple(rec_b))
     return ReferenceTable(order, contained, tuple(values), tuple(back), inst.m)
+
+
+def reference_bounded_fill_table(inst, bound=None, width=None):
+    """The bounded fill as it was before the disjoint predecessors were read off a prefix minimum."""
+    kept = [
+        q for q, (a, b) in enumerate(inst.intervals) if bound is None or b - a + 1 <= bound
+    ]
+    order = tuple(
+        sorted(kept, key=lambda q: (inst.intervals[q][1], inst.intervals[q][0], q))
+    )
+    ivs = tuple(inst.intervals[q] for q in order)
+    contained = tuple(
+        tuple(q for q in range(i + 1) if ivs[q][0] >= a_i) for i, (a_i, _) in enumerate(ivs)
+    )
+    values = []
+    back = []
+    for i, (a_i, b_i) in enumerate(ivs):
+        length = b_i - a_i + 1
+        cells = i + 1 if width is None else min(i + 1, width)
+        base = min(len(contained[i]), cells)
+        room = cells - base
+        rec_v = []
+        rec_b = []
+        inside = 0
+        for istar in range(i):
+            a_s, b_s = ivs[istar]
+            if a_s >= a_i:
+                inside += 1
+                continue
+            tail = length if b_s < a_i else b_i - b_s
+            prev = values[istar]
+            for r in range(len(rec_v)):
+                cand = prev[inside + r] + tail
+                if cand < rec_v[r]:
+                    rec_v[r] = cand
+                    rec_b[r] = (istar, inside + r + 1)
+            if len(rec_v) < room:
+                rec_v.append(prev[istar] + tail)
+                rec_b.append((istar, istar + 1))
+        values.append((length,) * base + tuple(rec_v))
+        back.append((None,) * base + tuple(rec_b))
+    return DPTable(order, contained, tuple(values), tuple(back))
 
 
 def reference_to_hypergraph(inst):

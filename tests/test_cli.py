@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import hyperdense.cli
 import hyperdense.core
 import hyperdense.dksh3
+import hyperdense.interval
 from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph, solution_json
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
@@ -495,9 +497,25 @@ class TestAnswerCheck:
             return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
         monkeypatch.setattr(hyperdense.cli, "solution_json", drop_a_vertex)
-        with pytest.raises(RuntimeError, match="failed re-verification: "):
-            main([*argv, uniform_file])
-        assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, *argv, uniform_file)
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error: solution failed re-verification: ")
+
+    def test_a_corrupt_interval_table_exits_without_a_traceback(
+        self, capsys, monkeypatch, interval_file
+    ):
+        real = hyperdense.interval.fill_table
+
+        def zero_the_last_cell(inst, bound=None, width=None):
+            table = real(inst, bound, width)
+            *rows, last = table.values
+            return dataclasses.replace(table, values=(*rows, last[:-1] + (0,)))
+
+        monkeypatch.setattr(hyperdense.interval, "fill_table", zero_the_last_cell)
+        code, out, err = run(capsys, "solve", "mpu", "--algo", "interval", "--p", "2", interval_file)
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error: table value 0 disagrees with recomputed union")
+        assert "Traceback" not in err
 
 
 class TestLongAugmentingPath:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from hyperdense.interval import _union_of_shortest, fill_table
 from hyperdense.oracle import generate_intervals
 from builds import assert_as_validated, count_hypergraph_builds
 from reference import (
+    reference_bounded_fill_table,
     reference_dksh_interval,
     reference_fill_table,
     reference_mpu_interval,
@@ -332,6 +334,75 @@ class TestBoundedFill:
         # Lengths 6, 1, 2, 2: the tie at length 2 goes to the lower index.
         inst = IntervalInstance(10, ((0, 5), (2, 2), (3, 4), (2, 3)))
         assert [_union_of_shortest(inst, p) for p in range(1, 5)] == [1, 3, 3, 6]
+
+
+def fill_fields(table):
+    return (table.order, table.contained, table.values, table.back)
+
+
+def assert_fill_matches_parent(inst, widths=None):
+    """Every bounded fill equals the frozen parent fill, all four fields.
+
+    The bounds are None and every distinct length; the widths are None and
+    1..m unless given.
+    """
+    bounds = [None, *sorted({b - a + 1 for a, b in inst.intervals})]
+    widths = [None, *range(1, inst.m + 1)] if widths is None else widths
+    for bound in bounds:
+        for width in widths:
+            got = fill_fields(fill_table(inst, bound, width))
+            assert got == fill_fields(reference_bounded_fill_table(inst, bound, width)), (
+                inst, bound, width
+            )
+
+
+def touching_instances():
+    """Seeded instances where many intervals start at another's right end or are points."""
+    for seed in range(80):
+        rng = random.Random(seed + 7000)
+        n = 1 + seed % 9
+        intervals = []
+        for _ in range(1 + seed % 11):
+            ends = [b for _, b in intervals]
+            a = rng.choice(ends) if ends and rng.random() < 0.6 else rng.randrange(n)
+            b = a if rng.random() < 0.4 else rng.randint(a, n - 1)
+            intervals.append((a, b))
+        yield IntervalInstance(n, tuple(intervals))
+
+
+class TestPrefixMinimumFill:
+    """The fill reads the disjoint predecessors off a prefix minimum; tables stay the same."""
+
+    def test_matches_parent_on_seeded_instances(self):
+        for inst in seeded_instances():
+            assert_fill_matches_parent(inst)
+
+    @given(repeated_interval_instances())
+    def test_matches_parent_with_repeated_intervals(self, inst):
+        assert_fill_matches_parent(inst)
+
+    def test_matches_parent_with_touching_ends_and_points(self):
+        for inst in touching_instances():
+            assert_fill_matches_parent(inst)
+
+    def test_touching_end_is_not_disjoint(self):
+        # (0, 2) ends where (2, 4) starts, so it shares vertex 2: union 5, not 6.
+        inst = IntervalInstance(5, ((0, 2), (2, 4)))
+        assert fill_table(inst).values == ((3,), (3, 5))
+        assert_fill_matches_parent(inst)
+
+    def test_tie_keeps_the_earliest_disjoint_predecessor(self):
+        # Both points end before (3, 4) and tie at 1, so cell (2, 2) points at position 0.
+        inst = IntervalInstance(5, ((0, 0), (1, 1), (3, 4)))
+        assert fill_table(inst).back[2][1] == (0, 1)
+        assert_fill_matches_parent(inst)
+
+    def test_matches_parent_at_benchmark_size(self):
+        # The full width grid costs about a minute here, so the widths are the
+        # ones the benchmark's queries read, plus 1 and the full table.
+        for seed in range(3):
+            inst = generate_intervals(200, 100, seed)
+            assert_fill_matches_parent(inst, (None, 1, 12, 25, 50))
 
 
 class TestOneHypergraphBuild:
