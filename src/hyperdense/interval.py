@@ -10,14 +10,12 @@ istar outside C_i; then C_i minus C_istar is the slice of C_i after istar, so
 the step adds |C_i| minus (the positions of C_i up to istar) intervals and
 pays only for the part of interval i that istar does not reach.
 
-The predecessors that end before interval i starts (b_s < a_i) are a prefix
-0..P-1 of the sorted order, since the order is by right end.  Each of them
-lies outside C_i with no position of C_i before it, and pays the whole length
-of interval i, so their part of column r is the first minimum of column r
-over rows r..P-1 plus that length.  One running per-column minimum, updated
-with a strict < after each row so that it keeps the earliest argmin as the
-scan it replaces did, answers it; only the predecessors that reach into
-interval i are scanned.
+The table stores values only.  The predecessors that end before interval i
+starts (b_s < a_i) are a prefix 0..P-1 of the sorted order; each lies outside
+C_i with no position of C_i before it and pays the whole length of interval
+i, so one running per-column minimum answers them and only the predecessors
+that reach into interval i are scanned.  A query reconstructs one cell, and
+re-derives each step's predecessor as the first argmin of the same rule.
 
 Every cell is feasible: with istar the last position before i outside C_i,
 all positions after istar lie in C_i, so jstar = j - (i - istar) lies in
@@ -126,22 +124,19 @@ def to_hypergraph(inst: IntervalInstance) -> Hypergraph:
 
 @dataclass(frozen=True)
 class DPTable:
-    """Filled table with backpointers; queries and reconstruction read from it.
+    """Filled table; queries and reconstruction read from it.
 
     values[i][j-1] is the minimum union size choosing j intervals among sorted
-    positions 0..i with position i forced in.  contained[i] is C_i, the sorted
-    positions q <= i with a_q >= a_i.  back[i][j-1] is None for base cells
-    (j <= |C_i|, answered by C_i alone) and (istar, jstar) for cells that
-    extend predecessor cell (istar, jstar) by the positions of C_i after istar.
-    Row i holds its first min(i + 1, width) cells, and no filled cell is
-    infeasible.  Positions number only the intervals the fill kept; order[i]
-    is the input index of position i.
+    positions 0..i with position i forced in.  Row i holds its first
+    min(i + 1, width) cells, and no filled cell is infeasible.  Positions
+    number only the intervals the fill kept: order[i] is the input index of
+    position i and intervals[i] its interval.  C_i and each cell's
+    predecessor are derived on demand, since a query reads a handful of them.
     """
 
     order: tuple[int, ...]
-    contained: tuple[tuple[int, ...], ...]
+    intervals: tuple[tuple[int, int], ...]
     values: tuple[tuple[int, ...], ...]
-    back: tuple[tuple[tuple[int, int] | None, ...], ...]
 
     def best_cell(self, p: int) -> tuple[int, int]:
         """(sorted position, value) of the first cell minimizing the union for p."""
@@ -149,14 +144,45 @@ class DPTable:
         best = min(column)
         return p - 1 + column.index(best), best
 
+    def contained(self, i: int) -> tuple[int, ...]:
+        """C_i: the sorted positions q <= i with a_q >= a_i."""
+        a_i = self.intervals[i][0]
+        return tuple(q for q in range(i + 1) if self.intervals[q][0] >= a_i)
+
+    def pointer(self, i: int, j: int) -> tuple[int, int] | None:
+        """The cell (istar, jstar) that cell (i, j) extends; None for a base cell.
+
+        With r = j - |C_i| - 1 and inside the positions of C_i before istar,
+        the candidates are the cells (istar, inside + 1 + r) for istar outside
+        C_i, each plus the part of interval i that istar leaves uncovered.  The
+        cell's value is their minimum, so the first match in sorted order is
+        the first argmin, the one the scan's strict < keeps.  A cell that no
+        candidate realizes raises RuntimeError.
+        """
+        a_i, b_i = self.intervals[i]
+        r = j - len(self.contained(i)) - 1
+        if r < 0:
+            return None
+        value = self.values[i][j - 1]
+        inside = 0
+        for istar in range(i):
+            a_s, b_s = self.intervals[istar]
+            if a_s >= a_i:
+                inside += 1
+                continue
+            prev = self.values[istar]
+            jstar = inside + 1 + r
+            if jstar <= len(prev) and prev[jstar - 1] + b_i - max(b_s, a_i - 1) == value:
+                return istar, jstar
+        raise RuntimeError(f"no predecessor realizes table cell ({i}, {j}) = {value}")
+
     def reconstruct(self, i: int, j: int) -> tuple[int, ...]:
         """Original indices of one optimal j-subset realizing cell (i, j)."""
         picked: list[int] = []
-        while (pointer := self.back[i][j - 1]) is not None:
-            istar = pointer[0]
-            picked.extend(q for q in self.contained[i] if q > istar)
-            i, j = pointer
-        picked.extend(self.contained[i][: j - 1])
+        while (step := self.pointer(i, j)) is not None:
+            picked.extend(q for q in self.contained(i) if q > step[0])
+            i, j = step
+        picked.extend(self.contained(i)[: j - 1])
         picked.append(i)
         return tuple(sorted(self.order[q] for q in picked))
 
@@ -164,30 +190,25 @@ class DPTable:
 def fill_table(
     inst: IntervalInstance, bound: int | None = None, width: int | None = None
 ) -> DPTable:
-    """Fill the table bottom-up, only as far as a query can read it.
+    """Fill the table's values bottom-up, only as far as a query can read them.
 
     With neither argument every cell is filled.  Each cut is exact:
 
     - ``width`` W fills columns j <= W only.  Column j of a row is built only
-      from predecessor columns below j, so every cell with j <= W, its
-      backpointer included, equals the full table's.
+      from predecessor columns below j, so every cell with j <= W equals the
+      full table's.
     - ``bound`` U keeps only the intervals of length <= U, in the same sorted
       order.  A cell's value is at least the length of every interval it
       picks, and an interval inside a kept one is kept, so every cell whose
-      full-table value is <= U keeps its value, its backpointer and its place
+      full-table value is <= U keeps its value, its predecessor and its place
       in ``best_cell``'s tie-break; only the positions are renumbered.
 
     The predecessors with b_s < a_i are the prefix 0..P-1, with
-    P = bisect_left(right ends, a_i).  Every one of them lies outside C_i,
-    has no position of C_i before it (inside = 0) and adds the constant
-    tail ``length``, so the scan would give column r the first minimum of
-    values[s][r] over s in [r, P) plus ``length``, with backpointer
-    (s, r + 1).  The running minimum holds exactly that: it takes a row only
-    on a strict <, which keeps the earliest argmin, and its state is kept at
-    each prefix length a later row reads.  The row is seeded with its first
-    min(P, room) columns and the scan resumes at P, so the table is the one
-    the full scan fills.  The kept states hold at most width cells per row,
-    the table's own order of memory.
+    P = bisect_left(right ends, a_i), and C_i lies in P..i, where |C_i| is
+    counted.  Each of them adds the constant tail ``length`` to column r
+    (inside = 0), so the running minimum of each column, kept at every prefix
+    length a later row reads, seeds the row's first min(P, room) columns and
+    the scan resumes at P.  The kept states hold at most width cells per row.
     """
     kept = [
         q for q, (a, b) in enumerate(inst.intervals) if bound is None or b - a + 1 <= bound
@@ -198,39 +219,27 @@ def fill_table(
     ivs = tuple(inst.intervals[q] for q in order)
     lefts = [a for a, _ in ivs]
     rights = [b for _, b in ivs]
-    contained = tuple(
-        tuple(compress(range(i + 1), map(a_i.__le__, lefts))) for i, a_i in enumerate(lefts)
-    )
     # starts[i] = P: positions 0..P-1 end before interval i starts.
     starts = [bisect_left(rights, a_i) for a_i in lefts]
     read = set(starts)
 
     values: list[tuple[int, ...]] = []
-    back: list[tuple[tuple[int, int] | None, ...]] = []
-    # run_v[r] is the minimum of values[s][r] over the filled rows s >= r and
-    # run_b[r] = (s, r + 1) its first argmin; prefix[P] is the pair as it
-    # stood when rows 0..P-1 were filled.
-    run_v: list[int] = []
-    run_b: list[tuple[int, int]] = []
-    prefix: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
+    # run[r] is the minimum of values[s][r] over the filled rows s >= r;
+    # prefix[P] is run as it stood when rows 0..P-1 were filled.
+    run: list[int] = []
+    prefix: dict[int, tuple[int, ...]] = {}
     for i, (a_i, b_i) in enumerate(ivs):
         if i in read:
-            prefix[i] = (tuple(run_v), tuple(run_b))
+            prefix[i] = tuple(run)
         length = b_i - a_i + 1
         cells = i + 1 if width is None else min(i + 1, width)
-        base = min(len(contained[i]), cells)
-        room = cells - base
-        # rec_v[r] is cell j = |C_i| + 1 + r.  A predecessor istar outside C_i
-        # adds the positions of C_i after it, so with `inside` the positions of
-        # C_i before it, it reaches column r from jstar = inside + 1 + r.  Each
-        # such istar opens one new column (jstar = istar + 1) until the row
-        # holds its `cells` cells.  The predecessors 0..P-1 that end before
-        # a_i come from the prefix minimum; the scan covers the rest.
         start = starts[i]
-        snap_v, snap_b = prefix[start]
-        seeded = min(start, room)
-        rec_v = [v + length for v in snap_v[:seeded]]
-        rec_b = list(snap_b[:seeded])
+        base = min(sum(map(a_i.__le__, lefts[start : i + 1])), cells)
+        room = cells - base
+        # rec[r] is cell j = |C_i| + 1 + r, reached from cell (istar, inside + 1 + r)
+        # of each istar outside C_i (see DPTable.pointer).  Each such istar opens
+        # one new column (jstar = istar + 1) until the row holds its `cells` cells.
+        rec = [v + length for v in prefix[start][: min(start, room)]]
         inside = 0
         for istar in range(start, i):
             a_s, b_s = ivs[istar]
@@ -239,37 +248,39 @@ def fill_table(
                 continue
             tail = b_i - b_s
             prev = values[istar]
-            for r in range(len(rec_v)):
+            for r in range(len(rec)):
                 cand = prev[inside + r] + tail
-                if cand < rec_v[r]:
-                    rec_v[r] = cand
-                    rec_b[r] = (istar, inside + r + 1)
-            if len(rec_v) < room:
-                rec_v.append(prev[istar] + tail)
-                rec_b.append((istar, istar + 1))
-        row = (length,) * base + tuple(rec_v)
+                if cand < rec[r]:
+                    rec[r] = cand
+            if len(rec) < room:
+                rec.append(prev[istar] + tail)
+        row = (length,) * base + tuple(rec)
         values.append(row)
-        back.append((None,) * base + tuple(rec_b))
-        # Strict < keeps the earliest argmin, as the scan's strict < does.
-        for r in compress(range(len(run_v)), map(operator.lt, row, run_v)):
-            run_v[r] = row[r]
-            run_b[r] = (i, r + 1)
-        if len(row) > len(run_v):
-            run_v.append(row[i])
-            run_b.append((i, i + 1))
+        for r in compress(range(len(run)), map(operator.lt, row, run)):
+            run[r] = row[r]
+        if len(row) > len(run):
+            run.append(row[i])
 
-    return DPTable(order, contained, tuple(values), tuple(back))
+    return DPTable(order, ivs, tuple(values))
 
 
 def _union_of_shortest(inst: IntervalInstance, p: int) -> int:
     """Joint support of the p shortest intervals, a feasible p-union."""
     ivs = inst.intervals
     ranked = sorted(range(inst.m), key=lambda q: (ivs[q][1] - ivs[q][0], q))
-    span: set[int] = set()
-    for q in ranked[:p]:
-        a, b = ivs[q]
-        span.update(range(a, b + 1))
-    return len(span)
+    return len(union_of(to_hypergraph(inst), ranked[:p]))
+
+
+def _realize(h: Hypergraph, table: DPTable, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indices and union of the best cell for p, checked against its value."""
+    best_i, best_value = table.best_cell(p)
+    indices = table.reconstruct(best_i, p)
+    union = union_of(h, indices)
+    if len(union) != best_value:
+        raise RuntimeError(
+            f"table value {best_value} disagrees with recomputed union {len(union)}"
+        )
+    return indices, union
 
 
 def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
@@ -279,15 +290,9 @@ def mpu_interval(inst: IntervalInstance, p: int) -> EdgeSolution:
     the union of the p shortest ones, which bounds the optimum.
     """
     _check_range("p", p, 1, inst.m)
-    table = fill_table(inst, _union_of_shortest(inst, p), p)
-    best_i, best_value = table.best_cell(p)
-    indices = table.reconstruct(best_i, p)
-    sol = EdgeSolution.from_indices(to_hypergraph(inst), indices, "interval-dp")
-    if sol.union_size != best_value:
-        raise RuntimeError(
-            f"table value {best_value} disagrees with recomputed union {sol.union_size}"
-        )
-    return sol
+    h = to_hypergraph(inst)
+    indices, union = _realize(h, fill_table(inst, _union_of_shortest(inst, p), p), p)
+    return EdgeSolution(indices, union, "interval-dp")
 
 
 def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
@@ -295,20 +300,14 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
 
     The fill keeps only the intervals of length <= k, since a fitting union
     picks no longer one; the realizing intervals' span is padded to exactly k
-    vertices.  The optimal union does not decrease in p, so the largest
-    fitting p, at most the number of kept intervals, is found by binary
-    search.  When no interval fits in k, any k vertices (the smallest ids)
-    are returned with zero covered intervals.
+    vertices.  The largest fitting p, at most the number of kept intervals,
+    is found by scanning p downward, which assumes nothing of how the optimal
+    union grows with p.  When no interval fits in k, any k vertices (the
+    smallest ids) are returned with zero covered intervals.
     """
     _check_range("k", k, 1, inst.n)
     h = to_hypergraph(inst)
     table = fill_table(inst, k)
-    lo, hi = 0, len(table.values)  # the largest fitting p is in [lo, hi]; 0 stands for none
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if table.best_cell(mid)[1] <= k:
-            lo = mid
-        else:
-            hi = mid - 1
-    span = union_of(h, table.reconstruct(table.best_cell(lo)[0], lo)) if lo else ()
+    p = next((p for p in range(len(table.values), 0, -1) if table.best_cell(p)[1] <= k), 0)
+    span = _realize(h, table, p)[1] if p else ()
     return VertexSolution.from_vertices(h, _pad_to_k(inst.n, span, k), "interval-dp")

@@ -31,15 +31,23 @@ class OracleBudgetError(RuntimeError):
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SUBSET_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    """The subset budget: ``budget`` if given, else the environment's, else the default.
+
+    A negative budget, from either source, raises ValueError naming it.
+    """
+    source = "budget"
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR)
+        if raw is None:
+            return DEFAULT_SUBSET_BUDGET
+        source = BUDGET_ENV_VAR
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _check_budget(count: int, budget: int | None, what: str) -> None:

@@ -41,7 +41,6 @@ from hyperdense.expansion import (
     expansion_certificate,
     max_flow_min_cut,
 )
-from hyperdense.interval import DPTable
 from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction
 from hyperdense.mpu_general import StalledGeneratorError
 
@@ -464,7 +463,7 @@ def reference_bounded_fill_table(inst, bound=None, width=None):
                 rec_b.append((istar, istar + 1))
         values.append((length,) * base + tuple(rec_v))
         back.append((None,) * base + tuple(rec_b))
-    return DPTable(order, contained, tuple(values), tuple(back))
+    return ReferenceTable(order, contained, tuple(values), tuple(back), len(order))
 
 
 def reference_to_hypergraph(inst):

@@ -234,6 +234,14 @@ class TestErrors:
         assert "HYPERDENSE_ORACLE_BUDGET" in err
         assert "'lots'" in err
 
+    def test_negative_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYPERDENSE_ORACLE_BUDGET", "-1")
+        path = tmp_path / "inst.hg"
+        path.write_text(THREE_UNIFORM)
+        code, out, err = run(capsys, "oracle", "mpu", "--p", "1", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: HYPERDENSE_ORACLE_BUDGET must be nonnegative, got -1\n"
+
     def test_bad_parameter_exits_2(self, capsys, simple_file):
         code, _, err = run(capsys, "solve", "mpu", "--p", "9", simple_file)
         assert code == 2
@@ -514,7 +522,27 @@ class TestAnswerCheck:
         monkeypatch.setattr(hyperdense.interval, "fill_table", zero_the_last_cell)
         code, out, err = run(capsys, "solve", "mpu", "--algo", "interval", "--p", "2", interval_file)
         assert (code, out) == (5, "")
-        assert err.startswith("internal error: table value 0 disagrees with recomputed union")
+        assert err == "internal error: no predecessor realizes table cell (2, 2) = 0\n"
+        assert "Traceback" not in err
+
+    def test_a_lowered_base_cell_under_dksh_exits_5(self, capsys, monkeypatch, tmp_path):
+        # Interval (1, 2) lies inside (0, 3), which sorts to position 1, so
+        # cell (1, 2) is a base cell worth 4: no predecessor is read for it,
+        # and only the union check can catch it.
+        path = tmp_path / "nested.iv"
+        path.write_text("6 2\n0 3\n1 2\n")
+        real = hyperdense.interval.fill_table
+
+        def lower_the_base_cell(inst, bound=None, width=None):
+            table = real(inst, bound, width)
+            first, (cell, base) = table.values
+            assert (cell, base) == (4, 4)
+            return dataclasses.replace(table, values=(first, (cell, 3)))
+
+        monkeypatch.setattr(hyperdense.interval, "fill_table", lower_the_base_cell)
+        code, out, err = run(capsys, "solve", "dksh", "--algo", "interval", "--k", "4", str(path))
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error: table value 3 disagrees with recomputed union 4")
         assert "Traceback" not in err
 
 

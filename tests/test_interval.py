@@ -115,21 +115,21 @@ class TestPartition:
 
     def test_mixed_position(self):
         table = fill_table(IntervalInstance(6, self.IVS))
-        assert table.contained[1] == (1,)
+        assert table.contained(1) == (1,)
 
     def test_all_left_disjoint(self):
         table = fill_table(IntervalInstance(6, self.IVS))
-        assert table.contained[2] == (2,)
+        assert table.contained(2) == (2,)
 
     def test_nested(self):
         table = fill_table(IntervalInstance(6, ((1, 2), (0, 5))))
-        assert table.contained[1] == (0, 1)
+        assert table.contained(1) == (0, 1)
 
     def test_self_always_contained(self):
         for inst in (generate_intervals(9, 6, s) for s in range(10)):
             table = fill_table(inst)
             for i in range(inst.m):
-                assert i in table.contained[i]
+                assert i in table.contained(i)
 
 
 class TestMpUInterval:
@@ -176,14 +176,16 @@ class TestMpUInterval:
             table = fill_table(inst)
             ivs = [inst.intervals[q] for q in table.order]
             for i in range(inst.m):
-                assert len(table.values[i]) == len(table.back[i]) == i + 1
+                assert len(table.values[i]) == i + 1
                 for j in range(1, i + 2):
                     brute = min(
                         len({v for q in (*rest, i) for v in range(ivs[q][0], ivs[q][1] + 1)})
                         for rest in combinations(range(i), j - 1)
                     )
                     assert table.values[i][j - 1] == brute
-                    if j <= len(table.contained[i]):
+                    base = j <= len(table.contained(i))
+                    assert (table.pointer(i, j) is None) == base
+                    if base:
                         a, b = ivs[i]
                         assert table.values[i][j - 1] == b - a + 1
 
@@ -279,7 +281,7 @@ class TestBoundedFill:
         st.one_of(st.none(), st.integers(1, 14)),
     )
     def test_bounded_cells_equal_full_cells(self, inst, bound, width):
-        # A cell of the bounded table equals the full table's cell, backpointer
+        # A cell of the bounded table equals the full table's cell, predecessor
         # and contained set included, whenever j <= width and value <= bound.
         full = reference_fill_table(inst)
         table = fill_table(inst, bound, width)
@@ -293,15 +295,15 @@ class TestBoundedFill:
         limit = width if width is not None else len(lift)
         fits = (lambda value: True) if bound is None else (lambda value: value <= bound)
         for i, row in enumerate(table.values):
-            assert len(row) == len(table.back[i]) == min(i + 1, limit)
-            assert tuple(lift[q] for q in table.contained[i]) == full.contained[lift[i]]
+            assert len(row) == min(i + 1, limit)
+            assert tuple(lift[q] for q in table.contained(i)) == full.contained[lift[i]]
             for j, value in enumerate(row, start=1):
                 want = full.values[lift[i]][j - 1]
                 if not fits(want):
                     assert value > bound
                     continue
                 assert value == want
-                pointer = table.back[i][j - 1]
+                pointer = table.pointer(i, j)
                 lifted = None if pointer is None else (lift[pointer[0]], pointer[1])
                 assert lifted == full.back[lift[i]][j - 1]
         for p in range(1, min(limit, len(lift)) + 1):
@@ -321,10 +323,7 @@ class TestBoundedFill:
         for inst in (generate_intervals(30, 20, seed) for seed in range(5)):
             full = reference_fill_table(inst)
             for bound in (inst.n, max(b - a + 1 for a, b in inst.intervals)):
-                table = fill_table(inst, bound)
-                assert (table.order, table.contained, table.values, table.back) == (
-                    full.order, full.contained, full.values, full.back
-                )
+                assert derived_fields(fill_table(inst, bound)) == stored_fields(full)
 
     def test_p_equals_m(self):
         for inst in (generate_intervals(40, 15, seed) for seed in range(5)):
@@ -336,24 +335,50 @@ class TestBoundedFill:
         assert [_union_of_shortest(inst, p) for p in range(1, 5)] == [1, 3, 3, 6]
 
 
-def fill_fields(table):
-    return (table.order, table.contained, table.values, table.back)
+def derived_fields(table):
+    """A table's order, C_i per row, values and predecessor per cell, read through its methods."""
+    rows = range(len(table.values))
+    return (
+        table.order,
+        tuple(table.contained(i) for i in rows),
+        table.values,
+        tuple(tuple(table.pointer(i, j) for j in range(1, len(table.values[i]) + 1)) for i in rows),
+    )
+
+
+def stored_fields(reference):
+    return (reference.order, reference.contained, reference.values, reference.back)
 
 
 def assert_fill_matches_parent(inst, widths=None):
-    """Every bounded fill equals the frozen parent fill, all four fields.
+    """Every bounded fill equals the frozen parent fill.
 
     The bounds are None and every distinct length; the widths are None and
-    1..m unless given.
+    1..m unless given.  Order and values are compared on every table, and
+    C_i and every cell's predecessor on the unbounded full-width one.
     """
     bounds = [None, *sorted({b - a + 1 for a, b in inst.intervals})]
     widths = [None, *range(1, inst.m + 1)] if widths is None else widths
     for bound in bounds:
         for width in widths:
-            got = fill_fields(fill_table(inst, bound, width))
-            assert got == fill_fields(reference_bounded_fill_table(inst, bound, width)), (
+            table = fill_table(inst, bound, width)
+            parent = reference_bounded_fill_table(inst, bound, width)
+            assert (table.order, table.values) == (parent.order, parent.values), (
                 inst, bound, width
             )
+            if bound is None and width is None:
+                assert derived_fields(table) == stored_fields(parent), inst
+
+
+def assert_reconstructions_match_parent(inst, widths):
+    """On each unbounded table, the best cell of every p reconstructs as the parent's does."""
+    for width in widths:
+        table = fill_table(inst, None, width)
+        parent = reference_bounded_fill_table(inst, None, width)
+        for p in range(1, min(width or inst.m, inst.m) + 1):
+            best_i, best = table.best_cell(p)
+            assert (best_i, best) == parent.best_cell(p), (inst, width, p)
+            assert table.reconstruct(best_i, p) == parent.reconstruct(best_i, p), (inst, width, p)
 
 
 def touching_instances():
@@ -371,7 +396,8 @@ def touching_instances():
 
 
 class TestPrefixMinimumFill:
-    """The fill reads the disjoint predecessors off a prefix minimum; tables stay the same."""
+    """The fill reads the disjoint predecessors off a prefix minimum and stores
+    values only; tables, C_i and predecessors stay the parent's."""
 
     def test_matches_parent_on_seeded_instances(self):
         for inst in seeded_instances():
@@ -394,15 +420,18 @@ class TestPrefixMinimumFill:
     def test_tie_keeps_the_earliest_disjoint_predecessor(self):
         # Both points end before (3, 4) and tie at 1, so cell (2, 2) points at position 0.
         inst = IntervalInstance(5, ((0, 0), (1, 1), (3, 4)))
-        assert fill_table(inst).back[2][1] == (0, 1)
+        assert fill_table(inst).pointer(2, 2) == (0, 1)
         assert_fill_matches_parent(inst)
 
     def test_matches_parent_at_benchmark_size(self):
         # The full width grid costs about a minute here, so the widths are the
         # ones the benchmark's queries read, plus 1 and the full table.
+        # Reconstructions on bounded tables are covered by the answers of
+        # TestBoundedFill::test_matches_reference_at_benchmark_size.
         for seed in range(3):
             inst = generate_intervals(200, 100, seed)
             assert_fill_matches_parent(inst, (None, 1, 12, 25, 50))
+            assert_reconstructions_match_parent(inst, (None, 1, 12, 25, 50))
 
 
 class TestOneHypergraphBuild:

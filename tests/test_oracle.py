@@ -90,6 +90,19 @@ class TestBruteMinExpansion:
         monkeypatch.delenv(BUDGET_ENV_VAR)
         assert resolve_budget() == 2_000_000
 
+    def test_negative_budget_rejected_from_either_source(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "-1")
+        with pytest.raises(ValueError, match=rf"^{BUDGET_ENV_VAR} must be nonnegative, got -1$"):
+            brute_mpu(generate_uniform(6, 4, 0), 1)
+        with pytest.raises(ValueError, match=r"^budget must be nonnegative, got -1$"):
+            resolve_budget(-1)
+        assert resolve_budget(0) == 0
+        monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+        assert resolve_budget() == 0
+        monkeypatch.setenv(BUDGET_ENV_VAR, "lots")
+        with pytest.raises(ValueError, match=rf"^{BUDGET_ENV_VAR} must be an integer, got 'lots'$"):
+            resolve_budget()
+
 
 class TestGenerators:
     def test_uniform_deterministic(self):

@@ -1,8 +1,10 @@
 """The package's public names, the README example, the tracer's bindings,
-unused imports, where bitmasks may live, and where frozen references live."""
+what the interval table stores, unused imports, where bitmasks may live, and
+where frozen references live."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import re
@@ -90,6 +92,13 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert len(patched) == recorded > 0
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_the_interval_table_stores_its_values_only():
+    # C_i and every cell's predecessor are derived from these three fields.
+    # Storing a derived table again is a decision to declare here.
+    fields = dataclasses.fields(hyperdense.interval.DPTable)
+    assert [f.name for f in fields] == ["order", "intervals", "values"]
 
 
 # Imports a module keeps without using them, each a declared decision:
