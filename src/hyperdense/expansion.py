@@ -24,10 +24,11 @@ of Gamma(X), and with exactly those it costs b*m - b*g_{a/b}(X).  |Gamma| is
 submodular, so g_l is supermodular: g_l(X & Y) + g_l(X | Y) >= g_l(X) + g_l(Y).
 Hence the maximisers of g_l are closed under union and intersection, and the
 smallest and the largest one are unique.  They are the edge parts of the
-smallest and the largest minimum-cut s-side, which ``FlowGraph.source_side``
-and ``FlowGraph.largest_source_side`` return whichever maximum flow was found.
-Any feasible flow can therefore start the max-flow: ``max_flow_min_cut``
-pushes a first-fit flow along s -> edge -> vertex -> t before Dinic runs.
+smallest and the largest minimum-cut s-side, which
+``maxflow.FlowGraph.source_side`` reads off the residual network whichever
+maximum flow was found.  So any feasible flow can start the max-flow, and
+any maximum flow will do: ``FlowGraph`` runs Dinic on the bipartite network
+itself, from a first-fit flow along s -> edge -> vertex -> t.
 
 The answer.  Let l* be the optimal ratio and D the union of all subsets of
 ratio l*.  No subset beats l*, so the maximum of g_l* is 0 and the optimal
@@ -136,7 +137,8 @@ class ExpansionNetwork:
     """Parametric flow network for the threshold test at ratio cap_sink / cap_src.
 
     Node layout: source 0, edge nodes 1..m, vertex nodes m+1..m+n, sink m+n+1.
-    cap_inf exceeds m * cap_src, so incidence arcs never appear in a finite cut.
+    cap_inf exceeds m * cap_src, so incidence arcs never appear in a finite
+    cut; ``maxflow.FlowGraph`` leaves them unbounded.
     """
 
     n: int
@@ -172,36 +174,12 @@ def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, frozenset[int]]:
     Below m * cap_src some subset beats the threshold and the s-side is the
     smallest one, whose edge nodes are the smallest maximiser; otherwise it
     is the largest one, whose edge nodes are the largest maximiser (see the
-    module docstring).  A first-fit flow along s -> edge -> vertex -> t starts
-    the max-flow.  Vertex nodes of no edge get no sink arc: nothing reaches
-    them, so the flow value and the edge part of either s-side are the same
-    as with the arc.
+    module docstring).  Vertex nodes of no edge are on the largest s-side
+    only: s does not reach them and they do not reach t.
     """
-    m = len(net.edges)
-    sink = m + net.n + 1
-    g = FlowGraph(sink + 1)
-    add = g.add_edge
-    cap_src, cap_sink, cap_inf = net.cap_src, net.cap_sink, net.cap_inf
-    used = [False] * net.n
-    room = [cap_sink] * net.n  # sink capacity the first-fit flow leaves free
-    value = 0
-    for node, edge in enumerate(net.edges, start=1):
-        left = cap_src
-        for v in edge:
-            push = min(left, room[v])
-            room[v] -= push
-            left -= push
-            add(node, m + 1 + v, cap_inf, push)
-            used[v] = True
-        add(0, node, cap_src, cap_src - left)
-        value += cap_src - left
-    for v in range(net.n):
-        if used[v]:
-            add(m + 1 + v, sink, cap_sink, cap_sink - room[v])
-    value += g.max_flow(0, sink)
-    if value < m * cap_src:
-        return value, g.source_side(0)
-    return value, g.largest_source_side(sink)
+    g = FlowGraph(net.n, net.edges, net.cap_sink, net.cap_src)
+    value = g.max_flow()
+    return value, g.source_side(largest=value >= net.m * net.cap_src)
 
 
 def _core(h: Hypergraph, scope: Iterable[int], a: int, b: int) -> list[int]:
@@ -215,14 +193,12 @@ def _core(h: Hypergraph, scope: Iterable[int], a: int, b: int) -> list[int]:
     live = list(scope)
     limit = b // a  # a * priv > b  iff  priv > b // a
     while True:
-        users = [0] * h.n
-        owner = [0] * h.n  # for a vertex of one live edge, that edge
+        owner: dict[int, int] = {}  # a live edge's vertex -> its one live edge, or -1
         for i in live:
             for v in edges[i]:
-                users[v] += 1
-                owner[v] = i
-        private = Counter(owner[v] for v, count in enumerate(users) if count == 1)
-        dropped = {i for i, count in private.items() if count > limit}
+                owner[v] = -1 if v in owner else i
+        private = Counter(owner.values())
+        dropped = {i for i, count in private.items() if count > limit and i >= 0}
         if not dropped:
             return live
         live = [i for i in live if i not in dropped]

@@ -1,152 +1,174 @@
-"""Dinic's maximum-flow algorithm with exact integer capacities and min-cut extraction."""
+"""Dinic's maximum flow on the network of a minimum-expansion threshold test.
+
+The network has one shape: s sends at most b units to each edge node, an edge
+node sends any amount to the vertex nodes of its edge, and a vertex node sends
+at most a units to t.  It is stored as the bipartite graph itself, with no
+general arc lists: one flow entry per incidence, and the residual capacities
+``out[i]`` of the s-arcs and ``room[u]`` of the t-arcs.  An edge node has
+residual arcs to all its vertices; a vertex node's residual arcs back to edges
+are the incidences at it that carry flow.  Capacities are exact integers.
+"""
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+from typing import Sequence
+
 
 class FlowGraph:
-    """Flat-array flow network.  Arcs are mutable; build one per computation.
+    """The network s -> edge -> vertex -> t of the threshold test at ratio a / b.
 
-    Arc ``a`` runs into ``head[a]`` with residual capacity ``cap[a]``; arcs are
-    added in pairs, so the reverse of arc ``a`` is ``a ^ 1`` and its tail is
-    ``head[a ^ 1]``.  ``arcs[u]`` lists the ids of the arcs leaving node u.
+    Node ids are ``expansion.ExpansionNetwork``'s: source 0, edge nodes 1..m,
+    vertex nodes m+1..m+n, sink m+n+1.  Inside, the vertices of some edge get
+    local ids in order of first use, ``ev[i]`` lists edge i's, and position p
+    in start[i]..start[i+1]-1 joins edge ``tail[p]`` to vertex ``head[p]``
+    with flow ``flow[p]``; ``at[u]`` lists u's positions.  The constructor
+    puts a first-fit flow on: each edge in turn sends what it can to its
+    vertices in order.  Build one per computation.
     """
 
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self.head: list[int] = []
-        self.cap: list[int] = []
-        self.arcs: list[list[int]] = [[] for _ in range(num_nodes)]
+    def __init__(self, n: int, edges: Sequence[Sequence[int]], a: int, b: int) -> None:
+        self.n = n
+        self.vertices = vertices = list(dict.fromkeys(chain.from_iterable(edges)))
+        local = {v: u for u, v in enumerate(vertices)}
+        self.ev = ev = [[local[v] for v in e] for e in edges]
+        self.head = head = list(chain.from_iterable(ev))
+        self.tail = [i for i, e in enumerate(ev) for _ in e]
+        self.start = list(accumulate(map(len, ev), initial=0))
+        self.at = at = [[] for _ in vertices]
+        self.out = out = [b] * len(ev)
+        self.room = room = [a] * len(vertices)
+        self.flow = flow = [0] * len(head)
+        for p, (i, u) in enumerate(zip(self.tail, head)):
+            at[u].append(p)
+            if out[i] and room[u]:
+                flow[p] = push = out[i] if out[i] < room[u] else room[u]
+                out[i] -= push
+                room[u] -= push
+        self.value = b * len(ev) - sum(out)
 
-    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
-        """Add an arc u -> v of capacity ``cap`` that already carries ``flow`` units."""
-        if cap < 0:
-            raise ValueError("capacity must be nonnegative")
-        if not 0 <= flow <= cap:
-            raise ValueError("flow must lie in [0, capacity]")
-        a = len(self.head)
-        self.head += (v, u)
-        self.cap += (cap - flow, flow)
-        self.arcs[u].append(a)
-        self.arcs[v].append(a + 1)
+    def _levels(self) -> tuple[list[int], list[int], int] | None:
+        """BFS levels from s over residual arcs, or None if t is cut off.
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        """BFS distances from s over arcs with residual capacity, or None if t is cut off.
-
-        The search stops at t's distance, and every other node at that
-        distance is marked unreached: no s-t path of the level graph runs
-        through it.
+        Layers alternate: edge levels are odd, vertex levels even, and 0 marks
+        a node not reached.  The search stops at the first vertex layer with
+        sink room and returns the edge levels, the vertex levels and that
+        layer's level.  A search that finds none has reached all that s
+        reaches, and ``source_side`` reads its levels.
         """
-        head, cap, arcs = self.head, self.cap, self.arcs
-        level = [-1] * self.num_nodes
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            if level[u] == level[t]:
-                break
-            down = level[u] + 1
-            for a in arcs[u]:
-                if cap[a] and level[head[a]] < 0:
-                    level[head[a]] = down
-                    queue.append(head[a])
-        last = level[t]
-        if last < 0:
-            return None
-        for v in reversed(queue):
-            if level[v] != last:
-                break
-            level[v] = -1
-        level[t] = last
-        return level
+        room, flow, tail, ev, at = self.room, self.flow, self.tail, self.ev, self.at
+        elev = self.edge_level = [1 if left else 0 for left in self.out]
+        vlev = self.vertex_level = [0] * len(at)
+        edges = [i for i, lev in enumerate(elev) if lev]
+        level = 1
+        while edges:
+            vertices = []
+            for i in edges:
+                for u in ev[i]:
+                    if not vlev[u]:
+                        vlev[u] = level + 1
+                        vertices.append(u)
+            if any(map(room.__getitem__, vertices)):
+                return elev, vlev, level + 1
+            level += 2
+            edges = []
+            for u in vertices:
+                for p in at[u]:
+                    if flow[p] and not elev[tail[p]]:
+                        elev[tail[p]] = level
+                        edges.append(tail[p])
+        return None
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Augment the current flow to a maximum s-t flow; return the value added.
+    def max_flow(self) -> int:
+        """Augment the first-fit flow to a maximum flow; return its value.
 
-        The current flow is the one ``add_edge`` put on the arcs: zero unless
-        the caller gave a feasible starting flow.  The residual network stays
-        in place for the cut queries.
-
-        Each phase finds a blocking flow in the level graph with an iterative
-        depth-first search: ``path`` holds the arcs from s to the current node
-        and ``it[u]`` is u's current-arc pointer, so no arc is rescanned within
-        a phase and path length is bounded only by the node count.
+        Each phase finds a blocking flow in the level graph by an iterative
+        depth-first search from each edge of level 1.  ``path`` holds the
+        positions of the arcs taken, even entries arcs edge -> vertex and odd
+        ones vertex -> edge against an incidence's flow.  With current-arc
+        pointers and level 0 for dead ends, no arc is rescanned in a phase,
+        and path length is bounded only by the node count.
         """
-        if s == t:
-            raise ValueError("source and sink must differ")
-        head, cap, arcs = self.head, self.cap, self.arcs
-        flow = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.num_nodes
-            path: list[int] = []
-            u = s
-            while True:
-                out = arcs[u]
-                i = it[u]
-                end = len(out)
-                down = level[u] + 1
-                while i < end:
-                    a = out[i]
-                    if cap[a] and level[head[a]] == down:
-                        break
-                    i += 1
-                else:
-                    it[u] = end
-                    if u == s:
-                        break
-                    # Dead end: retreat and skip the arc that led here.
-                    u = head[path.pop() ^ 1]
-                    it[u] += 1
-                    continue
-                it[u] = i
-                path.append(a)
-                u = head[a]
-                if u != t:
-                    continue
-                pushed = min([cap[a] for a in path])
-                for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                flow += pushed
-                # Resume from the tail of the first saturated arc.
-                for i, a in enumerate(path):
-                    if not cap[a]:
-                        del path[i:]
-                        u = head[a ^ 1]
-                        break
+        out, room, flow, head = self.out, self.room, self.flow, self.head
+        tail, start, at = self.tail, self.start, self.at
+        value = self.value
+        while (levels := self._levels()) is not None:
+            elev, vlev, last = levels
+            next_pos, next_at = start[:-1], [0] * len(at)
+            for first in [i for i, lev in enumerate(elev) if lev == 1]:
+                path: list[int] = []
+                i, u = first, -1  # at edge i while u < 0, else at vertex u
+                while True:
+                    if u < 0:
+                        p, end, down = next_pos[i], start[i + 1], elev[i] + 1
+                        while p < end and vlev[head[p]] != down:
+                            p += 1
+                        next_pos[i] = p
+                        if p < end:
+                            path.append(p)
+                            u = head[p]
+                        elif path:  # dead end: back to the vertex the arc into i left
+                            elev[i] = 0
+                            u = head[path.pop()]
+                        else:
+                            break
+                        continue
+                    lev = vlev[u]
+                    if lev < last:
+                        ps, k, down = at[u], next_at[u], lev + 1
+                        end = len(ps)
+                        while k < end:
+                            p = ps[k]
+                            if flow[p] and elev[tail[p]] == down:
+                                break
+                            k += 1
+                        next_at[u] = k
+                        if k < end:
+                            path.append(p)
+                            i, u = tail[p], -1
+                            continue
+                    elif room[u]:
+                        push = min(out[first], room[u], *[flow[p] for p in path[1::2]])
+                        out[first] -= push
+                        room[u] -= push
+                        value += push
+                        for j, p in enumerate(path):
+                            flow[p] += -push if j % 2 else push
+                        if not out[first]:  # resume from the first saturated arc's tail
+                            break
+                        for j in range(1, len(path), 2):
+                            if not flow[path[j]]:
+                                u = head[path[j]]
+                                del path[j:]
+                                break
+                        continue
+                    vlev[u] = 0  # dead end: back to the edge the arc into u left
+                    i, u = tail[path.pop()], -1
+        return value
 
-    def source_side(self, s: int) -> frozenset[int]:
-        """Nodes reachable from s in the residual network: the s-side of a min cut.
+    def source_side(self, largest: bool = False) -> frozenset[int]:
+        """The s-side of a minimum cut, after ``max_flow``.
 
-        After a maximum flow this is the smallest source side over all minimum
-        cuts, so it does not depend on which maximum flow was found.
+        By default the smallest one: the nodes the last search of ``max_flow``
+        reached from s.  With ``largest`` the largest one: the nodes that
+        cannot reach t in the residual network, vertex nodes of no edge among
+        them.  Neither depends on which maximum flow was found.
         """
-        head, cap, arcs = self.head, self.cap, self.arcs
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for a in arcs[u]:
-                if cap[a] and head[a] not in seen:
-                    seen.add(head[a])
-                    queue.append(head[a])
-        return frozenset(seen)
-
-    def largest_source_side(self, t: int) -> frozenset[int]:
-        """Nodes that cannot reach t in the residual network: the s-side of a min cut.
-
-        After a maximum flow this is the largest source side over all minimum
-        cuts, so, like ``source_side``, it does not depend on which maximum
-        flow was found.
-        """
-        head, cap, arcs = self.head, self.cap, self.arcs
-        reach = {t}
-        queue = [t]
-        for w in queue:
-            for a in arcs[w]:
-                # a runs w -> u; its reverse a ^ 1 is the residual arc u -> w.
-                u = head[a]
-                if cap[a ^ 1] and u not in reach:
-                    reach.add(u)
-                    queue.append(u)
-        return frozenset(range(self.num_nodes)).difference(reach)
+        m, vertices = len(self.ev), self.vertices
+        if not largest:
+            edges = [1 + i for i, lev in enumerate(self.edge_level) if lev]
+            reached = [m + 1 + vertices[u] for u, lev in enumerate(self.vertex_level) if lev]
+            return frozenset([0, *edges, *reached])
+        flow, head, tail, start, at = self.flow, self.head, self.tail, self.start, self.at
+        reach = [u for u, left in enumerate(self.room) if left]  # the vertices that reach t
+        vseen, eseen = [bool(left) for left in self.room], [False] * m
+        for u in reach:
+            for i in [tail[p] for p in at[u] if not eseen[tail[p]]]:
+                eseen[i] = True
+                for p in range(start[i], start[i + 1]):
+                    if flow[p] and not vseen[head[p]]:
+                        vseen[head[p]] = True
+                        reach.append(head[p])
+        return frozenset(range(m + 1 + self.n)).difference(
+            [1 + i for i, seen in enumerate(eseen) if seen], [m + 1 + vertices[u] for u in reach]
+        )

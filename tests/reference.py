@@ -10,8 +10,8 @@ paper's LP route is the reference of acceptance criterion 2 and lives in
 
 A reference calls package code only where that code is not the stage under
 test: the data types, ``induced``, the link-graph pruning, and the parts a
-stage composes (the mpu3 round's candidate builders, the flow network and
-``mpu_sqrt_m``).
+stage composes (the mpu3 round's candidate builders, the expansion
+network's capacities and ``mpu_sqrt_m``).
 """
 
 import math
@@ -36,11 +36,7 @@ from hyperdense.dksh3 import (
     k1_pair_weights,
     k1_weighted_graph,
 )
-from hyperdense.expansion import (
-    build_expansion_network,
-    expansion_certificate,
-    max_flow_min_cut,
-)
+from hyperdense.expansion import build_expansion_network, expansion_certificate
 from hyperdense.mpu3 import MpU3Params, _ceil_sqrt_fraction
 from hyperdense.mpu_general import StalledGeneratorError
 
@@ -330,12 +326,202 @@ def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_
     return reference_mpu_best_of(h, p, candidates)
 
 
+# -- maxflow: the general arc-list Dinic the bipartite engine replaced --
+
+
+class ReferenceFlowGraph:
+    """Flat-array flow network.  Arcs are mutable; build one per computation.
+
+    Arc ``a`` runs into ``head[a]`` with residual capacity ``cap[a]``; arcs are
+    added in pairs, so the reverse of arc ``a`` is ``a ^ 1`` and its tail is
+    ``head[a ^ 1]``.  ``arcs[u]`` lists the ids of the arcs leaving node u.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.num_nodes = num_nodes
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.arcs: list[list[int]] = [[] for _ in range(num_nodes)]
+
+    def add_edge(self, u: int, v: int, cap: int, flow: int = 0) -> None:
+        """Add an arc u -> v of capacity ``cap`` that already carries ``flow`` units."""
+        if cap < 0:
+            raise ValueError("capacity must be nonnegative")
+        if not 0 <= flow <= cap:
+            raise ValueError("flow must lie in [0, capacity]")
+        a = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap - flow, flow)
+        self.arcs[u].append(a)
+        self.arcs[v].append(a + 1)
+
+    def _levels(self, s: int, t: int) -> list[int] | None:
+        """BFS distances from s over arcs with residual capacity, or None if t is cut off.
+
+        The search stops at t's distance, and every other node at that
+        distance is marked unreached: no s-t path of the level graph runs
+        through it.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
+        level = [-1] * self.num_nodes
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            if level[u] == level[t]:
+                break
+            down = level[u] + 1
+            for a in arcs[u]:
+                if cap[a] and level[head[a]] < 0:
+                    level[head[a]] = down
+                    queue.append(head[a])
+        last = level[t]
+        if last < 0:
+            return None
+        for v in reversed(queue):
+            if level[v] != last:
+                break
+            level[v] = -1
+        level[t] = last
+        return level
+
+    def max_flow(self, s: int, t: int) -> int:
+        """Augment the current flow to a maximum s-t flow; return the value added.
+
+        The current flow is the one ``add_edge`` put on the arcs: zero unless
+        the caller gave a feasible starting flow.  The residual network stays
+        in place for the cut queries.
+
+        Each phase finds a blocking flow in the level graph with an iterative
+        depth-first search: ``path`` holds the arcs from s to the current node
+        and ``it[u]`` is u's current-arc pointer, so no arc is rescanned within
+        a phase and path length is bounded only by the node count.
+        """
+        if s == t:
+            raise ValueError("source and sink must differ")
+        head, cap, arcs = self.head, self.cap, self.arcs
+        flow = 0
+        while True:
+            level = self._levels(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.num_nodes
+            path: list[int] = []
+            u = s
+            while True:
+                out = arcs[u]
+                i = it[u]
+                end = len(out)
+                down = level[u] + 1
+                while i < end:
+                    a = out[i]
+                    if cap[a] and level[head[a]] == down:
+                        break
+                    i += 1
+                else:
+                    it[u] = end
+                    if u == s:
+                        break
+                    # Dead end: retreat and skip the arc that led here.
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
+                    continue
+                it[u] = i
+                path.append(a)
+                u = head[a]
+                if u != t:
+                    continue
+                pushed = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                # Resume from the tail of the first saturated arc.
+                for i, a in enumerate(path):
+                    if not cap[a]:
+                        del path[i:]
+                        u = head[a ^ 1]
+                        break
+
+    def source_side(self, s: int) -> frozenset[int]:
+        """Nodes reachable from s in the residual network: the s-side of a min cut.
+
+        After a maximum flow this is the smallest source side over all minimum
+        cuts, so it does not depend on which maximum flow was found.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
+        seen = {s}
+        queue = [s]
+        for u in queue:
+            for a in arcs[u]:
+                if cap[a] and head[a] not in seen:
+                    seen.add(head[a])
+                    queue.append(head[a])
+        return frozenset(seen)
+
+    def largest_source_side(self, t: int) -> frozenset[int]:
+        """Nodes that cannot reach t in the residual network: the s-side of a min cut.
+
+        After a maximum flow this is the largest source side over all minimum
+        cuts, so, like ``source_side``, it does not depend on which maximum
+        flow was found.
+        """
+        head, cap, arcs = self.head, self.cap, self.arcs
+        reach = {t}
+        queue = [t]
+        for w in queue:
+            for a in arcs[w]:
+                # a runs w -> u; its reverse a ^ 1 is the residual arc u -> w.
+                u = head[a]
+                if cap[a ^ 1] and u not in reach:
+                    reach.add(u)
+                    queue.append(u)
+        return frozenset(range(self.num_nodes)).difference(reach)
+
+
+def reference_max_flow_min_cut(net):
+    """Exact max-flow value and the s-side node set of the minimum cut that answers the test.
+
+    Below m * cap_src some subset beats the threshold and the s-side is the
+    smallest one, whose edge nodes are the smallest maximiser; otherwise it
+    is the largest one, whose edge nodes are the largest maximiser (see the
+    ``hyperdense.expansion`` docstring).  A first-fit flow along s -> edge ->
+    vertex -> t starts the max-flow.  Vertex nodes of no edge get no sink arc: nothing reaches
+    them, so the flow value and the edge part of either s-side are the same
+    as with the arc.
+    """
+    m = len(net.edges)
+    sink = m + net.n + 1
+    g = ReferenceFlowGraph(sink + 1)
+    add = g.add_edge
+    cap_src, cap_sink, cap_inf = net.cap_src, net.cap_sink, net.cap_inf
+    used = [False] * net.n
+    room = [cap_sink] * net.n  # sink capacity the first-fit flow leaves free
+    value = 0
+    for node, edge in enumerate(net.edges, start=1):
+        left = cap_src
+        for v in edge:
+            push = min(left, room[v])
+            room[v] -= push
+            left -= push
+            add(node, m + 1 + v, cap_inf, push)
+            used[v] = True
+        add(0, node, cap_src, cap_src - left)
+        value += cap_src - left
+    for v in range(net.n):
+        if used[v]:
+            add(m + 1 + v, sink, cap_sink, cap_sink - room[v])
+    value += g.max_flow(0, sink)
+    if value < m * cap_src:
+        return value, g.source_side(0)
+    return value, g.largest_source_side(sink)
+
+
 # -- expansion: the improvement loop before peeling, nesting and core pruning --
 
 
 def unpruned_decision(h, a, b):
     """The threshold decision on one network over all of h, without core pruning."""
-    value, s_side = max_flow_min_cut(build_expansion_network(h, a, b))
+    value, s_side = reference_max_flow_min_cut(build_expansion_network(h, a, b))
     if value >= h.m * b:
         return None
     return expansion_certificate(h, [i for i in range(h.m) if i + 1 in s_side])

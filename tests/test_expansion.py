@@ -23,7 +23,6 @@ from hyperdense.expansion import (
     expansion_certificate,
     max_flow_min_cut,
 )
-from hyperdense.maxflow import FlowGraph
 from hyperdense.oracle import brute_min_expansion, generate_uniform
 from lp_reference import (
     InfeasibleSolutionError,
@@ -33,6 +32,7 @@ from lp_reference import (
     round_expansion_lp,
 )
 from reference import (
+    ReferenceFlowGraph,
     reference_improving_certificates,
     reference_min_expansion_flow,
     unpruned_decision,
@@ -131,16 +131,15 @@ class TestMaxFlowCut:
             assert value <= h.m * net.cap_src
 
     def test_first_fit_start_changes_no_cut(self):
-        # The first-fit flow only starts Dinic: the value and the s-side are
-        # those of the same network solved from zero flow, and the value is
-        # networkx's.
+        # The value and the s-side are those of the same network solved from
+        # zero flow by the frozen general Dinic, and the value is networkx's.
         nx = pytest.importorskip("networkx")
         for h in list(corpus(30, seed0=800)) + [generate_uniform(60, 60, 3, sizes=(2, 4))]:
             for a, b in ((1, 2), (2, 3), (1, 1), (3, 2)):
                 net = build_expansion_network(h, a, b)
                 value, s_side = max_flow_min_cut(net)
                 m, sink = h.m, h.m + h.n + 1
-                plain = FlowGraph(sink + 1)
+                plain = ReferenceFlowGraph(sink + 1)
                 ref = nx.DiGraph()
                 for i, edge in enumerate(h.edges, start=1):
                     plain.add_edge(0, i, b)

@@ -1,13 +1,28 @@
+"""The threshold-network Dinic in ``hyperdense.maxflow`` and the frozen
+general Dinic it replaced.
+
+``ReferenceFlowGraph`` is checked against networkx on arbitrary networks, and
+the package's ``FlowGraph`` against it on expansion networks: the value and
+both the smallest and the largest minimum-cut source side, which do not
+depend on which maximum flow either engine finds.
+"""
+
+import random
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperdense.expansion
+from hyperdense import Hypergraph, mpu_sqrt_m
+from hyperdense.expansion import build_expansion_network, max_flow_min_cut
 from hyperdense.maxflow import FlowGraph
+from hyperdense.oracle import generate_uniform
+from reference import ReferenceFlowGraph, reference_max_flow_min_cut
 
 
 def path_graph(num_nodes, caps):
-    g = FlowGraph(num_nodes)
+    g = ReferenceFlowGraph(num_nodes)
     for u, cap in enumerate(caps):
         g.add_edge(u, u + 1, cap)
     return g
@@ -28,23 +43,34 @@ class TestLongPaths:
         assert g.max_flow(0, 1999) == 3
         assert g.source_side(0) == frozenset({0})
 
+    def test_expansion_chain_of_3000_edges(self):
+        # First fit gives edge (i, i + 1) vertex i, so every vertex but the
+        # last is full and the size-1 edge's only augmenting path runs back
+        # along the whole chain: about 6,000 arcs.
+        chain = 3000
+        edges = tuple((i, i + 1) for i in range(chain)) + ((0,),)
+        net = build_expansion_network(Hypergraph(chain + 1, edges), 1, 1)
+        value, side = max_flow_min_cut(net)
+        assert value == chain + 1
+        assert (value, side) == reference_max_flow_min_cut(net)
+
 
 class TestFlowGraph:
     def test_source_equal_to_sink_rejected(self):
         with pytest.raises(ValueError):
-            FlowGraph(2).max_flow(1, 1)
+            ReferenceFlowGraph(2).max_flow(1, 1)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            FlowGraph(2).add_edge(0, 1, -1)
+            ReferenceFlowGraph(2).add_edge(0, 1, -1)
 
     @pytest.mark.parametrize("flow", [-1, 3])
     def test_flow_outside_capacity_rejected(self, flow):
         with pytest.raises(ValueError):
-            FlowGraph(2).add_edge(0, 1, 2, flow)
+            ReferenceFlowGraph(2).add_edge(0, 1, 2, flow)
 
     def test_parallel_and_antiparallel_arcs(self):
-        g = FlowGraph(3)
+        g = ReferenceFlowGraph(3)
         g.add_edge(0, 1, 2)
         g.add_edge(0, 1, 3)
         g.add_edge(1, 0, 4)
@@ -105,7 +131,7 @@ class TestAgainstNetworkx:
         nx = pytest.importorskip("networkx")
         n, arcs = network
         s, t = 0, n - 1
-        g = FlowGraph(n)
+        g = ReferenceFlowGraph(n)
         caps = defaultdict(int)
         for u, v, cap in arcs:
             g.add_edge(u, v, cap)
@@ -131,9 +157,64 @@ class TestAgainstNetworkx:
 
         # Started from networkx's maximum flow, nothing is left to add and
         # both sides are the same.
-        started = FlowGraph(n)
+        started = ReferenceFlowGraph(n)
         for (u, v), cap in caps.items():
             started.add_edge(u, v, cap, flow[u].get(v, 0))
         assert started.max_flow(s, t) == 0
         assert started.source_side(s) == side
         assert started.largest_source_side(t) == largest
+
+
+@st.composite
+def expansion_networks(draw):
+    """A threshold network with duplicate edges, size-1 edges and vertices in no edge."""
+    used = draw(st.integers(1, 9))
+    edge = st.lists(st.integers(0, used - 1), min_size=1, max_size=4, unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=9))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    n = used + draw(st.integers(0, 2))
+    h = Hypergraph(n, tuple(map(tuple, edges)))
+    return build_expansion_network(h, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+
+
+def frozen_network(net):
+    """The frozen general network of ``net`` at zero flow, with a sink arc per used vertex."""
+    m, sink = net.m, net.m + net.n + 1
+    g = ReferenceFlowGraph(sink + 1)
+    for i, edge in enumerate(net.edges, start=1):
+        g.add_edge(0, i, net.cap_src)
+        for v in edge:
+            g.add_edge(i, m + 1 + v, net.cap_inf)
+    for v in sorted({v for edge in net.edges for v in edge}):
+        g.add_edge(m + 1 + v, sink, net.cap_sink)
+    return g, sink
+
+
+class TestThresholdNetwork:
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(expansion_networks())
+    def test_matches_the_frozen_cut(self, net):
+        general, sink = frozen_network(net)
+        g = FlowGraph(net.n, net.edges, net.cap_sink, net.cap_src)
+        assert g.max_flow() == general.max_flow(0, sink)
+        assert g.source_side() == general.source_side(0)
+        assert g.source_side(largest=True) == general.largest_source_side(sink)
+        assert max_flow_min_cut(net) == reference_max_flow_min_cut(net)
+
+    def test_benchmark_networks_match_the_frozen_cut(self, monkeypatch):
+        # Every network of the first 36 ops of the seed-1 flow-sqrt-m
+        # benchmark workload, generated as perfbench/run.py generates them.
+        nets = []
+
+        def recording(net):
+            nets.append(net)
+            return max_flow_min_cut(net)
+
+        monkeypatch.setattr(hyperdense.expansion, "max_flow_min_cut", recording)
+        rng = random.Random("flow-sqrt-m/1")
+        for op in range(36):
+            h = generate_uniform(500, 500, rng.randrange(2**31), sizes=(2, 4))
+            mpu_sqrt_m(h, 490 - 10 * (op % 5))
+        assert len(nets) == 746
+        for net in nets:
+            assert max_flow_min_cut(net) == reference_max_flow_min_cut(net)
