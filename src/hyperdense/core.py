@@ -27,7 +27,9 @@ class Hypergraph:
     Each edge is normalised to a strictly increasing tuple of integer ids at
     construction time; a non-integer or negative vertex count, non-integer
     ids, repeated vertices within an edge and out-of-range ids are rejected.
-    Duplicate edges are allowed.
+    Duplicate edges are allowed.  The incidence indexes ``edges_at`` and
+    ``edges_by_last`` are built on first use and cached; both grow with the
+    edges, not with n.
     """
 
     n: int
@@ -54,6 +56,20 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edges_at(self) -> dict[int, tuple[int, ...]]:
+        """Incidence index: vertex -> ids of the edges that contain it, in edge order.
+
+        The lists hold sum |e| ids, and only vertices of some edge are keys,
+        so the index grows with the edges, not n.  ``degrees`` reads its list
+        lengths; the anchored scans of ``dksh3`` read their anchors' lists.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, e in enumerate(self.edges):
+            for v in e:
+                groups.setdefault(v, []).append(i)
+        return {v: tuple(group) for v, group in groups.items()}
 
     @cached_property
     def edges_by_last(self) -> dict[int, tuple[int, ...]]:
@@ -220,11 +236,14 @@ def induced(h: Hypergraph, vertices: Iterable[int]) -> tuple[Hypergraph, tuple[i
 
 
 def degrees(h: Hypergraph) -> tuple[int, ...]:
-    """Per-vertex edge counts."""
+    """Per-vertex edge counts: the list lengths of ``h.edges_at``, 0 elsewhere.
+
+    The first call on an instance builds its index; later calls and the
+    anchored scans reuse it.
+    """
     counts = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            counts[v] += 1
+    for v, ids in h.edges_at.items():
+        counts[v] = len(ids)
     return tuple(counts)
 
 

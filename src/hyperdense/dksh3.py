@@ -17,11 +17,13 @@ Several incomparable strategies run side by side and the densest output wins:
 Every candidate is padded to exactly k vertices with the smallest unused ids,
 outside the anchors for the neighborhood searches (padding never uncovers an
 edge), and its covered count is recomputed from the instance's incidence
-index (``Hypergraph.edges_by_last``), which visits only the edges that end
-inside the candidate.  One best-of rule picks every winner: the builtin
-``max`` over the covered count, which returns the earliest of equal
-candidates.  The neighborhood searches apply it to bare counts and build one
-solution each.
+index ``Hypergraph.edges_by_last``, which visits only the edges that end
+inside the candidate.  The anchored scans (both three-layer layers and both
+pair-weight routes) read the per-vertex index ``Hypergraph.edges_at`` and
+visit only the edges that meet the anchors.  One best-of rule picks every
+winner: the builtin ``max`` over the covered count, which returns the
+earliest of equal candidates.  The neighborhood searches apply it to bare
+counts and build one solution each.
 """
 
 from __future__ import annotations
@@ -127,13 +129,26 @@ def _checked_pick(sub: DkSSubroutine, graph: WeightedGraph, budget: int) -> tupl
     return picked
 
 
+def _meeting(h: Hypergraph, anchors: Collection[int]) -> set[int]:
+    """Ids of the edges that meet ``anchors``, read from ``h.edges_at``, each once.
+
+    One ``update`` per anchor: ``set().union(*generator)`` would build its
+    argument tuple by resizing, which fills CPython's tuple free lists.
+    """
+    at, met = h.edges_at, set()
+    for v in anchors:
+        met.update(at.get(v, ()))
+    return met
+
+
 def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSolution:
     """Three anchored greedy layers of floor(k/3) vertices each.
 
     Layer two ranks vertices by the number of incident edges meeting the
     anchor layer; layer three by the number of incident edges with one other
-    endpoint in each previous layer.  Layers may overlap; the result is padded
-    to exactly k vertices.
+    endpoint in each previous layer.  Every edge either layer counts meets
+    the anchors, so both visit only the anchors' edges (``_meeting``).
+    Layers may overlap; the result is padded to exactly k vertices.
     """
     _require_three_uniform(h)
     _check_k(h, k)
@@ -141,17 +156,18 @@ def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSoluti
     if len(anchors) != k // 3:
         raise ValueError(f"anchor layer must have {k // 3} vertices")
     k1set = set(anchors)
+    met, edges = _meeting(h, k1set), h.edges
 
     deg1 = [0] * h.n
-    for e in h.edges:
-        if k1set.intersection(e):
-            for v in e:
-                deg1[v] += 1
+    for i in met:
+        for v in edges[i]:
+            deg1[v] += 1
     k2 = _top_scoring(deg1, k // 3)
     k2set = set(k2)
 
     deg2 = [0] * h.n
-    for a, b, c in h.edges:
+    for i in met:
+        a, b, c = edges[i]
         for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
             if (y in k2set and z in k1set) or (z in k2set and y in k1set):
                 deg2[u] += 1
@@ -351,10 +367,14 @@ def probe_candidates(
 
 
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:
-    """Per-vertex count of incident edges whose other two endpoints lie in k1."""
-    k1set = set(k1)
+    """Per-vertex count of incident edges whose other two endpoints lie in k1.
+
+    Every such edge meets k1, so only the edges that do are visited.
+    """
+    k1set, edges = set(k1), h.edges
     weights = [0] * h.n
-    for a, b, c in h.edges:
+    for i in _meeting(h, k1set):
+        a, b, c = edges[i]
         for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
             if y in k1set and z in k1set:
                 weights[u] += 1
@@ -362,10 +382,15 @@ def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:
 
 
 def k1_weighted_graph(h: Hypergraph, k1: Iterable[int]) -> WeightedGraph:
-    """Pair-weight graph outside the anchors: w(u, v) counts edges {u, v, x}, x in k1."""
-    k1set = set(k1)
+    """Pair-weight graph outside the anchors: w(u, v) counts edges {u, v, x}, x in k1.
+
+    Only the edges that meet k1 are visited; the pairs are listed sorted,
+    so the visiting order does not show.
+    """
+    k1set, edges = set(k1), h.edges
     weights: dict[tuple[int, int], int] = {}
-    for e in h.edges:
+    for i in _meeting(h, k1set):
+        e = edges[i]
         inside = [v for v in e if v in k1set]
         outside = [v for v in e if v not in k1set]
         if len(inside) == 1 and len(outside) == 2:

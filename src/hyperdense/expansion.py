@@ -137,15 +137,14 @@ class ExpansionNetwork:
     """Parametric flow network for the threshold test at ratio cap_sink / cap_src.
 
     Node layout: source 0, edge nodes 1..m, vertex nodes m+1..m+n, sink m+n+1.
-    cap_inf exceeds m * cap_src, so incidence arcs never appear in a finite
-    cut; ``maxflow.FlowGraph`` leaves them unbounded.
+    Incidence arcs are unbounded (``maxflow.FlowGraph`` stores no capacity
+    for them), so they never appear in a finite cut.
     """
 
     n: int
     edges: tuple[tuple[int, ...], ...]
     cap_src: int
     cap_sink: int
-    cap_inf: int
 
     @property
     def m(self) -> int:
@@ -165,7 +164,7 @@ def build_expansion_network(
         raise EmptyHypergraphError("expansion needs at least one edge")
     if a < 1 or b < 1:
         raise ValueError("threshold numerator and denominator must be positive")
-    return ExpansionNetwork(h.n, edges, cap_src=b, cap_sink=a, cap_inf=len(edges) * b + 1)
+    return ExpansionNetwork(h.n, edges, cap_src=b, cap_sink=a)
 
 
 def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, frozenset[int]]:

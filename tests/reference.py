@@ -11,7 +11,8 @@ paper's LP route is the reference of acceptance criterion 2 and lives in
 A reference calls package code only where that code is not the stage under
 test: the data types, ``induced``, the link-graph pruning, and the parts a
 stage composes (the mpu3 round's candidate builders, the expansion
-network's capacities and ``mpu_sqrt_m``).
+network's capacities and ``mpu_sqrt_m``).  The package leaves incidence arcs
+unbounded; the frozen general network gives them ``cap_inf``.
 """
 
 import math
@@ -30,6 +31,8 @@ from hyperdense import (
 )
 from hyperdense.core import _top_scoring, covered_edges, degrees, induced, top_by_degree
 from hyperdense.dksh3 import (
+    _check_k,
+    _padded,
     _pruned_link_graphs,
     _require_three_uniform,
     greedy_three_layer,
@@ -178,6 +181,73 @@ def reference_dksh_best_of(candidates):
     if best is None:
         raise ValueError("best-of needs at least one candidate")
     return best
+
+
+# -- Anchored scans: the full edge sweeps the per-vertex incidence index replaced --
+# Each visits every edge of h; the package reads only the edges that meet the
+# anchors, from ``Hypergraph.edges_at``.
+
+
+def reference_degrees(h):
+    """Per-vertex edge counts."""
+    counts = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            counts[v] += 1
+    return tuple(counts)
+
+
+def reference_greedy_three_layer(h, k, k1):
+    _require_three_uniform(h)
+    _check_k(h, k)
+    anchors = tuple(sorted(set(k1)))
+    if len(anchors) != k // 3:
+        raise ValueError(f"anchor layer must have {k // 3} vertices")
+    k1set = set(anchors)
+
+    deg1 = [0] * h.n
+    for e in h.edges:
+        if k1set.intersection(e):
+            for v in e:
+                deg1[v] += 1
+    k2 = _top_scoring(deg1, k // 3)
+    k2set = set(k2)
+
+    deg2 = [0] * h.n
+    for a, b, c in h.edges:
+        for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            if (y in k2set and z in k1set) or (z in k2set and y in k1set):
+                deg2[u] += 1
+    k3 = _top_scoring(deg2, k // 3)
+
+    base = k1set | k2set | set(k3)
+    return _padded(h, base, k, "greedy-three-layer")
+
+
+def reference_k1_pair_weights(h, k1):
+    """Per-vertex count of incident edges whose other two endpoints lie in k1."""
+    k1set = set(k1)
+    weights = [0] * h.n
+    for a, b, c in h.edges:
+        for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            if y in k1set and z in k1set:
+                weights[u] += 1
+    return weights
+
+
+def reference_k1_weighted_graph(h, k1):
+    """Pair-weight graph outside the anchors: w(u, v) counts edges {u, v, x}, x in k1."""
+    k1set = set(k1)
+    weights = {}
+    for e in h.edges:
+        inside = [v for v in e if v in k1set]
+        outside = [v for v in e if v not in k1set]
+        if len(inside) == 1 and len(outside) == 2:
+            pair = (outside[0], outside[1]) if outside[0] < outside[1] else (outside[1], outside[0])
+            weights[pair] = weights.get(pair, 0) + 1
+    vertices = tuple(v for v in range(h.n) if v not in k1set)
+    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+    return WeightedGraph(vertices, edges)
 
 
 # -- mpu3: the cover round and the guess loop --
@@ -478,6 +548,12 @@ class ReferenceFlowGraph:
         return frozenset(range(self.num_nodes)).difference(reach)
 
 
+def cap_inf(net):
+    """The incidence arcs' capacity in the frozen general network: above
+    m * cap_src, so no finite cut holds one."""
+    return net.m * net.cap_src + 1
+
+
 def reference_max_flow_min_cut(net):
     """Exact max-flow value and the s-side node set of the minimum cut that answers the test.
 
@@ -493,7 +569,7 @@ def reference_max_flow_min_cut(net):
     sink = m + net.n + 1
     g = ReferenceFlowGraph(sink + 1)
     add = g.add_edge
-    cap_src, cap_sink, cap_inf = net.cap_src, net.cap_sink, net.cap_inf
+    cap_src, cap_sink, inf = net.cap_src, net.cap_sink, cap_inf(net)
     used = [False] * net.n
     room = [cap_sink] * net.n  # sink capacity the first-fit flow leaves free
     value = 0
@@ -503,7 +579,7 @@ def reference_max_flow_min_cut(net):
             push = min(left, room[v])
             room[v] -= push
             left -= push
-            add(node, m + 1 + v, cap_inf, push)
+            add(node, m + 1 + v, inf, push)
             used[v] = True
         add(0, node, cap_src, cap_src - left)
         value += cap_src - left

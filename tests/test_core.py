@@ -33,7 +33,7 @@ from hyperdense.core import (
     induced,
     top_by_degree,
 )
-from reference import reference_covered_edges
+from reference import reference_covered_edges, reference_degrees
 
 
 @st.composite
@@ -434,6 +434,33 @@ class TestCoveredEdgesIndex:
         listed = sorted((i, v) for v, group in h.edges_by_last.items() for i in group)
         assert listed == [(i, e[-1]) for i, e in enumerate(h.edges)]
         assert all(list(group) == sorted(group) for group in h.edges_by_last.values())
+
+    @settings(deadline=None, derandomize=True)
+    @given(hypergraphs_with_duplicates())
+    def test_edges_at_matches_a_brute_force_build(self, h):
+        brute = {v: tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)}
+        assert h.edges_at == {v: ids for v, ids in brute.items() if ids}
+
+    @settings(deadline=None, derandomize=True)
+    @given(hypergraphs_with_duplicates(), st.data())
+    def test_degrees_read_it_on_residuals(self, h, data):
+        # A residual is a new instance with its own cached index.
+        ids = data.draw(st.lists(st.integers(0, max(h.m - 1, 0)), unique=True)) if h.m else []
+        assert degrees(h) == reference_degrees(h)
+        residual = edge_subhypergraph(h, ids)
+        assert degrees(residual) == reference_degrees(residual)
+
+    def test_edges_at_keys_follow_m_not_n(self):
+        # Keyed by the vertices of some edge: a list per vertex would be 10**6 lists.
+        h = Hypergraph(10**6, ((0, 1, 2),))
+        tracemalloc.start()
+        try:
+            index = h.edges_at
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index == {0: (0,), 1: (0,), 2: (0,)}
+        assert peak < 1 << 16
 
     def test_index_keys_follow_m_not_n(self):
         h = Hypergraph(10**6, ((0, 5), (3, 5), (7, 999_999)))

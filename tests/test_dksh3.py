@@ -21,7 +21,7 @@ from hyperdense import (
 )
 from hyperdense import dksh3
 from hyperdense.cli import main
-from hyperdense.core import degrees, top_by_degree
+from hyperdense.core import degrees, edge_subhypergraph, top_by_degree
 from hyperdense.dksh3 import (
     _link_graph,
     _link_pairs,
@@ -51,8 +51,12 @@ from hyperdense.oracle import (
 from builds import count_hypergraph_builds, spy
 from reference import (
     reference_covered_edges,
+    reference_degrees,
     reference_dksh_best_of,
+    reference_greedy_three_layer,
     reference_greedy_weighted_dks,
+    reference_k1_pair_weights,
+    reference_k1_weighted_graph,
     reference_neighborhood_searches,
     reference_probe_candidates,
     reference_st_pick,
@@ -435,6 +439,83 @@ def three_uniform_with_duplicates(draw):
     edges = draw(st.permutations(base + repeats))
     k = draw(st.integers(3, n))
     return Hypergraph(n, tuple(edges)), k
+
+
+def edge_cover(h):
+    """A vertex set that meets every edge of h: each uncovered edge adds its first vertex."""
+    cover = set()
+    for e in h.edges:
+        if cover.isdisjoint(e):
+            cover.add(e[0])
+    return cover
+
+
+def assert_scans_match_reference(h, anchors):
+    """The pair-weight scans on ``anchors``, and the three-layer greedy on
+    every k the anchors fit, equal the full-sweep references."""
+    assert k1_pair_weights(h, anchors) == reference_k1_pair_weights(h, anchors)
+    assert k1_weighted_graph(h, anchors) == reference_k1_weighted_graph(h, anchors)
+    size = len(set(anchors))
+    for k in range(max(3, 3 * size), min(3 * size + 2, h.n) + 1):
+        assert greedy_three_layer(h, k, anchors) == reference_greedy_three_layer(h, k, anchors)
+
+
+def assert_index_scans_match_reference(h, rng):
+    """Every anchored scan and ``degrees`` on h, on a wider copy whose extra
+    vertices meet no edge, and on a residual, against the references.
+
+    Anchor sets: the top-degree vertices, a random set, the vertices in no
+    edge (they meet no edge), an edge cover (it meets every edge) and all
+    vertices.
+    """
+    wide = Hypergraph(h.n + 3, h.edges)
+    residual = edge_subhypergraph(h, sorted(rng.sample(range(h.m), h.m // 2)))
+    for g in (h, wide, residual):
+        assert degrees(g) == reference_degrees(g)
+        used = set(g.edges_at)
+        for size in range(1, g.n // 3 + 1):
+            assert_scans_match_reference(g, top_by_degree(g, size))
+        assert_scans_match_reference(g, set(rng.sample(range(g.n), rng.randint(0, g.n))))
+        assert_scans_match_reference(g, set(range(g.n)) - used)
+        assert_scans_match_reference(g, edge_cover(g))
+        assert_scans_match_reference(g, range(g.n))
+
+
+@st.composite
+def anchored_scan_cases(draw):
+    """A 3-uniform instance with duplicate edges and a vertex in no edge, and an
+    anchor set: random, meeting no edge, or meeting every edge."""
+    h, _ = draw(three_uniform_with_duplicates())
+    h = Hypergraph(h.n + 1, h.edges)
+    kind = draw(st.sampled_from(("random", "none", "every")))
+    if kind == "random":
+        anchors = draw(st.sets(st.integers(0, h.n - 1)))
+    elif kind == "none":
+        anchors = set(range(h.n)) - set(h.edges_at)
+    else:
+        anchors = edge_cover(h)
+    return h, anchors, draw(st.lists(st.integers(0, max(h.m - 1, 0)), unique=True))
+
+
+class TestAnchoredScans:
+    """The scans that read ``Hypergraph.edges_at`` give the full sweeps' answers."""
+
+    def test_match_reference_on_seeded_corpus(self):
+        rng = random.Random(2300)
+        for h in differential_instances():
+            assert_index_scans_match_reference(h, rng)
+        for h in planted_differential_instances():
+            assert_index_scans_match_reference(h, rng)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(anchored_scan_cases())
+    def test_match_reference_property(self, case):
+        h, anchors, ids = case
+        # A residual carries its own index, built on first use.
+        for g in (h, edge_subhypergraph(h, ids) if h.m else h):
+            assert degrees(g) == reference_degrees(g)
+            assert_scans_match_reference(g, anchors)
+            assert_scans_match_reference(g, top_by_degree(g, g.n // 3))
 
 
 class TestCombinedProperty:

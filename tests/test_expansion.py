@@ -33,6 +33,7 @@ from lp_reference import (
 )
 from reference import (
     ReferenceFlowGraph,
+    cap_inf,
     reference_improving_certificates,
     reference_min_expansion_flow,
     unpruned_decision,
@@ -101,7 +102,7 @@ class TestNetworkShape:
     def test_effectively_infinite_capacity(self):
         for h in corpus(20):
             net = build_expansion_network(h, 3, 5)
-            assert net.cap_inf > h.m * net.cap_src
+            assert cap_inf(net) > h.m * net.cap_src
             assert net.cap_src == 5 and net.cap_sink == 3
 
     def test_rejects_nonpositive_threshold(self):
@@ -145,8 +146,8 @@ class TestMaxFlowCut:
                     plain.add_edge(0, i, b)
                     ref.add_edge(0, i, capacity=b)
                     for v in edge:
-                        plain.add_edge(i, m + 1 + v, net.cap_inf)
-                        ref.add_edge(i, m + 1 + v, capacity=net.cap_inf)
+                        plain.add_edge(i, m + 1 + v, cap_inf(net))
+                        ref.add_edge(i, m + 1 + v, capacity=cap_inf(net))
                 for v in union_of(h, range(m)):
                     plain.add_edge(m + 1 + v, sink, a)
                     ref.add_edge(m + 1 + v, sink, capacity=a)

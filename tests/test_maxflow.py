@@ -18,7 +18,7 @@ from hyperdense import Hypergraph, mpu_sqrt_m
 from hyperdense.expansion import build_expansion_network, max_flow_min_cut
 from hyperdense.maxflow import FlowGraph
 from hyperdense.oracle import generate_uniform
-from reference import ReferenceFlowGraph, reference_max_flow_min_cut
+from reference import ReferenceFlowGraph, cap_inf, reference_max_flow_min_cut
 
 
 def path_graph(num_nodes, caps):
@@ -184,7 +184,7 @@ def frozen_network(net):
     for i, edge in enumerate(net.edges, start=1):
         g.add_edge(0, i, net.cap_src)
         for v in edge:
-            g.add_edge(i, m + 1 + v, net.cap_inf)
+            g.add_edge(i, m + 1 + v, cap_inf(net))
     for v in sorted({v for edge in net.edges for v in edge}):
         g.add_edge(m + 1 + v, sink, net.cap_sink)
     return g, sink

@@ -1,6 +1,6 @@
 """The package's public names, the README example, the tracer's bindings,
-what the interval table stores, unused imports, where bitmasks may live, and
-where frozen references live."""
+what the interval table stores, unused imports, where bitmasks may live, that
+the anchored scans never sweep every edge, and where frozen references live."""
 
 import ast
 import contextlib
@@ -11,12 +11,21 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import hyperdense
 import hyperdense.cli
 import hyperdense.core
+import hyperdense.dksh3
 import hyperdense.interval
 import hyperdense.maxflow
 import hyperdense.mpu3
+from reference import (
+    reference_degrees,
+    reference_greedy_three_layer,
+    reference_k1_pair_weights,
+    reference_k1_weighted_graph,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,6 +183,35 @@ def test_trusted_builds_only_where_fields_are_canonical():
         ("interval.py", "parse_intervals"),
         ("interval.py", "_hypergraph"),
     }
+
+
+class _Unswept(tuple):
+    """Edges that can be counted and indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("a scan iterated over every edge")
+
+
+def test_anchored_scans_never_sweep():
+    # The anchored scans read their anchors' lists in ``edges_at``, so an
+    # instance whose edges refuse iteration still gets the full sweep's answer
+    # once its indexes are cached.
+    spec = hyperdense.PlantedSpec(n=40, noise_edges=120, block_size=9, block_edges=30, seed=23)
+    h = hyperdense.generate_planted(spec).hypergraph
+    k, anchors = 12, hyperdense.core.top_by_degree(h, 12)
+    assert h.edges_at and h.edges_by_last and h.is_uniform(3)
+    blind = hyperdense.core._trusted(hyperdense.Hypergraph, n=h.n, edges=_Unswept(h.edges))
+    for name in ("edges_at", "edges_by_last", "_edge_sizes"):
+        vars(blind)[name] = vars(h)[name]
+    with pytest.raises(AssertionError):
+        list(blind.edges)
+    scans = hyperdense.dksh3
+    assert hyperdense.core.degrees(blind) == reference_degrees(h)
+    assert scans.greedy_three_layer(blind, k, anchors[: k // 3]) == (
+        reference_greedy_three_layer(h, k, anchors[: k // 3])
+    )
+    assert scans.k1_pair_weights(blind, anchors) == reference_k1_pair_weights(h, anchors)
+    assert scans.k1_weighted_graph(blind, anchors) == reference_k1_weighted_graph(h, anchors)
 
 
 def test_frozen_references_live_in_one_module():
