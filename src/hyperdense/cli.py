@@ -1,9 +1,12 @@
 """Batch front door: solve, oracle, gen, and verify commands.
 
 Report rows are JSON lines on stdout (or key=value pairs with --format tsv);
-diagnostics go to stderr.  Exit codes: 0 success, 2 usage error, 3 parse
-error, 4 oracle budget exceeded, 1 failed verification, 5 internal error (a
-solver or self-check found its own answer unsound; nothing goes to stdout).
+diagnostics go to stderr.  ``solve dksh --explain`` prints one JSON array line,
+or one TSV row per candidate under --format tsv.  The solution line is always
+JSON, whatever --format says, because it is what ``verify`` reads.  Exit codes:
+0 success, 2 usage error, 3 parse error, 4 oracle budget exceeded, 1 failed
+verification, 5 internal error (a solver or self-check found its own answer
+unsound; nothing goes to stdout).
 
 The argument parser is built once per process and reused by every ``main``
 call; each parsed instance is validated once, row by row as it is read.
@@ -24,7 +27,7 @@ import sys
 from hyperdense.core import (
     Hypergraph,
     HypergraphFormatError,
-    covered_edges,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
+    covered_edges,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
     parse_hypergraph,
     serialize_hypergraph,
     solution_json,

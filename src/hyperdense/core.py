@@ -127,7 +127,11 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 def _content_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, tokens) for non-blank, non-comment lines."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:  # numbered as splitlines numbers the text
+            lineno = len((text[: exc.start].decode("utf-8") + ".").splitlines())
+            raise HypergraphFormatError(f"line {lineno}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -40,7 +40,7 @@ from hyperdense.core import (
     _pad_to_k,
     _top_scoring,
     covered_count,
-    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
+    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
     top_by_degree,
 )
 

@@ -12,8 +12,9 @@ must agree with.
 The flow route decides, for an exact rational threshold a/b, whether some
 subset beats the threshold: source arcs to edge nodes carry capacity b, vertex
 arcs to the sink carry capacity a, and incidence arcs carry an effectively
-infinite integer capacity.  A minimum cut below m*b certifies a strictly
-better subset (its s-side edge nodes); otherwise no subset beats a/b.  All
+infinite integer capacity.  A cut is named by the edges on its s-side, which
+also holds their vertices and no others.  A minimum cut below m*b certifies a
+strictly better subset (its edges); otherwise no subset beats a/b.  All
 arithmetic is integral, so the decision is exact.  Iterating from the current
 best ratio converges to the optimum because each accepted subset strictly
 increases an exact fraction that takes finitely many values.
@@ -23,7 +24,7 @@ A cut whose s-side holds the edge nodes of X must also hold the vertex nodes
 of Gamma(X), and with exactly those it costs b*m - b*g_{a/b}(X).  |Gamma| is
 submodular, so g_l is supermodular: g_l(X & Y) + g_l(X | Y) >= g_l(X) + g_l(Y).
 Hence the maximisers of g_l are closed under union and intersection, and the
-smallest and the largest one are unique.  They are the edge parts of the
+smallest and the largest one are unique.  They are the edges of the
 smallest and the largest minimum-cut s-side, which
 ``maxflow.FlowGraph.source_side`` reads off the residual network whichever
 maximum flow was found.  So any feasible flow can start the max-flow, and
@@ -136,9 +137,9 @@ def expansion_certificate(h: Hypergraph, edge_indices: Iterable[int]) -> Expansi
 class ExpansionNetwork:
     """Parametric flow network for the threshold test at ratio cap_sink / cap_src.
 
-    Node layout: source 0, edge nodes 1..m, vertex nodes m+1..m+n, sink m+n+1.
-    Incidence arcs are unbounded (``maxflow.FlowGraph`` stores no capacity
-    for them), so they never appear in a finite cut.
+    s sends cap_src to each of the m edges, and each of the n vertices sends
+    cap_sink to t.  Incidence arcs are unbounded (``maxflow.FlowGraph``
+    stores no capacity for them), so they never appear in a finite cut.
     """
 
     n: int
@@ -156,8 +157,7 @@ def build_expansion_network(
 ) -> ExpansionNetwork:
     """Network whose min cut decides whether some subset of the edges has ratio above a/b.
 
-    The edges are ``edge_ids`` of h (all of h by default); edge node i + 1
-    stands for the i-th of them.
+    The edges are ``edge_ids`` of h (all of h by default), in that order.
     """
     edges = h.edges if edge_ids is None else tuple(h.edges[i] for i in edge_ids)
     if not edges:
@@ -167,16 +167,14 @@ def build_expansion_network(
     return ExpansionNetwork(h.n, edges, cap_src=b, cap_sink=a)
 
 
-def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, frozenset[int]]:
-    """Exact max-flow value and the s-side node set of the minimum cut that answers the test.
+def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, list[int]]:
+    """Exact max-flow value and the ascending positions in ``net.edges`` of the answering cut.
 
-    Below m * cap_src some subset beats the threshold and the s-side is the
-    smallest one, whose edge nodes are the smallest maximiser; otherwise it
-    is the largest one, whose edge nodes are the largest maximiser (see the
-    module docstring).  Vertex nodes of no edge are on the largest s-side
-    only: s does not reach them and they do not reach t.
+    Below m * cap_src some subset beats the threshold and the cut's edges
+    are the smallest maximiser; otherwise they are the largest maximiser
+    (see the module docstring).
     """
-    g = FlowGraph(net.n, net.edges, net.cap_sink, net.cap_src)
+    g = FlowGraph(net.edges, net.cap_sink, net.cap_src)
     value = g.max_flow()
     return value, g.source_side(largest=value >= net.m * net.cap_src)
 
@@ -215,8 +213,8 @@ def _threshold_cut(
     if not live:  # then the empty set is the only maximiser
         return False, []
     net = build_expansion_network(h, a, b, live)
-    value, s_side = max_flow_min_cut(net)
-    return value < net.m * b, [i for node, i in enumerate(live, start=1) if node in s_side]
+    value, positions = max_flow_min_cut(net)
+    return value < net.m * b, [live[j] for j in positions]
 
 
 def decide_expansion(h: Hypergraph, a: int, b: int) -> ExpansionCertificate | None:

@@ -18,26 +18,24 @@ from typing import Sequence
 class FlowGraph:
     """The network s -> edge -> vertex -> t of the threshold test at ratio a / b.
 
-    Node ids are ``expansion.ExpansionNetwork``'s: source 0, edge nodes 1..m,
-    vertex nodes m+1..m+n, sink m+n+1.  Inside, the vertices of some edge get
-    local ids in order of first use, ``ev[i]`` lists edge i's, and position p
-    in start[i]..start[i+1]-1 joins edge ``tail[p]`` to vertex ``head[p]``
-    with flow ``flow[p]``; ``at[u]`` lists u's positions.  The constructor
-    puts a first-fit flow on: each edge in turn sends what it can to its
-    vertices in order.  Build one per computation.
+    Edge i is ``edges[i]``, and a cut is named by its s-side's edges alone:
+    their vertices are the rest of that side.  Inside, the vertices of some
+    edge get local ids in order of first use, ``ev[i]`` lists edge i's, and
+    position p in start[i]..start[i+1]-1 joins edge ``tail[p]`` to vertex
+    ``head[p]`` with flow ``flow[p]``; ``at[u]`` lists u's positions.  The
+    constructor puts a first-fit flow on: each edge in turn sends what it can
+    to its vertices in order.  Build one per computation.
     """
 
-    def __init__(self, n: int, edges: Sequence[Sequence[int]], a: int, b: int) -> None:
-        self.n = n
-        self.vertices = vertices = list(dict.fromkeys(chain.from_iterable(edges)))
-        local = {v: u for u, v in enumerate(vertices)}
+    def __init__(self, edges: Sequence[Sequence[int]], a: int, b: int) -> None:
+        local = {v: u for u, v in enumerate(dict.fromkeys(chain.from_iterable(edges)))}
         self.ev = ev = [[local[v] for v in e] for e in edges]
         self.head = head = list(chain.from_iterable(ev))
         self.tail = [i for i, e in enumerate(ev) for _ in e]
         self.start = list(accumulate(map(len, ev), initial=0))
-        self.at = at = [[] for _ in vertices]
+        self.at = at = [[] for _ in local]
         self.out = out = [b] * len(ev)
-        self.room = room = [a] * len(vertices)
+        self.room = room = [a] * len(local)
         self.flow = flow = [0] * len(head)
         for p, (i, u) in enumerate(zip(self.tail, head)):
             at[u].append(p)
@@ -54,11 +52,11 @@ class FlowGraph:
         a node not reached.  The search stops at the first vertex layer with
         sink room and returns the edge levels, the vertex levels and that
         layer's level.  A search that finds none has reached all that s
-        reaches, and ``source_side`` reads its levels.
+        reaches, and ``source_side`` reads its edge levels.
         """
         room, flow, tail, ev, at = self.room, self.flow, self.tail, self.ev, self.at
         elev = self.edge_level = [1 if left else 0 for left in self.out]
-        vlev = self.vertex_level = [0] * len(at)
+        vlev = [0] * len(at)
         edges = [i for i, lev in enumerate(elev) if lev]
         level = 1
         while edges:
@@ -146,22 +144,19 @@ class FlowGraph:
                     i, u = tail[path.pop()], -1
         return value
 
-    def source_side(self, largest: bool = False) -> frozenset[int]:
-        """The s-side of a minimum cut, after ``max_flow``.
+    def source_side(self, largest: bool = False) -> list[int]:
+        """The ascending edge positions of a minimum cut's s-side, after ``max_flow``.
 
-        By default the smallest one: the nodes the last search of ``max_flow``
-        reached from s.  With ``largest`` the largest one: the nodes that
-        cannot reach t in the residual network, vertex nodes of no edge among
-        them.  Neither depends on which maximum flow was found.
+        By default the smallest s-side: the edges the last search of
+        ``max_flow`` reached from s.  With ``largest`` the largest one: the
+        edges that cannot reach t in the residual network.  Neither depends on
+        which maximum flow was found.
         """
-        m, vertices = len(self.ev), self.vertices
         if not largest:
-            edges = [1 + i for i, lev in enumerate(self.edge_level) if lev]
-            reached = [m + 1 + vertices[u] for u, lev in enumerate(self.vertex_level) if lev]
-            return frozenset([0, *edges, *reached])
+            return [i for i, lev in enumerate(self.edge_level) if lev]
         flow, head, tail, start, at = self.flow, self.head, self.tail, self.start, self.at
         reach = [u for u, left in enumerate(self.room) if left]  # the vertices that reach t
-        vseen, eseen = [bool(left) for left in self.room], [False] * m
+        vseen, eseen = [bool(left) for left in self.room], [False] * len(self.ev)
         for u in reach:
             for i in [tail[p] for p in at[u] if not eseen[tail[p]]]:
                 eseen[i] = True
@@ -169,6 +164,4 @@ class FlowGraph:
                     if flow[p] and not vseen[head[p]]:
                         vseen[head[p]] = True
                         reach.append(head[p])
-        return frozenset(range(m + 1 + self.n)).difference(
-            [1 + i for i, seen in enumerate(eseen) if seen], [m + 1 + vertices[u] for u in reach]
-        )
+        return [i for i, seen in enumerate(eseen) if not seen]

@@ -31,8 +31,8 @@ from hyperdense.core import (
     _top_scoring,
     covered_edges,
     degrees,
-    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
-    top_by_degree,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 1)
+    induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
+    top_by_degree,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
 )
 from hyperdense.dksh3 import (
     WeightedGraph,
@@ -44,22 +44,12 @@ from hyperdense.dksh3 import (
 )
 from hyperdense.mpu_general import (
     StalledGeneratorError,
+    _ceil_sqrt_fraction,
     _check_p,
     iterative_cover,
     mpu_best_of,
     mpu_sqrt_m,
 )
-
-
-def _ceil_sqrt_fraction(num: int, den: int) -> int:
-    """Smallest integer z with z*z >= num/den, computed in exact integers."""
-    if num <= 0:
-        return 0
-    t = -(-num // den)
-    z = math.isqrt(t)
-    if z * z < t:
-        z += 1
-    return z
 
 
 def _anchor_size(k: int, n: int) -> int:

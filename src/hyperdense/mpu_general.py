@@ -35,6 +35,17 @@ def _check_p(h: Hypergraph, p: int) -> None:
     _check_range("p", p, 1, h.m)
 
 
+def _ceil_sqrt_fraction(num: int, den: int) -> int:
+    """Smallest integer z with z*z >= num/den, computed in exact integers."""
+    if num <= 0:
+        return 0
+    t = -(-num // den)
+    z = math.isqrt(t)
+    if z * z < t:
+        z += 1
+    return z
+
+
 def mpu_sqrt_m(h: Hypergraph, p: int) -> EdgeSolution:
     """Two-phase minimum p-union with union at most 2*sqrt(m) times the optimum.
 
@@ -45,9 +56,7 @@ def mpu_sqrt_m(h: Hypergraph, p: int) -> EdgeSolution:
     residual is a list of edge ids of h; no instance is built per round.
     """
     _check_p(h, p)
-    root = math.isqrt(h.m)
-    if root * root < h.m:
-        root += 1
+    root = _ceil_sqrt_fraction(h.m, 1)
     chosen: list[int] = []
     residual = list(range(h.m))
     while len(chosen) < p - root:

@@ -592,6 +592,28 @@ def reference_max_flow_min_cut(net):
     return value, g.largest_source_side(sink)
 
 
+def edge_half(net, cut, largest=None):
+    """A frozen (value, s-side node set) of ``net`` as (value, the ascending
+    positions in ``net.edges`` of its edge nodes), the package's form.
+
+    Checks that the edges fix the cut: the set holds s and not t, and its
+    vertex nodes are exactly its edges' vertices, plus, on the largest side
+    only, the vertices of no edge.  ``largest`` says which side the set is;
+    by default the one ``reference_max_flow_min_cut`` returns at this value.
+    """
+    value, side = cut
+    m = net.m
+    if largest is None:
+        largest = value >= m * net.cap_src
+    assert 0 in side and m + net.n + 1 not in side
+    positions = [i for i in range(m) if 1 + i in side]
+    vertices = {v for i in positions for v in net.edges[i]}
+    if largest:
+        vertices |= set(range(net.n)).difference(*net.edges)
+    assert {node - m - 1 for node in side if node > m} == vertices
+    return value, positions
+
+
 # -- expansion: the improvement loop before peeling, nesting and core pruning --
 
 

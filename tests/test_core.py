@@ -93,6 +93,7 @@ class TestParse:
             (parse_hypergraph, "3 1\n0 0\n1 2\n", "line 2: repeated vertex 0 within edge"),
             (parse_hypergraph, "3 1\n0 a 1 b\n", "line 2: non-integer token 'a'"),
             (parse_hypergraph, "3 1\n5 0\n1 2\n", "line 2: vertex id 5 out of range [0, 3)"),
+            (parse_hypergraph, b"2 1\n0 \xff\n", "line 2: not UTF-8 text"),
             (parse_intervals, "", "line 1: missing 'n m' header"),
             (parse_intervals, "5 1 1\n", "line 1: header must be 'n m'"),
             (parse_intervals, "5 -2\n", "line 1: header counts must be nonnegative"),
@@ -101,6 +102,7 @@ class TestParse:
             (parse_intervals, "5 1\n0 1 2\n0 1\n", "line 2: interval line must be 'a b'"),
             (parse_intervals, "5 1\n0 y\n0 1\n", "line 2: non-integer token 'y'"),
             (parse_intervals, "5 1\n3 2\n0 1\n", "line 2: interval (3, 2) out of range for n=5"),
+            (parse_intervals, b"2 1\n0 \xff\n", "line 2: not UTF-8 text"),
         ],
     )
     def test_error_messages(self, parse, text, message):

@@ -34,7 +34,9 @@ from lp_reference import (
 from reference import (
     ReferenceFlowGraph,
     cap_inf,
+    edge_half,
     reference_improving_certificates,
+    reference_max_flow_min_cut,
     reference_min_expansion_flow,
     unpruned_decision,
 )
@@ -114,11 +116,11 @@ class TestMaxFlowCut:
     def test_cut_at_exact_threshold(self):
         # No subset beats 1/2, so the s-side is the largest minimum cut: the
         # source with the edge node and both vertex nodes, the sink alone on
-        # the other side.
+        # the other side.  Its one edge is position 0.
         net = build_expansion_network(PAIR, 1, 2)
-        value, s_side = max_flow_min_cut(net)
+        value, positions = max_flow_min_cut(net)
         assert value == 2 == PAIR.m * 2
-        assert s_side == frozenset({0, 1, 2, 3})
+        assert (value, positions) == edge_half(net, (2, frozenset({0, 1, 2, 3}))) == (2, [0])
 
     def test_cut_below_threshold(self):
         net = build_expansion_network(PAIR, 1, 3)
@@ -132,13 +134,14 @@ class TestMaxFlowCut:
             assert value <= h.m * net.cap_src
 
     def test_first_fit_start_changes_no_cut(self):
-        # The value and the s-side are those of the same network solved from
-        # zero flow by the frozen general Dinic, and the value is networkx's.
+        # The value and the s-side's edges are those of the same network
+        # solved from zero flow by the frozen general Dinic, and the value is
+        # networkx's.
         nx = pytest.importorskip("networkx")
         for h in list(corpus(30, seed0=800)) + [generate_uniform(60, 60, 3, sizes=(2, 4))]:
             for a, b in ((1, 2), (2, 3), (1, 1), (3, 2)):
                 net = build_expansion_network(h, a, b)
-                value, s_side = max_flow_min_cut(net)
+                value, positions = max_flow_min_cut(net)
                 m, sink = h.m, h.m + h.n + 1
                 plain = ReferenceFlowGraph(sink + 1)
                 ref = nx.DiGraph()
@@ -152,22 +155,19 @@ class TestMaxFlowCut:
                     plain.add_edge(m + 1 + v, sink, a)
                     ref.add_edge(m + 1 + v, sink, capacity=a)
                 assert value == plain.max_flow(0, sink) == nx.maximum_flow_value(ref, 0, sink)
-                if value < m * b:
-                    assert s_side == plain.source_side(0)
-                else:
-                    assert s_side == plain.largest_source_side(sink)
+                side = plain.source_side(0) if value < m * b else plain.largest_source_side(sink)
+                assert (value, positions) == edge_half(net, (value, side))
 
     def test_neighborhood_stays_on_source_side(self):
-        # No vertex adjacent to an s-side edge node may sit on the t-side.
-        # Edge i is node 1 + i and vertex v is node 1 + m + v.
+        # No vertex of an s-side edge may sit on the t-side of the frozen
+        # cut: edge_half checks that its vertex nodes are exactly its edges'
+        # vertices, and the package's cut has the same edges.
         for h in corpus(30, seed0=300):
             net = build_expansion_network(h, 1, 2)
-            value, s_side = max_flow_min_cut(net)
+            value, positions = max_flow_min_cut(net)
             if value >= h.m * 2:
                 continue
-            chosen = [i for i in range(h.m) if 1 + i in s_side]
-            for v in union_of(h, chosen):
-                assert 1 + h.m + v in s_side
+            assert (value, positions) == edge_half(net, reference_max_flow_min_cut(net))
 
 
 class TestMinExpansionFlow:

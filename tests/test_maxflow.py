@@ -3,8 +3,9 @@ general Dinic it replaced.
 
 ``ReferenceFlowGraph`` is checked against networkx on arbitrary networks, and
 the package's ``FlowGraph`` against it on expansion networks: the value and
-both the smallest and the largest minimum-cut source side, which do not
-depend on which maximum flow either engine finds.
+the edges of both the smallest and the largest minimum-cut source side, which
+do not depend on which maximum flow either engine finds.  ``edge_half`` maps
+a frozen node set to its edges and checks that they fix it.
 """
 
 import random
@@ -18,7 +19,7 @@ from hyperdense import Hypergraph, mpu_sqrt_m
 from hyperdense.expansion import build_expansion_network, max_flow_min_cut
 from hyperdense.maxflow import FlowGraph
 from hyperdense.oracle import generate_uniform
-from reference import ReferenceFlowGraph, cap_inf, reference_max_flow_min_cut
+from reference import ReferenceFlowGraph, cap_inf, edge_half, reference_max_flow_min_cut
 
 
 def path_graph(num_nodes, caps):
@@ -50,9 +51,9 @@ class TestLongPaths:
         chain = 3000
         edges = tuple((i, i + 1) for i in range(chain)) + ((0,),)
         net = build_expansion_network(Hypergraph(chain + 1, edges), 1, 1)
-        value, side = max_flow_min_cut(net)
+        value, positions = max_flow_min_cut(net)
         assert value == chain + 1
-        assert (value, side) == reference_max_flow_min_cut(net)
+        assert (value, positions) == edge_half(net, reference_max_flow_min_cut(net))
 
 
 class TestFlowGraph:
@@ -195,11 +196,13 @@ class TestThresholdNetwork:
     @given(expansion_networks())
     def test_matches_the_frozen_cut(self, net):
         general, sink = frozen_network(net)
-        g = FlowGraph(net.n, net.edges, net.cap_sink, net.cap_src)
-        assert g.max_flow() == general.max_flow(0, sink)
-        assert g.source_side() == general.source_side(0)
-        assert g.source_side(largest=True) == general.largest_source_side(sink)
-        assert max_flow_min_cut(net) == reference_max_flow_min_cut(net)
+        g = FlowGraph(net.edges, net.cap_sink, net.cap_src)
+        value = g.max_flow()
+        assert value == general.max_flow(0, sink)
+        for largest, side in ((False, general.source_side(0)),
+                              (True, general.largest_source_side(sink))):
+            assert (value, g.source_side(largest)) == edge_half(net, (value, side), largest)
+        assert max_flow_min_cut(net) == edge_half(net, reference_max_flow_min_cut(net))
 
     def test_benchmark_networks_match_the_frozen_cut(self, monkeypatch):
         # Every network of the first 36 ops of the seed-1 flow-sqrt-m
@@ -217,4 +220,4 @@ class TestThresholdNetwork:
             mpu_sqrt_m(h, 490 - 10 * (op % 5))
         assert len(nets) == 746
         for net in nets:
-            assert max_flow_min_cut(net) == reference_max_flow_min_cut(net)
+            assert max_flow_min_cut(net) == edge_half(net, reference_max_flow_min_cut(net))

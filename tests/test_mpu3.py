@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -90,6 +91,17 @@ class TestParams:
         assert _ceil_sqrt_fraction(4, 1) == 2
         assert _ceil_sqrt_fraction(5, 2) == 2
         assert _ceil_sqrt_fraction(9, 2) == 3
+
+        # mpu_sqrt_m's ceil(sqrt(m)), once written as isqrt plus a fix-up.
+        def isqrt_ceiling(m):
+            root = math.isqrt(m)
+            return root + 1 if root * root < m else root
+
+        for m in range(1, 20_001):
+            assert _ceil_sqrt_fraction(m, 1) == isqrt_ceiling(m)
+        for k in (10**6 + 3, 2**40, 10**30 + 7):
+            for d, want in ((-1, k), (0, k), (1, k + 1)):
+                assert _ceil_sqrt_fraction(k * k + d, 1) == isqrt_ceiling(k * k + d) == want
 
     def test_k_out_of_range(self):
         h = generate_uniform(6, 4, 0)
