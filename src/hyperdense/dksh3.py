@@ -6,12 +6,14 @@ Several incomparable strategies run side by side and the densest output wins:
 - a case split that scores vertices against the anchor set and also feeds a
   pair-weight graph into a pluggable dense-subgraph subroutine,
 - a per-vertex neighborhood search over iteratively pruned link graphs, run
-  on the instance itself with the anchors skipped: one sweep over the edges
-  that miss the anchors lists every vertex's companion pairs, each link graph
-  is pruned once, and at every threshold both the built-in greedy selection
-  and a plugged subroutine pick from the same pruned graph, reading one
-  degree order and one pull order (the default subroutine builds no weighted
-  graph unless the link repeats a pair),
+  on the instance itself with the anchors skipped.  One walk
+  (``_link_graphs``) sweeps the edges that miss the anchors once and yields
+  each vertex's link graph at every pruning threshold, pruned in place; at
+  each, the built-in greedy selection and a plugged subroutine pick from the
+  same graph, reading one degree order and one pull order (the default
+  subroutine builds no weighted graph unless the link repeats a pair).
+  mpu3's pruned-neighborhood probe (``probe_candidates``) reads the same
+  walk and the same pull order,
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
 Every candidate is padded to exactly k vertices with the smallest unused ids,
@@ -83,8 +85,9 @@ def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
     Both rankings come from one read of the adjacency: a vertex's pull is
     summed by walking the seed vertices' neighbors.  With every weight 1 the
     rankings are by degree and by seed neighbors, ties to the smaller id,
-    which ``_pull_order`` computes on a plain adjacency;
-    ``neighborhood_searches`` reads this pick from it without building a graph.
+    which ``_pull_order`` computes on a plain adjacency.  Where no link pair
+    repeats, ``neighborhood_searches`` reads this pick off that order for each
+    graph of the walk, without building a ``WeightedGraph``.
     """
     if k <= 0 or not graph.vertices:
         return ()
@@ -177,59 +180,49 @@ def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSoluti
     return _padded(h, base, k, "greedy-three-layer")
 
 
-def _link_pairs(
-    h: Hypergraph, skip: Collection[int] = ()
-) -> list[list[tuple[int, int]]]:
-    """Every vertex's companion pairs in one sweep: (u, x) per hyperedge {v, u, x}.
+def _link_graphs(
+    h: Hypergraph, max_threshold: int, skip: Collection[int] = ()
+) -> Iterator[tuple[int, list[tuple[int, int]], dict[int, set[int]]]]:
+    """Yield (v, pairs, g) per vertex and pruning threshold 1..max_threshold.
 
-    Pairs are listed in edge order, one per incident edge (duplicate edges
-    repeat their pair), each ordered u < x.  Edges that meet ``skip`` are left
-    out, so a skipped vertex has no pairs and is in no other vertex's pairs.
+    One sweep over the edges that miss ``skip`` lists v's companion pairs,
+    (u, x) with u < x per incident edge {v, u, x} in edge order (a duplicate
+    edge repeats its pair).  g is v's link graph, pruned in place to minimum
+    degree >= the threshold, and is yielded while nonempty: each yield is
+    the same dict, shrunk.  Threshold 1 yields g as built, since every vertex
+    of g has a neighbor, so its scan is skipped.  Vertices without pairs
+    (skipped ones among them) yield nothing.
     """
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+    link_pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for a, b, c in h.edges:
         if skip and (a in skip or b in skip or c in skip):
             continue
-        pairs[a].append((b, c))
-        pairs[b].append((a, c))
-        pairs[c].append((a, b))
-    return pairs
-
-
-def _link_graph(pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    """Neighborhood graph of a vertex from its companion pairs."""
-    adj: dict[int, set[int]] = {}
-    for u, x in pairs:
-        adj.setdefault(u, set()).add(x)
-        adj.setdefault(x, set()).add(u)
-    return adj
-
-
-def _pruned_link_graphs(
-    g: dict[int, set[int]], max_threshold: int
-) -> Iterator[tuple[int, dict[int, set[int]]]]:
-    """Yield (threshold, graph pruned to min degree >= threshold) until empty.
-
-    Pruning is incremental: raising the threshold keeps shrinking the same
-    live graph, so the loop ends as soon as everything is deleted.  That live
-    graph is ``g`` itself: the function consumes its argument, and every
-    yielded graph is ``g`` in its current state.
-    """
-    for dhat in range(1, max_threshold + 1):
-        stack = [u for u in g if len(g[u]) < dhat]
-        while stack:
-            u = stack.pop()
-            if u not in g:
-                continue
-            for w in g.pop(u):
-                nb = g.get(w)
-                if nb is not None:
-                    nb.discard(u)
-                    if len(nb) < dhat:
-                        stack.append(w)
-        if not g:
-            return
-        yield dhat, g
+        link_pairs[a].append((b, c))
+        link_pairs[b].append((a, c))
+        link_pairs[c].append((a, b))
+    for v, pairs in enumerate(link_pairs):
+        if not pairs or max_threshold < 1:
+            continue
+        g: dict[int, set[int]] = {}
+        for u, x in pairs:
+            g.setdefault(u, set()).add(x)
+            g.setdefault(x, set()).add(u)
+        yield v, pairs, g
+        for dhat in range(2, max_threshold + 1):
+            stack = [u for u in g if len(g[u]) < dhat]
+            while stack:
+                u = stack.pop()
+                if u not in g:
+                    continue
+                for w in g.pop(u):
+                    nb = g.get(w)
+                    if nb is not None:
+                        nb.discard(u)
+                        if len(nb) < dhat:
+                            stack.append(w)
+            if not g:
+                break
+            yield v, pairs, g
 
 
 def _pull_order(g: dict[int, set[int]], size: int) -> tuple[list[int], list[int]]:
@@ -245,12 +238,6 @@ def _pull_order(g: dict[int, set[int]], size: int) -> tuple[list[int], list[int]
         for u in g[s]:
             pull[u] += 1
     return seed, sorted(g, key=lambda u: (-pull[u], u))
-
-
-def _st_pick(g: dict[int, set[int]], kk: int) -> set[int]:
-    """floor(kk/2) vertices of top degree, then as many with most neighbors there."""
-    seed, by_pull = _pull_order(g, kk // 2)
-    return set(seed) | set(by_pull[: kk // 2])
 
 
 def _weighted_from_link(
@@ -291,16 +278,17 @@ def neighborhood_searches(
 
     The search runs on ``h`` with the vertices in ``skip`` removed: edges that
     meet them are left out of every link graph, and candidates are padded
-    with the smallest ids outside ``skip``.  Each vertex's link graph is
-    pruned once, and at every threshold both selectors pick k-1 companions
-    from the same pruned graph.  Each search lists its (covered count, padded
-    k-set) pairs in order of vertex, then threshold, for the best-of rule; a
-    plugged pick equal to the plain one reuses its count.  Only the two
-    winners become solutions.
+    with the smallest ids outside ``skip``.  One pass over the walk
+    (``_link_graphs``) visits every vertex's link graph at each pruning
+    threshold, and at each both selectors pick k-1 companions from the same
+    pruned graph.  Each search lists its (covered count, padded k-set) pairs
+    in order of vertex, then threshold, for the best-of rule; a plugged pick
+    equal to the plain one reuses its count.  Only the two winners become
+    solutions.
 
     Both picks read one degree order and one pull order (``_pull_order``).
-    When ``sub`` is ``greedy_weighted_dks`` and no pair of the vertex's link
-    repeats, every weight is 1, so that subroutine's pick is the seed plus
+    When ``sub`` is ``greedy_weighted_dks`` and the vertex's pairs are
+    distinct, every weight is 1, so that subroutine's pick is the seed plus
     the first ceil((k-1)/2) vertices by pull, and it is read off the same
     orders without building a ``WeightedGraph``.  Any other ``sub``, and any
     vertex with a repeated pair (a duplicate edge), calls ``sub`` on the
@@ -315,29 +303,21 @@ def neighborhood_searches(
     half = kk // 2
     plain: list[tuple[int, tuple[int, ...]]] = []
     plugged: list[tuple[int, tuple[int, ...]]] = []
-    for v, pairs in enumerate(_link_pairs(h, skip)):
-        if not pairs:
-            continue
-        link = _link_graph(pairs)
-        # A repeated pair would make the link graph's simple edge count smaller.
-        counts = None
-        if sub is not greedy_weighted_dks or sum(map(len, link.values())) != 2 * len(pairs):
-            counts = Counter(pairs)
-        for _, g in _pruned_link_graphs(link, kk):
-            seed, by_pull = _pull_order(g, half)
-            pick = {v, *seed, *by_pull[:half]}
-            plain_set = _pad_to_k(h.n, pick, k, skip)
-            plain_count = covered_count(h, plain_set)
-            plain.append((plain_count, plain_set))
-            if counts is None:
-                pick.update(by_pull[half : kk - half])
-            else:
-                pick = {v, *_checked_pick(sub, _weighted_from_link(g, counts), kk)}
-            plugged_set = _pad_to_k(h.n, pick, k, skip)
-            plugged_count = (
-                plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
-            )
-            plugged.append((plugged_count, plugged_set))
+    for v, pairs, g in _link_graphs(h, kk, skip):
+        seed, by_pull = _pull_order(g, half)
+        pick = {v, *seed, *by_pull[:half]}
+        plain_set = _pad_to_k(h.n, pick, k, skip)
+        plain_count = covered_count(h, plain_set)
+        plain.append((plain_count, plain_set))
+        if sub is greedy_weighted_dks and len(set(pairs)) == len(pairs):
+            pick.update(by_pull[half : kk - half])
+        else:
+            pick = {v, *_checked_pick(sub, _weighted_from_link(g, Counter(pairs)), kk)}
+        plugged_set = _pad_to_k(h.n, pick, k, skip)
+        plugged_count = (
+            plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
+        )
+        plugged.append((plugged_count, plugged_set))
     empty = (0, _pad_to_k(h.n, (), k, skip))
     return tuple(
         VertexSolution.from_vertices(h, max(found, key=lambda c: c[0], default=empty)[1], tag)
@@ -350,20 +330,20 @@ def probe_candidates(
 ) -> Iterator[set[int]]:
     """Pruned link-graph candidates at the given probe size, outside ``skip``.
 
-    Reads the same sweep as ``neighborhood_searches``: edges that meet
-    ``skip`` are left out, so no candidate holds a skipped vertex.  For each
-    vertex and degree threshold, yields the vertex plus either the whole
-    pruned graph (when it has fewer than probe_size vertices) or the greedy
-    two-stage pick of probe_size - 1 companions.
+    One pass over the walk that ``neighborhood_searches`` reads
+    (``_link_graphs``): edges that meet ``skip`` are left out, so no candidate
+    holds a skipped vertex.  For each vertex and degree threshold, yields the
+    vertex plus either the whole pruned graph (when it has fewer than
+    probe_size vertices) or the seed and the first as many by pull from
+    ``_pull_order``: floor((probe_size - 1)/2) companions in each stage.
     """
-    for v, pairs in enumerate(_link_pairs(h, skip)):
-        if not pairs:
-            continue
-        for _, g in _pruned_link_graphs(_link_graph(pairs), probe_size - 1):
-            if len(g) < probe_size:
-                yield {v} | set(g)
-            else:
-                yield {v} | _st_pick(g, probe_size - 1)
+    half = (probe_size - 1) // 2
+    for v, _, g in _link_graphs(h, probe_size - 1, skip):
+        if len(g) < probe_size:
+            yield {v, *g}
+        else:
+            seed, by_pull = _pull_order(g, half)
+            yield {v, *seed, *by_pull[:half]}
 
 
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:

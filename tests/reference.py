@@ -9,10 +9,11 @@ paper's LP route is the reference of acceptance criterion 2 and lives in
 ``lp_reference.py``.
 
 A reference calls package code only where that code is not the stage under
-test: the data types, ``induced``, the link-graph pruning, and the parts a
-stage composes (the mpu3 round's candidate builders, the expansion
-network's capacities and ``mpu_sqrt_m``).  The package leaves incidence arcs
-unbounded; the frozen general network gives them ``cap_inf``.
+test: the data types, ``induced``, and the parts a stage composes (the mpu3
+round's candidate builders, the expansion network's capacities and
+``mpu_sqrt_m``).  ``tests/test_surface.py`` lists every package name this
+module imports.  The package leaves incidence arcs unbounded; the frozen
+general network gives them ``cap_inf``.
 """
 
 import math
@@ -33,7 +34,6 @@ from hyperdense.core import _top_scoring, covered_edges, degrees, induced, top_b
 from hyperdense.dksh3 import (
     _check_k,
     _padded,
-    _pruned_link_graphs,
     _require_three_uniform,
     greedy_three_layer,
     k1_pair_weights,
@@ -74,6 +74,60 @@ def reference_pad_to_k(n, base, k):
 # -- dksh3: link graphs, selectors, neighborhood searches and the probe --
 # The bodies before one link-pair sweep, one pull order and count-first
 # scoring served the searches, and before the anchors were skipped in place.
+
+
+# The sweep, link-graph build and pruning before one generator walked them.
+
+
+def reference_link_pairs(h, skip=()):
+    """Every vertex's companion pairs in one sweep: (u, x) per hyperedge {v, u, x}.
+
+    Pairs are listed in edge order, one per incident edge (duplicate edges
+    repeat their pair), each ordered u < x.  Edges that meet ``skip`` are left
+    out, so a skipped vertex has no pairs and is in no other vertex's pairs.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+    for a, b, c in h.edges:
+        if skip and (a in skip or b in skip or c in skip):
+            continue
+        pairs[a].append((b, c))
+        pairs[b].append((a, c))
+        pairs[c].append((a, b))
+    return pairs
+
+
+def reference_link_graph(pairs):
+    """Neighborhood graph of a vertex from its companion pairs."""
+    adj: dict[int, set[int]] = {}
+    for u, x in pairs:
+        adj.setdefault(u, set()).add(x)
+        adj.setdefault(x, set()).add(u)
+    return adj
+
+
+def reference_pruned_link_graphs(g, max_threshold):
+    """Yield (threshold, graph pruned to min degree >= threshold) until empty.
+
+    Pruning is incremental: raising the threshold keeps shrinking the same
+    live graph, so the loop ends as soon as everything is deleted.  That live
+    graph is ``g`` itself: the function consumes its argument, and every
+    yielded graph is ``g`` in its current state.
+    """
+    for dhat in range(1, max_threshold + 1):
+        stack = [u for u in g if len(g[u]) < dhat]
+        while stack:
+            u = stack.pop()
+            if u not in g:
+                continue
+            for w in g.pop(u):
+                nb = g.get(w)
+                if nb is not None:
+                    nb.discard(u)
+                    if len(nb) < dhat:
+                        stack.append(w)
+        if not g:
+            return
+        yield dhat, g
 
 
 def reference_link(h, v):
@@ -146,7 +200,7 @@ def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks, skip=()):
         adj, counts = reference_link(rest, v)
         if not adj:
             continue
-        for _, g in _pruned_link_graphs(adj, k - 1):
+        for _, g in reference_pruned_link_graphs(adj, k - 1):
             offer({v} | reference_st_pick(g, k - 1), "neighborhood")
             picked = tuple(sub(reference_weighted_from_link(g, counts), k - 1))
             if len(picked) > k - 1 or not set(picked) <= set(g):
@@ -165,7 +219,7 @@ def reference_probe_candidates(h, probe_size, skip=()):
         adj, _ = reference_link(rest, v)
         if not adj:
             continue
-        for _, g in _pruned_link_graphs(adj, probe_size - 1):
+        for _, g in reference_pruned_link_graphs(adj, probe_size - 1):
             if len(g) < probe_size:
                 picked = set(g)
             else:

@@ -19,15 +19,12 @@ from hyperdense import (
     serialize_hypergraph,
     solution_json,
 )
-from hyperdense import dksh3
+from hyperdense import core, dksh3, mpu3
 from hyperdense.cli import main
 from hyperdense.core import degrees, edge_subhypergraph, top_by_degree
 from hyperdense.dksh3 import (
-    _link_graph,
-    _link_pairs,
-    _pruned_link_graphs,
+    _link_graphs,
     _pull_order,
-    _st_pick,
     dksh_best_of,
     dksh_candidates,
     greedy_three_layer,
@@ -57,14 +54,28 @@ from reference import (
     reference_greedy_weighted_dks,
     reference_k1_pair_weights,
     reference_k1_weighted_graph,
+    reference_link_graph,
+    reference_link_pairs,
     reference_neighborhood_searches,
     reference_probe_candidates,
+    reference_pruned_link_graphs,
     reference_st_pick,
 )
 
 
 def complete_3uniform(n):
     return Hypergraph(n, tuple(combinations(range(n), 3)))
+
+
+def walked(h, max_threshold, skip=()):
+    """The walk's (v, pairs, g) yields, each g copied as it was yielded.
+
+    The walk prunes one graph in place, so a later yield changes an earlier one.
+    """
+    return [
+        (v, pairs, {u: set(nb) for u, nb in g.items()})
+        for v, pairs, g in _link_graphs(h, max_threshold, skip)
+    ]
 
 
 def distinct_3uniform(n, m, seed):
@@ -159,36 +170,36 @@ class TestNeighborhoodSearch:
         assert sol.covered_count == 1
 
     def test_pruning_noop_when_degrees_suffice(self):
+        # Vertex 0's link graph is K4 on {1, 2, 3, 4}: degree 3 everywhere, so
+        # thresholds 1..3 all yield it whole.
         h = complete_3uniform(5)
-        adj = _link_graph(_link_pairs(h)[0])
-        # The pruning consumes its argument, so hand it a graph of its own.
-        levels = list(_pruned_link_graphs(_link_graph(_link_pairs(h)[0]), 3))
-        assert levels[0][0] == 1
-        assert set(levels[0][1]) == set(adj)
+        k4 = {u: {1, 2, 3, 4} - {u} for u in (1, 2, 3, 4)}
+        graphs = [g for v, _, g in walked(h, 3) if v == 0]
+        assert graphs == [k4, k4, k4]
 
     def test_pruning_fixpoint_property(self):
+        # A vertex's i-th graph is pruned to threshold i: min degree >= i.
         for seed in range(20):
             h = generate_uniform(8, 10, seed)
-            for pairs in _link_pairs(h):
-                adj = _link_graph(pairs)
-                if not adj:
-                    continue
-                for dhat, g in _pruned_link_graphs(adj, 5):
-                    assert all(len(nb) >= dhat for nb in g.values())
+            dhat = {}
+            for v, _, g in walked(h, 5):
+                dhat[v] = dhat.get(v, 0) + 1
+                assert g and all(len(nb) >= dhat[v] for nb in g.values())
 
     def test_link_graph_shape(self):
         # The link graph of v never contains v, and its (simple) edge count is
         # at most the degree of v.  The sweep lists one pair per incident edge,
-        # duplicates included.
+        # duplicates included.  Threshold 1 yields each vertex with an edge
+        # once, unpruned.
         for seed in range(20):
             h = generate_uniform(8, 10, seed + 700)
-            link_pairs = _link_pairs(h)
+            links = {v: (pairs, adj) for v, pairs, adj in walked(h, 1)}
             for v in range(h.n):
-                adj = _link_graph(link_pairs[v])
+                pairs, adj = links.get(v, ([], {}))
                 assert v not in adj
-                pairs = sum(len(nb) for nb in adj.values()) // 2
-                assert pairs <= sum(1 for e in h.edges if v in e)
-                assert len(link_pairs[v]) == degrees(h)[v]
+                simple = sum(len(nb) for nb in adj.values()) // 2
+                assert simple <= sum(1 for e in h.edges if v in e)
+                assert len(pairs) == degrees(h)[v]
 
 
 class TestNeighborhoodPlugged:
@@ -365,7 +376,8 @@ def as_tuple(sol):
 def plain_pick_as_sub(graph, kk):
     """The plain selector as a plugged subroutine: every plugged pick is the plain one."""
     g = {u: set(nbrs) for u, nbrs in graph.adjacency.items()}
-    return tuple(_st_pick(g, kk))
+    seed, by_pull = _pull_order(g, kk // 2)
+    return tuple(set(seed) | set(by_pull[: kk // 2]))
 
 
 @lru_cache(maxsize=None)
@@ -620,7 +632,8 @@ class TestOnePullOrder:
         before = {u: set(nb) for u, nb in g.items()}
         seed, by_pull = _pull_order(g, kk // 2)
         assert g == before
-        assert _st_pick(g, kk) == reference_st_pick(g, kk)
+        # The plain pick: the seed plus the first floor(kk/2) by pull.
+        assert set(seed) | set(by_pull[: kk // 2]) == reference_st_pick(g, kk)
         # Unit weights: the default subroutine's pick is the seed plus the
         # first ceil(kk/2) vertices of the same pull order.
         unit = WeightedGraph(tuple(sorted(g)), tuple((u, v, 1) for u, v in pairs))
@@ -836,3 +849,153 @@ class TestBestOfRule:
         for sol in neighborhood_searches(h, 3, skip=(0,)):
             assert sol.vertices == (1, 2, 3)
             assert sol.covered_count == 0
+
+
+def frozen_walk(h, max_threshold, skip=()):
+    """The frozen sweep, link-graph build and pruning, in the walk's shape."""
+    return [
+        (v, pairs, {u: set(nb) for u, nb in g.items()})
+        for v, pairs in enumerate(reference_link_pairs(h, skip))
+        for _, g in reference_pruned_link_graphs(reference_link_graph(pairs), max_threshold)
+    ]
+
+
+def assert_walk_matches_frozen(h, max_threshold, skip=()):
+    """The walk equals the frozen one graph by graph, and each vertex's first
+    graph is its link graph unpruned: threshold 1 never prunes.  Returns the
+    number of graphs pruned to threshold 2 or more."""
+    got = walked(h, max_threshold, skip)
+    assert got == frozen_walk(h, max_threshold, skip)
+    later, seen = 0, set()
+    for v, pairs, g in got:
+        if v in seen:
+            later += 1
+        else:
+            seen.add(v)
+            assert g == reference_link_graph(pairs)
+    return later
+
+
+def skip_sets(h):
+    """No skip, the two top-degree vertices, and all but the three top-degree ones."""
+    return (
+        frozenset(),
+        frozenset(top_by_degree(h, 2)),
+        frozenset(range(h.n)) - set(top_by_degree(h, 3)),
+    )
+
+
+@st.composite
+def walk_cases(draw):
+    """An instance (duplicate edges, vertices in no edge, or complete on 5..7
+    vertices), a skip set, a threshold cap in 0..6 and residual edge ids."""
+    h = draw(
+        st.one_of(
+            three_uniform_with_duplicates().map(lambda case: case[0]),
+            st.integers(5, 7).map(complete_3uniform),
+        )
+    )
+    h = Hypergraph(h.n + draw(st.integers(0, 2)), h.edges)
+    kind = draw(st.sampled_from(("empty", "random", "all-but-three")))
+    if kind == "empty":
+        skip = frozenset()
+    elif kind == "random":
+        skip = frozenset(draw(st.sets(st.integers(0, h.n - 1))))
+    else:
+        kept = draw(st.sets(st.integers(0, h.n - 1), min_size=3, max_size=3))
+        skip = frozenset(range(h.n)) - kept
+    ids = draw(st.lists(st.integers(0, max(h.m - 1, 0)), unique=True))
+    return h, skip, draw(st.integers(0, 6)), ids
+
+
+class TestLinkGraphWalk:
+    """``_link_graphs`` yields what the frozen sweep and pruning give."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(walk_cases())
+    def test_matches_frozen_property(self, case):
+        h, skip, max_threshold, ids = case
+        for g in (h, edge_subhypergraph(h, ids) if h.m else h):
+            assert_walk_matches_frozen(g, max_threshold, skip)
+
+    def test_matches_frozen_on_seeded_corpus(self):
+        rng = random.Random(2500)
+        corpus = [*differential_instances(), *planted_differential_instances()]
+        corpus += [complete_3uniform(6), complete_3uniform(7)]
+        later = 0
+        for h in corpus:
+            residual = edge_subhypergraph(h, sorted(rng.sample(range(h.m), h.m // 2)))
+            for g in (h, Hypergraph(h.n + 2, h.edges), residual):
+                for skip in skip_sets(g):
+                    for max_threshold in range(7):
+                        later += assert_walk_matches_frozen(g, max_threshold, skip)
+        # Link graphs with a nonempty 2-core reach the pruning.
+        assert later >= 1000
+
+    def test_complete_instance_has_a_two_core(self):
+        # Vertex 0's link graph in K^(3)_6 is K5: thresholds 1..4 keep it whole,
+        # and threshold 5 deletes it.
+        k5 = {u: {1, 2, 3, 4, 5} - {u} for u in range(1, 6)}
+        graphs = [g for v, _, g in walked(complete_3uniform(6), 6) if v == 0]
+        assert graphs == [k5] * 4
+
+
+class _CountedEdges(tuple):
+    """Edges that count how often they are iterated."""
+
+    sweeps = 0
+
+    def __iter__(self):
+        self.sweeps += 1
+        return super().__iter__()
+
+
+def counted_copy(h):
+    """h on edges that count their sweeps, with its indexes already built."""
+    assert h.edges_at and h.edges_by_last and h.is_uniform(3)
+    copy = core._trusted(Hypergraph, n=h.n, edges=_CountedEdges(h.edges))
+    for name in ("edges_at", "edges_by_last", "_edge_sizes"):
+        vars(copy)[name] = vars(h)[name]
+    return copy
+
+
+class TestOneWalk:
+    """Each search reads one walk, and the walk sweeps the edges once."""
+
+    def test_each_search_enters_the_walk_once(self, monkeypatch):
+        walks = spy(monkeypatch, dksh3, "_link_graphs")
+        small = [h for h in differential_instances() if h.n >= 9][:10]
+        for h in [*small, *planted_differential_instances()]:
+            anchors = frozenset(top_by_degree(h, 2))
+            calls = [
+                lambda: neighborhood_searches(h, 5),
+                lambda: neighborhood_searches(h, 5, skip=anchors),
+                lambda: list(probe_candidates(h, 4, anchors)),
+                lambda: dksh_candidates(h, 5),
+            ]
+            if h.n <= 10:
+                calls.append(lambda: neighborhood_searches(h, 5, exact_weighted_dks))
+            for call in calls:
+                walks.clear()
+                call()
+                assert len(walks) == 1
+
+    def test_the_walk_sweeps_the_edges_once(self):
+        h = counted_copy(planted_180(1))
+        anchors = frozenset(top_by_degree(h, 6))
+        for call in (
+            lambda: neighborhood_searches(h, 20, skip=anchors),
+            lambda: list(probe_candidates(h, 5, anchors)),
+        ):
+            h.edges.sweeps = 0
+            call()
+            assert h.edges.sweeps == 1
+
+    def test_each_mpu3_probe_enters_the_walk_once(self, monkeypatch):
+        spec = PlantedSpec(n=30, noise_edges=60, block_size=8, block_edges=20, seed=4)
+        h = generate_planted(spec).hypergraph
+        probes = spy(monkeypatch, mpu3, "probe_candidates")
+        walks = spy(monkeypatch, dksh3, "_link_graphs")
+        for p in (25, 75):
+            mpu_3uniform(h, p)
+        assert len(walks) == len(probes) > 0

@@ -1,6 +1,7 @@
 """The package's public names, the README example, the tracer's bindings,
 what the interval table stores, unused imports, where bitmasks may live, that
-the anchored scans never sweep every edge, and where frozen references live."""
+the anchored scans never sweep every edge, where frozen references live and
+what they import."""
 
 import ast
 import contextlib
@@ -229,3 +230,46 @@ def test_frozen_references_live_in_one_module():
     assert {file for file, _ in defined} == {"reference.py"}
     assert len(names) == len(set(names))
     assert "ReferenceTable" in names
+
+
+# Every package name tests/reference.py imports, each a declared decision: a
+# frozen reference that calls the code it freezes would change along with it.
+REFERENCE_IMPORTS = {
+    ("hyperdense", "EdgeSolution"),
+    ("hyperdense", "Hypergraph"),
+    ("hyperdense", "VertexSolution"),
+    ("hyperdense", "WeightedGraph"),
+    ("hyperdense", "greedy_weighted_dks"),
+    ("hyperdense", "greedy_weighted_spes"),
+    ("hyperdense", "mpu_sqrt_m"),
+    ("hyperdense.core", "_top_scoring"),
+    ("hyperdense.core", "covered_edges"),
+    ("hyperdense.core", "degrees"),
+    ("hyperdense.core", "induced"),
+    ("hyperdense.core", "top_by_degree"),
+    ("hyperdense.dksh3", "_check_k"),
+    ("hyperdense.dksh3", "_padded"),
+    ("hyperdense.dksh3", "_require_three_uniform"),
+    ("hyperdense.dksh3", "greedy_three_layer"),
+    ("hyperdense.dksh3", "k1_pair_weights"),
+    ("hyperdense.dksh3", "k1_weighted_graph"),
+    ("hyperdense.expansion", "build_expansion_network"),
+    ("hyperdense.expansion", "expansion_certificate"),
+    ("hyperdense.mpu3", "MpU3Params"),
+    ("hyperdense.mpu3", "_ceil_sqrt_fraction"),
+    ("hyperdense.mpu_general", "StalledGeneratorError"),
+}
+
+
+def test_frozen_references_import_only_the_allowlist():
+    # A plain ``import hyperdense...`` reaches every name, so it counts as "*".
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(
+                (a.name, "*") for a in node.names if a.name.split(".")[0] == "hyperdense"
+            )
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hyperdense":
+            imported.update((node.module, a.name) for a in node.names)
+    assert imported == REFERENCE_IMPORTS
