@@ -22,10 +22,11 @@ edge), and its covered count is recomputed from the instance's incidence
 index ``Hypergraph.edges_by_last``, which visits only the edges that end
 inside the candidate.  The anchored scans (both three-layer layers and both
 pair-weight routes) read the per-vertex index ``Hypergraph.edges_at`` and
-visit only the edges that meet the anchors.  One best-of rule picks every
-winner: the builtin ``max`` over the covered count, which returns the
-earliest of equal candidates.  The neighborhood searches apply it to bare
-counts and build one solution each.
+visit only the edges that meet the anchors; one count (``_pair_counts``)
+serves the third layer and the pair weights, and one check (``_anchor_layer``)
+the anchors.  One best-of rule picks every winner: the builtin ``max`` over
+the covered count, which returns the earliest of equal candidates.  The
+neighborhood searches apply it to bare counts and build one solution each.
 """
 
 from __future__ import annotations
@@ -111,7 +112,18 @@ def _require_three_uniform(h: Hypergraph) -> None:
 
 
 def _check_k(h: Hypergraph, k: int) -> None:
+    """Reject ``h`` unless it is 3-uniform, then ``k`` unless it is in [3, h.n]."""
+    _require_three_uniform(h)
     _check_range("k", k, 3, h.n)
+
+
+def _anchor_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> set[int]:
+    """The anchor set ``k1`` after ``_check_k``, rejected unless it has floor(k/3) vertices."""
+    _check_k(h, k)
+    anchors = set(k1)
+    if len(anchors) != k // 3:
+        raise ValueError(f"anchor layer must have {k // 3} vertices")
+    return anchors
 
 
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
@@ -144,40 +156,38 @@ def _meeting(h: Hypergraph, anchors: Collection[int]) -> set[int]:
     return met
 
 
+def _pair_counts(
+    h: Hypergraph, met: Iterable[int], left: Collection[int], right: Collection[int]
+) -> list[int]:
+    """Per vertex u, the edges {u, y, z} among the ids ``met`` with y in ``left``
+    and z in ``right`` or the other way round, each counted once per u."""
+    edges, counts = h.edges, [0] * h.n
+    for i in met:
+        a, b, c = edges[i]
+        for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+            if (y in left and z in right) or (z in left and y in right):
+                counts[u] += 1
+    return counts
+
+
 def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSolution:
     """Three anchored greedy layers of floor(k/3) vertices each.
 
     Layer two ranks vertices by the number of incident edges meeting the
     anchor layer; layer three by the number of incident edges with one other
-    endpoint in each previous layer.  Every edge either layer counts meets
-    the anchors, so both visit only the anchors' edges (``_meeting``).
-    Layers may overlap; the result is padded to exactly k vertices.
+    endpoint in each previous layer (``_pair_counts``).  Every edge either
+    layer counts meets the anchors, so both visit only the anchors' edges
+    (``_meeting``).  Layers may overlap; the result is padded to exactly k.
     """
-    _require_three_uniform(h)
-    _check_k(h, k)
-    anchors = tuple(sorted(set(k1)))
-    if len(anchors) != k // 3:
-        raise ValueError(f"anchor layer must have {k // 3} vertices")
-    k1set = set(anchors)
+    k1set = _anchor_layer(h, k, k1)
     met, edges = _meeting(h, k1set), h.edges
-
     deg1 = [0] * h.n
     for i in met:
         for v in edges[i]:
             deg1[v] += 1
-    k2 = _top_scoring(deg1, k // 3)
-    k2set = set(k2)
-
-    deg2 = [0] * h.n
-    for i in met:
-        a, b, c = edges[i]
-        for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-            if (y in k2set and z in k1set) or (z in k2set and y in k1set):
-                deg2[u] += 1
-    k3 = _top_scoring(deg2, k // 3)
-
-    base = k1set | k2set | set(k3)
-    return _padded(h, base, k, "greedy-three-layer")
+    k2set = set(_top_scoring(deg1, k // 3))
+    k3 = _top_scoring(_pair_counts(h, met, k2set, k1set), k // 3)
+    return _padded(h, k1set | k2set | set(k3), k, "greedy-three-layer")
 
 
 def _link_graphs(
@@ -294,7 +304,6 @@ def neighborhood_searches(
     vertex with a repeated pair (a duplicate edge), calls ``sub`` on the
     weighted link graph and checks its answer.
     """
-    _require_three_uniform(h)
     _check_k(h, k)
     skip = frozenset(skip)
     if k > h.n - len(skip):
@@ -349,16 +358,10 @@ def probe_candidates(
 def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:
     """Per-vertex count of incident edges whose other two endpoints lie in k1.
 
-    Every such edge meets k1, so only the edges that do are visited.
+    ``_pair_counts`` with k1 as both sets, over the edges that meet k1.
     """
-    k1set, edges = set(k1), h.edges
-    weights = [0] * h.n
-    for i in _meeting(h, k1set):
-        a, b, c = edges[i]
-        for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-            if y in k1set and z in k1set:
-                weights[u] += 1
-    return weights
+    k1set = set(k1)
+    return _pair_counts(h, _meeting(h, k1set), k1set, k1set)
 
 
 def k1_weighted_graph(h: Hypergraph, k1: Iterable[int]) -> WeightedGraph:
@@ -390,13 +393,9 @@ def k1_case_split(
     other endpoints in the anchor set and takes the top floor(2k/3).  Route two
     builds the pair-weight graph outside the anchors and asks the pluggable
     dense-subgraph subroutine for floor(2k/3) vertices.  Both candidates gain
-    the anchors and are padded to exactly k.
+    the anchors (checked by ``_anchor_layer``) and are padded to exactly k.
     """
-    _require_three_uniform(h)
-    _check_k(h, k)
-    anchors = set(k1)
-    if len(anchors) != k // 3:
-        raise ValueError(f"anchor layer must have {k // 3} vertices")
+    anchors = _anchor_layer(h, k, k1)
     budget = (2 * k) // 3
 
     top = _top_scoring(k1_pair_weights(h, anchors), budget)
@@ -413,7 +412,6 @@ def trivial_pick(h: Hypergraph, k: int) -> VertexSolution:
     Guarantees at least min(floor(k/3), m) covered edges, the hard floor every
     combined solver inherits.
     """
-    _require_three_uniform(h)
     _check_k(h, k)
     span: set[int] = set()
     for e in h.edges:
@@ -432,7 +430,6 @@ def dksh_candidates(
     ``neighborhood_searches``), so no induced copy is built; they do not run
     when fewer than k vertices lie outside the anchors.
     """
-    _require_three_uniform(h)
     _check_k(h, k)
     anchors = top_by_degree(h, k // 3)
     out = [

@@ -85,7 +85,9 @@ class FlowGraph:
         positions of the arcs taken, even entries arcs edge -> vertex and odd
         ones vertex -> edge against an incidence's flow.  With current-arc
         pointers and level 0 for dead ends, no arc is rescanned in a phase,
-        and path length is bounded only by the node count.
+        and path length is bounded only by the node count.  An augment that
+        leaves ``first`` room restarts the search at ``first``; the pointers
+        make that descent retrace only the path's unsaturated prefix.
         """
         out, room, flow, head = self.out, self.room, self.flow, self.head
         tail, start, at = self.tail, self.start, self.at
@@ -132,13 +134,9 @@ class FlowGraph:
                         value += push
                         for j, p in enumerate(path):
                             flow[p] += -push if j % 2 else push
-                        if not out[first]:  # resume from the first saturated arc's tail
+                        if not out[first]:
                             break
-                        for j in range(1, len(path), 2):
-                            if not flow[path[j]]:
-                                u = head[path[j]]
-                                del path[j:]
-                                break
+                        path, i, u = [], first, -1  # descend again from first
                         continue
                     vlev[u] = 0  # dead end: back to the edge the arc into u left
                     i, u = tail[path.pop()], -1

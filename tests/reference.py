@@ -32,9 +32,7 @@ from hyperdense import (
 )
 from hyperdense.core import _top_scoring, covered_edges, degrees, induced, top_by_degree
 from hyperdense.dksh3 import (
-    _check_k,
     _padded,
-    _require_three_uniform,
     greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
@@ -69,6 +67,19 @@ def reference_pad_to_k(n, base, k):
             break
         chosen.add(v)
     return tuple(sorted(chosen))
+
+
+# -- dksh3: the entry checks before ``_check_k`` ran the uniformity check --
+
+
+def reference_require_three_uniform(h):
+    if not h.is_uniform(3):
+        raise ValueError("instance must be 3-uniform")
+
+
+def reference_check_k(h, k):
+    if not 3 <= k <= h.n:
+        raise ValueError(f"k must be in [3, {h.n}], got {k}")
 
 
 # -- dksh3: link graphs, selectors, neighborhood searches and the probe --
@@ -183,7 +194,7 @@ def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks, skip=()):
     the copy, lifted back to ids of h and scored by the mask scan; the first
     best proposal of each search wins.
     """
-    _require_three_uniform(h)
+    reference_require_three_uniform(h)
     skip = set(skip)
     if not 3 <= k <= h.n - len(skip):
         raise ValueError(f"k must be in [3, {h.n - len(skip)}] outside the skipped vertices")
@@ -252,8 +263,8 @@ def reference_degrees(h):
 
 
 def reference_greedy_three_layer(h, k, k1):
-    _require_three_uniform(h)
-    _check_k(h, k)
+    reference_require_three_uniform(h)
+    reference_check_k(h, k)
     anchors = tuple(sorted(set(k1)))
     if len(anchors) != k // 3:
         raise ValueError(f"anchor layer must have {k // 3} vertices")
@@ -366,7 +377,7 @@ def reference_mpu_best_of(h, p, candidates):
 def reference_candidate_generator_3u(residual, params):
     if residual.m == 0:
         raise ValueError("generator needs a nonempty residual")
-    _require_three_uniform(residual)
+    reference_require_three_uniform(residual)
     n = residual.n
     anchors = top_by_degree(residual, params.anchor_size)
     anchor_set = set(anchors)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -21,7 +22,7 @@ from hyperdense import (
 )
 from hyperdense import core, dksh3, mpu3
 from hyperdense.cli import main
-from hyperdense.core import degrees, edge_subhypergraph, top_by_degree
+from hyperdense.core import _top_scoring, degrees, edge_subhypergraph, top_by_degree
 from hyperdense.dksh3 import (
     _link_graphs,
     _pull_order,
@@ -462,14 +463,34 @@ def edge_cover(h):
     return cover
 
 
+def second_layer(h, anchors):
+    """The three-layer greedy's second layer on ``anchors``: the top len(anchors)
+    vertices by incident edges that meet the anchors, from a full sweep."""
+    met = [0] * h.n
+    for e in h.edges:
+        if anchors.intersection(e):
+            for v in e:
+                met[v] += 1
+    return set(_top_scoring(met, len(anchors)))
+
+
 def assert_scans_match_reference(h, anchors):
     """The pair-weight scans on ``anchors``, and the three-layer greedy on
-    every k the anchors fit, equal the full-sweep references."""
+    every k the anchors fit, equal the full-sweep references.
+
+    Returns whether a three-layer case ran whose second layer shares some but
+    not all of its vertices with the anchors: there the third layer counts
+    pairs across two different, overlapping sets.
+    """
     assert k1_pair_weights(h, anchors) == reference_k1_pair_weights(h, anchors)
     assert k1_weighted_graph(h, anchors) == reference_k1_weighted_graph(h, anchors)
     size = len(set(anchors))
-    for k in range(max(3, 3 * size), min(3 * size + 2, h.n) + 1):
+    ks = range(max(3, 3 * size), min(3 * size + 2, h.n) + 1)
+    for k in ks:
         assert greedy_three_layer(h, k, anchors) == reference_greedy_three_layer(h, k, anchors)
+    anchors = set(anchors)
+    k2 = second_layer(h, anchors)
+    return bool(ks) and k2 != anchors and bool(k2 & anchors)
 
 
 def assert_index_scans_match_reference(h, rng):
@@ -478,19 +499,20 @@ def assert_index_scans_match_reference(h, rng):
 
     Anchor sets: the top-degree vertices, a random set, the vertices in no
     edge (they meet no edge), an edge cover (it meets every edge) and all
-    vertices.
+    vertices.  Returns how many three-layer cases had a second layer that
+    partly overlaps the anchors.
     """
     wide = Hypergraph(h.n + 3, h.edges)
     residual = edge_subhypergraph(h, sorted(rng.sample(range(h.m), h.m // 2)))
+    overlaps = 0
     for g in (h, wide, residual):
         assert degrees(g) == reference_degrees(g)
         used = set(g.edges_at)
-        for size in range(1, g.n // 3 + 1):
-            assert_scans_match_reference(g, top_by_degree(g, size))
-        assert_scans_match_reference(g, set(rng.sample(range(g.n), rng.randint(0, g.n))))
-        assert_scans_match_reference(g, set(range(g.n)) - used)
-        assert_scans_match_reference(g, edge_cover(g))
-        assert_scans_match_reference(g, range(g.n))
+        anchor_sets = [top_by_degree(g, size) for size in range(1, g.n // 3 + 1)]
+        anchor_sets.append(set(rng.sample(range(g.n), rng.randint(0, g.n))))
+        anchor_sets += [set(range(g.n)) - used, edge_cover(g), range(g.n)]
+        overlaps += sum(assert_scans_match_reference(g, anchors) for anchors in anchor_sets)
+    return overlaps
 
 
 @st.composite
@@ -514,10 +536,14 @@ class TestAnchoredScans:
 
     def test_match_reference_on_seeded_corpus(self):
         rng = random.Random(2300)
+        overlaps = 0
         for h in differential_instances():
-            assert_index_scans_match_reference(h, rng)
+            overlaps += assert_index_scans_match_reference(h, rng)
         for h in planted_differential_instances():
-            assert_index_scans_match_reference(h, rng)
+            overlaps += assert_index_scans_match_reference(h, rng)
+        # Some second layer shares vertices with its anchors without equalling
+        # them, so ``_pair_counts`` runs on two different, overlapping sets.
+        assert overlaps > 0
 
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(anchored_scan_cases())
@@ -779,6 +805,39 @@ class TestUniformityCheckedOnce:
         assert len(scans) > 1
         assert sum(g is h for g in scans) == 1
         assert len({id(g) for g in scans}) == len(scans)
+
+
+class TestEntryChecks:
+    """One uniformity-then-k check serves the five entry points, and one
+    anchor-layer check both anchored components."""
+
+    ENTRY_POINTS = {
+        "greedy_three_layer": lambda h, k: greedy_three_layer(h, k, range(k // 3)),
+        "neighborhood_searches": neighborhood_searches,
+        "k1_case_split": lambda h, k: k1_case_split(h, k, range(k // 3)),
+        "trivial_pick": trivial_pick,
+        "dksh_candidates": dksh_candidates,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_uniformity_is_checked_before_k(self, name):
+        call = self.ENTRY_POINTS[name]
+        for k in (2, 7):
+            with pytest.raises(ValueError, match="^instance must be 3-uniform$"):
+                call(TestUniformityCheckedOnce.MIXED, k)
+            with pytest.raises(ValueError, match=re.escape(f"k must be in [3, 6], got {k}")):
+                call(complete_3uniform(6), k)
+
+    @pytest.mark.parametrize("component", [greedy_three_layer, k1_case_split])
+    def test_one_anchor_layer_check(self, component):
+        h = complete_3uniform(9)
+        with pytest.raises(ValueError, match="k must be in"):
+            component(h, 10, (0,))
+        for k in (6, 7, 8):
+            assert len(component(h, k, (3, 5, 3)).vertices) == k  # two distinct anchors
+            for anchors in ((), (3,), (3, 3), (3, 5, 7), range(9)):
+                with pytest.raises(ValueError, match=re.escape("anchor layer must have 2 vertices")):
+                    component(h, k, anchors)
 
 
 class TestBestOfRule:

@@ -1,7 +1,7 @@
-"""The package's public names, the README example, the tracer's bindings,
-what the interval table stores, unused imports, where bitmasks may live, that
-the anchored scans never sweep every edge, where frozen references live and
-what they import."""
+"""The package's public names, the README example, the tracer's bindings and
+one traced op per solver path, what the interval table stores, unused
+imports, where bitmasks may live, that the anchored scans never sweep every
+edge, where frozen references live and what they import."""
 
 import ast
 import contextlib
@@ -21,6 +21,7 @@ import hyperdense.dksh3
 import hyperdense.interval
 import hyperdense.maxflow
 import hyperdense.mpu3
+import hyperdense.oracle
 from reference import (
     reference_degrees,
     reference_greedy_three_layer,
@@ -102,6 +103,85 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert len(patched) == recorded > 0
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def _traced_op_files(tmp_path):
+    """Tiny instances for each solver path: sizes 2-4, 3-uniform planted, intervals."""
+    oracle = hyperdense.oracle
+    files = {
+        "mixed.hg": hyperdense.serialize_hypergraph(oracle.generate_uniform(14, 16, 3, (2, 4))),
+        "planted.hg": hyperdense.serialize_hypergraph(
+            oracle.generate_planted(oracle.PlantedSpec(20, 20, 6, 12, seed=5)).hypergraph
+        ),
+        "intervals.iv": hyperdense.serialize_intervals(oracle.generate_intervals(16, 10, 7)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return {name: str(tmp_path / name) for name in files}
+
+
+# (argv naming an instance file, spans the op must record under the tracer)
+TRACED_OPS = [
+    (
+        ["solve", "mpu", "--p", "12", "mixed.hg"],  # p > ceil(sqrt 16)
+        ["mpu_general.mpu_sqrt_m", "expansion.min_expansion_flow", "maxflow.FlowGraph.max_flow"],
+    ),
+    (
+        ["solve", "mpu", "--algo", "three-uniform", "--trace", "--p", "14", "planted.hg"],
+        ["mpu3.mpu_3uniform", "mpu3.candidate_generator_3u", "maxflow.FlowGraph.max_flow"],
+    ),
+    (
+        ["solve", "dksh", "--k", "9", "planted.hg"],
+        ["dksh3.dksh_3uniform", "dksh3.k1_case_split", "dksh3.greedy_three_layer"],
+    ),
+    (
+        ["solve", "dksh", "--explain", "--k", "9", "planted.hg"],
+        ["dksh3.k1_case_split", "dksh3.greedy_three_layer", "dksh3.trivial_pick"],
+    ),
+    (
+        ["solve", "mpu", "--algo", "interval", "--p", "4", "intervals.iv"],
+        ["interval.mpu_interval", "interval.fill_table"],
+    ),
+    (
+        ["solve", "dksh", "--algo", "interval", "--k", "6", "intervals.iv"],
+        ["interval.dksh_interval", "interval.fill_table"],
+    ),
+]
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = hyperdense.cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_traced_ops_match_untraced(monkeypatch, tmp_path):
+    # What perfbench/run.py --trace 1 does per op: run it untraced, then under
+    # an installed tracer; the two must print the same, and the tracer must see
+    # every layer the op reaches and compute its metrics from what it saw.
+    paths = _traced_op_files(tmp_path)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+        for op, (template, spans) in enumerate(TRACED_OPS):
+            argv = [paths.get(arg, arg) for arg in template]
+            plain = _run_cli(argv)
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                traced = tracer.run_op(op, _run_cli, argv)
+            finally:
+                tracer.uninstall()
+            assert plain[0] == 0 and traced == plain, argv
+            assert all(tracer.counts[name] > 0 for name in spans), (argv, tracer.counts)
+            metrics = tracer.metrics(traced_s=1.0, untraced_s=1.0)
+            if "maxflow.FlowGraph.max_flow" in spans:
+                assert metrics["maxflow.arcs"] > 0 and metrics["maxflow.phases"] > 0
+            if "dksh3.dksh_3uniform" in spans:
+                assert sum(metrics[f"dksh3.win_ratio.{a}"] for a in tracing.DKSH_ALGORITHMS) == 1
+    finally:
+        sys.modules.pop("tracing", None)
 
 
 def test_the_interval_table_stores_its_values_only():
@@ -247,9 +327,7 @@ REFERENCE_IMPORTS = {
     ("hyperdense.core", "degrees"),
     ("hyperdense.core", "induced"),
     ("hyperdense.core", "top_by_degree"),
-    ("hyperdense.dksh3", "_check_k"),
     ("hyperdense.dksh3", "_padded"),
-    ("hyperdense.dksh3", "_require_three_uniform"),
     ("hyperdense.dksh3", "greedy_three_layer"),
     ("hyperdense.dksh3", "k1_pair_weights"),
     ("hyperdense.dksh3", "k1_weighted_graph"),
