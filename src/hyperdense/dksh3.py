@@ -367,18 +367,15 @@ def k1_pair_weights(h: Hypergraph, k1: Iterable[int]) -> list[int]:
 def k1_weighted_graph(h: Hypergraph, k1: Iterable[int]) -> WeightedGraph:
     """Pair-weight graph outside the anchors: w(u, v) counts edges {u, v, x}, x in k1.
 
-    Only the edges that meet k1 are visited; the pairs are listed sorted,
-    so the visiting order does not show.
+    Only the edges that meet k1 are visited, and edges are sorted, so u < v;
+    the pairs are listed sorted, so the visiting order does not show.
     """
     k1set, edges = set(k1), h.edges
-    weights: dict[tuple[int, int], int] = {}
+    weights: Counter[tuple[int, int]] = Counter()
     for i in _meeting(h, k1set):
-        e = edges[i]
-        inside = [v for v in e if v in k1set]
-        outside = [v for v in e if v not in k1set]
-        if len(inside) == 1 and len(outside) == 2:
-            pair = (outside[0], outside[1]) if outside[0] < outside[1] else (outside[1], outside[0])
-            weights[pair] = weights.get(pair, 0) + 1
+        outside = [v for v in edges[i] if v not in k1set]
+        if len(outside) == 2 == len(edges[i]) - 1:
+            weights[outside[0], outside[1]] += 1
     vertices = tuple(v for v in range(h.n) if v not in k1set)
     edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
     return WeightedGraph(vertices, edges)

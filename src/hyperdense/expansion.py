@@ -63,14 +63,17 @@ maximiser at C's ratio, or, when none beats it, the largest maximiser D.
 
 Three exact shortcuts keep the flows few and small:
 
-* Peeling start.  Charikar-style greedy peeling (repeatedly drop a vertex
-  of least degree with its edges) meets a vertex set whose edges have ratio
-  r >= the full set's ratio.  The first decision runs at r instead of at the
-  full set's ratio.  It is a threshold, not a certificate: r is the ratio of
-  an edge set, so if no subset beats r, then r = l* and the largest
-  maximiser D is read off the same cut: a good guess ends the loop after a
-  single flow.  Otherwise the smallest maximiser at r is a certificate and
-  nesting continues from it.
+* Peeling start.  Greedy peeling (Charikar: repeatedly drop a vertex of
+  least degree with its edges) meets vertex sets, the whole scope first;
+  builtin ``max`` over ``_peel``'s float ratios picks the first best, r >=
+  the full set's ratio, and the first decision runs at r.  It is a
+  threshold, not a certificate: r is the ratio of an edge set, so if no
+  subset beats r, then r = l* and the largest maximiser D is read off the
+  same cut after a single flow.  Otherwise the smallest maximiser at r is a
+  certificate and nesting continues from it.  Distinct ratios differ by
+  >= 1/n^2, so floats order them exactly while n^2 * m < 2^52; past that a
+  near-tie picks an earlier set, still a real set's ratio, and the answer
+  is D from any such start.
 * Core pruning.  Before each flow at a/b, an edge e whose private vertices
   (those of no other live edge) number priv(e) with a * priv(e) > b is
   dropped, repeatedly.  For every live X containing e,
@@ -234,13 +237,13 @@ def decide_expansion(h: Hypergraph, a: int, b: int) -> ExpansionCertificate | No
     return cert
 
 
-def _peel_ratio(h: Hypergraph, scope: Sequence[int]) -> tuple[int, int]:
-    """Best |E(S)| / |Gamma(E(S))| over the vertex sets S met while peeling the scope.
+def _peel(h: Hypergraph, scope: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(|E(S)|, |Gamma(E(S))|) for each vertex set S met while peeling the scope.
 
     Charikar-style greedy peeling: repeatedly drop a vertex of least degree
     together with its edges.  E(S) is the set of scope edges inside S and
-    Gamma(E(S)) the vertices of S of positive degree.  The first set is the
-    whole scope, so the result is at least its ratio; ties keep the earlier set.
+    Gamma(E(S)) the vertices of S of positive degree.  The whole scope comes
+    first, then the set left after each dropped vertex while an edge remains.
     """
     incident: list[list[int]] = [[] for _ in range(h.n)]
     for i in scope:
@@ -251,7 +254,7 @@ def _peel_ratio(h: Hypergraph, scope: Sequence[int]) -> tuple[int, int]:
     heapify(heap)
     alive = [True] * h.m
     num, den = len(scope), len(heap)
-    best = (num, den)
+    yield num, den
     while heap:
         d, v = heappop(heap)
         if d != degree[v]:
@@ -270,9 +273,8 @@ def _peel_ratio(h: Hypergraph, scope: Sequence[int]) -> tuple[int, int]:
                         heappush(heap, (degree[u], u))
                     else:
                         den -= 1
-        if num and num * best[1] > best[0] * den:
-            best = (num, den)
-    return best
+        if num:
+            yield num, den
 
 
 def _improving_certificates(
@@ -288,7 +290,7 @@ def _improving_certificates(
     """
     current = expansion_certificate(h, scope)
     yield current
-    a, b = _peel_ratio(h, scope)
+    a, b = max(_peel(h, scope), key=lambda sizes: sizes[0] / sizes[1])
     while True:
         better, chosen = _threshold_cut(h, scope, a, b)
         if not better and tuple(chosen) == current.edge_indices:

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from hyperdense import (
     EdgeSolution,
@@ -707,6 +708,50 @@ def reference_improving_certificates(h):
 
 def reference_min_expansion_flow(h):
     return reference_improving_certificates(h)[-1]
+
+
+# -- expansion: the peeling start as one running best, before ``_peel`` --
+
+
+def reference_peel_ratio(h, scope):
+    """Best |E(S)| / |Gamma(E(S))| over the vertex sets S met while peeling the scope.
+
+    Charikar-style greedy peeling: repeatedly drop a vertex of least degree
+    together with its edges.  E(S) is the set of scope edges inside S and
+    Gamma(E(S)) the vertices of S of positive degree.  The first set is the
+    whole scope, so the result is at least its ratio; ties keep the earlier set.
+    """
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i in scope:
+        for v in h.edges[i]:
+            incident[v].append(i)
+    degree = [len(ids) for ids in incident]
+    heap = [(d, v) for v, d in enumerate(degree) if d]
+    heapify(heap)
+    alive = [True] * h.m
+    num, den = len(scope), len(heap)
+    best = (num, den)
+    while heap:
+        d, v = heappop(heap)
+        if d != degree[v]:
+            continue  # stale entry
+        degree[v] = 0
+        den -= 1
+        for i in incident[v]:
+            if not alive[i]:
+                continue
+            alive[i] = False
+            num -= 1
+            for u in h.edges[i]:
+                if u != v:
+                    degree[u] -= 1
+                    if degree[u]:
+                        heappush(heap, (degree[u], u))
+                    else:
+                        den -= 1
+        if num and num * best[1] > best[0] * den:
+            best = (num, den)
+    return best
 
 
 # -- interval: the unbounded fill and both queries --

@@ -555,6 +555,18 @@ class TestAnchoredScans:
             assert_scans_match_reference(g, anchors)
             assert_scans_match_reference(g, top_by_degree(g, g.n // 3))
 
+    def test_weighted_graph_matches_reference_off_three_uniform(self):
+        # Edges of 1 to 4 vertices.  A 4-edge with two anchors leaves two
+        # vertices outside them, yet adds to no pair weight.
+        rng = random.Random(2700)
+        pinned = 0
+        for seed in range(60):
+            h = generate_uniform(8 + seed % 5, 30, 2700 + seed, sizes=(1, 4))
+            for anchors in (set(top_by_degree(h, 2)), set(rng.sample(range(h.n), rng.randint(0, h.n)))):
+                assert k1_weighted_graph(h, anchors) == reference_k1_weighted_graph(h, anchors)
+                pinned += sum(len(e) == 4 and len(anchors & set(e)) == 2 for e in h.edges)
+        assert pinned > 0
+
 
 class TestCombinedProperty:
     @settings(deadline=None, derandomize=True)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperdense.expansion
 import hyperdense.mpu_general
@@ -17,7 +19,7 @@ from hyperdense.core import edge_subhypergraph
 from hyperdense.expansion import (
     _core,
     _improving_certificates,
-    _peel_ratio,
+    _peel,
     build_expansion_network,
     decide_expansion,
     expansion_certificate,
@@ -38,6 +40,7 @@ from reference import (
     reference_improving_certificates,
     reference_max_flow_min_cut,
     reference_min_expansion_flow,
+    reference_peel_ratio,
     unpruned_decision,
 )
 
@@ -228,20 +231,103 @@ def tiny_instances(count):
         yield Hypergraph(n, tuple(edges))
 
 
+class _FirstThreshold(Exception):
+    """Carries the threshold of the first decision out of ``peel_start``."""
+
+
+def peel_start(h, scope):
+    """The threshold (a, b) at which ``_improving_certificates`` first decides on the scope."""
+
+    def first_cut(h, scope, a, b):
+        raise _FirstThreshold(a, b)
+
+    certs = _improving_certificates(h, scope)
+    next(certs)
+    with mock.patch.object(hyperdense.expansion, "_threshold_cut", first_cut):
+        with pytest.raises(_FirstThreshold) as stop:
+            next(certs)
+    return stop.value.args
+
+
+def assert_peel_start_matches_reference(h, scope):
+    """The peel yields the whole scope first, and the loop starts at the frozen
+    running best.  Returns whether a later peel set ties the start's ratio."""
+    sizes = list(_peel(h, scope))
+    assert sizes[0] == (len(scope), len(union_of(h, scope)))
+    start = peel_start(h, scope)
+    assert start == reference_peel_ratio(h, scope)
+    first = sizes.index(start)
+    return any(Fraction(*s) == Fraction(*start) for s in sizes[first + 1 :])
+
+
+@st.composite
+def peel_cases(draw):
+    """An instance with repeated edges and vertices in no edge, and a nonempty
+    ascending scope of its edge ids."""
+    n = draw(st.integers(1, 9))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=12))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    h = Hypergraph(n, tuple(map(tuple, edges)))
+    scope = draw(st.lists(st.sampled_from(range(h.m)), min_size=1, unique=True))
+    return h, sorted(scope)
+
+
+def flow_sqrt_m_ops(count):
+    """The benchmark's first ``count`` seed-1 ``flow-sqrt-m`` ops as (instance, p)."""
+    rng = random.Random("flow-sqrt-m/1")
+    return [
+        (generate_uniform(500, 500, rng.randrange(2**31), sizes=(2, 4)), 490 - 10 * (idx % 5))
+        for idx in range(count)
+    ]
+
+
 class TestPeelRatio:
     def test_twin_pair_peels_to_optimum(self):
         # Peeling vertex 2 drops edge (2, 3, 4) and leaves vertices 3 and 4
-        # without edges: 2 edges on 2 vertices.
-        assert _peel_ratio(TWIN, range(TWIN.m)) == (2, 2)
+        # without edges: 2 edges on 2 vertices.  Peeling vertex 0 then drops
+        # both twins, and no set with an edge remains.
+        assert list(_peel(TWIN, range(TWIN.m))) == [(3, 5), (2, 2)]
+        assert peel_start(TWIN, range(TWIN.m)) == (2, 2)
 
     def test_between_full_ratio_and_optimum(self):
         strict = 0
         for h in tiny_instances(400):
-            num, den = _peel_ratio(h, range(h.m))
+            num, den = peel_start(h, range(h.m))
             full = expansion_certificate(h, range(h.m)).ratio
             assert full <= Fraction(num, den) <= brute_min_expansion(h).ratio
             strict += Fraction(num, den) > full
         assert strict >= 50
+
+
+class TestPeelMatchesReference:
+    """The start, builtin ``max`` over ``_peel``, equals the frozen running best."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(peel_cases())
+    def test_property(self, case):
+        assert_peel_start_matches_reference(*case)
+
+    def test_ties_keep_the_earliest_set(self):
+        tied = sum(
+            assert_peel_start_matches_reference(h, range(h.m)) for h in tiny_instances(400)
+        )
+        assert tied >= 20
+
+    def test_every_extraction_scope_of_the_flow_workload(self):
+        scopes = []
+        real = hyperdense.expansion._improving_certificates
+
+        def recording(h, scope):
+            scopes.append((h, list(scope)))
+            return real(h, scope)
+
+        with mock.patch.object(hyperdense.expansion, "_improving_certificates", recording):
+            for h, p in flow_sqrt_m_ops(36):
+                mpu_sqrt_m(h, p)
+        assert len(scopes) == 263
+        tied = sum(assert_peel_start_matches_reference(h, scope) for h, scope in scopes)
+        assert tied >= 20
 
 
 class TestLargestOptimalSubset:

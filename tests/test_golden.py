@@ -27,6 +27,7 @@ from hyperdense.oracle import (
     PlantedSpec,
     generate_intervals,
     generate_planted,
+    exact_weighted_dks,
     generate_uniform,
 )
 
@@ -42,6 +43,9 @@ UNIFORM_K = (4,)
 # of n (saturated) and the three-layer candidate covers p edges in one round.
 PLANTED_SPEC = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
 PLANTED_P = (4, 12, 20)
+# Every dksh candidate on the same instance with the exhaustive subroutine
+# plugged in, so the case split's pair-weight route runs exact code.
+PLANTED_EXACT_K = (6, 9)
 # Every candidate of the dksh pipeline, not only the winner: best-of hides a
 # change to a candidate that loses.
 DKSH_PLANTED_SPEC = PlantedSpec(n=40, noise_edges=120, block_size=8, block_edges=30, seed=2)
@@ -102,6 +106,11 @@ def golden_lines() -> list[str]:
         add(f"{name} dksh_3uniform", "dksh", k, dksh_3uniform(h, k))
         for pos, cand in enumerate(dksh_candidates(h, k)):
             add(f"{name} dksh_candidates[{pos}]", "dksh", k, cand)
+    h = generate_planted(PLANTED_SPEC).hypergraph
+    name = f"planted n={h.n} m={h.m} seed={PLANTED_SPEC.seed}"
+    for k in PLANTED_EXACT_K:
+        for pos, cand in enumerate(dksh_candidates(h, k, exact_weighted_dks)):
+            add(f"{name} dksh_candidates_exact[{pos}]", "dksh", k, cand)
     return lines
 
 
@@ -124,7 +133,7 @@ def test_every_golden_solution_passes_the_cli_answer_check():
     instances = golden_instances()
     rows = [json.loads(line) for line in FIXTURE.read_text(encoding="utf-8").splitlines()]
     solved = [row for row in rows if "solution" in row]
-    assert len(solved) == 74
+    assert len(solved) == 84
     for row in solved:
         h = instances[row["case"].rsplit(" ", 1)[0]]
         assert _issues(h, row["solution"]) == [], row["case"]
