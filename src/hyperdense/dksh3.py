@@ -201,8 +201,11 @@ def _link_graphs(
     degree >= the threshold, and is yielded while nonempty: each yield is
     the same dict, shrunk.  Threshold 1 yields g as built, since every vertex
     of g has a neighbor, so its scan is skipped.  Vertices without pairs
-    (skipped ones among them) yield nothing.
+    (skipped ones among them) yield nothing.  Below threshold 1 nothing is
+    yielded and no edge is read.
     """
+    if max_threshold < 1:
+        return
     link_pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for a, b, c in h.edges:
         if skip and (a in skip or b in skip or c in skip):
@@ -211,7 +214,7 @@ def _link_graphs(
         link_pairs[b].append((a, c))
         link_pairs[c].append((a, b))
     for v, pairs in enumerate(link_pairs):
-        if not pairs or max_threshold < 1:
+        if not pairs:
             continue
         g: dict[int, set[int]] = {}
         for u, x in pairs:

@@ -43,7 +43,6 @@ from hyperdense.dksh3 import (
     probe_candidates,
 )
 from hyperdense.mpu_general import (
-    StalledGeneratorError,
     _ceil_sqrt_fraction,
     _check_p,
     iterative_cover,
@@ -144,9 +143,9 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
     vertices by anchored pair count; the anchors plus the coverage
     subroutine's pick on the pair-weight graph; the three-layer candidate; the
     pruned link-graph search at probe size khat outside the anchors (whole
-    pruned graphs are returned when smaller than the probe size); and the most
-    repeated single edge, which guarantees progress.  Density ties keep the
-    earliest candidate.
+    pruned graphs are returned when smaller than the probe size; the walk
+    yields nothing below probe size 2); and the most repeated single edge,
+    which guarantees progress.  Density ties keep the earliest candidate.
     """
     if residual.m == 0:
         raise ValueError("generator needs a nonempty residual")
@@ -155,7 +154,7 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
     # One degree ranking gives both anchor sets: the layer anchors are its prefix.
     ranked = _top_scoring(degrees(residual), budget)
     layered = None
-    if 3 <= budget <= residual.n:
+    if budget >= 3:
         layered = greedy_three_layer(residual, budget, ranked[: budget // 3])
         if layered.covered_count >= params.p:
             # Covering p edges in one shot ends the loop for this guess.
@@ -171,9 +170,8 @@ def candidate_generator_3u(residual: Hypergraph, params: MpU3Params) -> VertexSo
     ]
     if layered is not None:
         candidates.append(("three-layer", set(layered.vertices)))
-    if params.khat >= 2:
-        for cand in probe_candidates(residual, params.khat, anchor_set):
-            candidates.append(("pruned-neighborhood", cand))
+    for cand in probe_candidates(residual, params.khat, anchor_set):
+        candidates.append(("pruned-neighborhood", cand))
     candidates.append(("single-edge", set(_densest_single_edge(residual))))
 
     tag, verts = max(
@@ -189,7 +187,9 @@ def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> E
     parameters, and keeps the smallest union among the covers, in order of k,
     and mpu_sqrt_m, listed last, so the general guarantee always transfers.
     When ``trace`` is a list, one row per guess is appended: {k, khat, delta,
-    union}; a guess whose generator stalls appends none.
+    union}.  Every round covers an edge (the winner is at least as dense as
+    the single-edge candidate), so a stalled cover is an internal error: the
+    cover loop's stall error, a ``RuntimeError``, propagates.
 
     A saturated guess (anchor_size == n) runs once: every residual keeps all n
     vertices, so every vertex is an anchor, the probe outside the anchors is
@@ -205,15 +205,10 @@ def mpu_3uniform(h: Hypergraph, p: int, *, trace: list[dict] | None = None) -> E
         params = MpU3Params.for_guess(h, p, k, ranked)
         if not saturated:
             saturated = params.anchor_size == h.n
-            try:
-                sol = iterative_cover(
-                    h, p, params.anchor_size,
-                    lambda residual, _k: candidate_generator_3u(residual, params),
-                )
-            except StalledGeneratorError:
-                sol = None
-        if sol is None:
-            continue
+            sol = iterative_cover(
+                h, p, params.anchor_size,
+                lambda residual, _k: candidate_generator_3u(residual, params),
+            )
         if trace is not None:
             trace.append(
                 {

@@ -1,8 +1,11 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperdense.mpu3 as mpu3_module
 from hyperdense import (
@@ -13,10 +16,13 @@ from hyperdense import (
     mpu_sqrt_m,
     union_of,
 )
+from hyperdense.cli import main
 from hyperdense.core import (
     EdgeSolution,
     VertexSolution,
+    covered_edges,
     degrees,
+    serialize_hypergraph,
     solution_json,
     top_by_degree,
 )
@@ -27,7 +33,7 @@ from hyperdense.mpu3 import (
     _densest_single_edge,
     candidate_generator_3u,
 )
-from hyperdense.mpu_general import iterative_cover, mpu_best_of
+from hyperdense.mpu_general import StalledGeneratorError, iterative_cover, mpu_best_of
 from hyperdense.oracle import (
     PlantedSpec,
     brute_mpu,
@@ -249,13 +255,12 @@ def _differential_instances():
         yield generate_planted(spec).hypergraph
 
 
-def _assert_same_as_reference(h, p, generator=reference_candidate_generator_3u):
+def _assert_same_as_reference(h, p):
     trace, expected_trace = [], []
     got = solution_json("mpu", p, mpu_3uniform(h, p, trace=trace))
-    expected = solution_json("mpu", p, reference_mpu_3uniform(h, p, expected_trace, generator))
+    expected = solution_json("mpu", p, reference_mpu_3uniform(h, p, expected_trace))
     assert got == expected
     assert trace == expected_trace
-    return trace
 
 
 class TestSaturatedGuessReuse:
@@ -285,6 +290,7 @@ class TestSaturatedGuessReuse:
         # are the reference's, so the best-of order and tie-breaks hold.
         rng = random.Random(6200)
         tags = set()
+        khat_one = 0
         for h in _differential_instances():
             ranked = sorted(degrees(h), reverse=True)
             for _ in range(3):
@@ -296,27 +302,92 @@ class TestSaturatedGuessReuse:
                     got = candidate_generator_3u(residual, params)
                     assert got == reference_candidate_generator_3u(residual, params)
                     tags.add(got.algorithm)
+                    khat_one += params.khat == 1
         assert {"anchored-pairs", "three-layer", "single-edge"} <= tags
+        # The package probes at every khat; the reference skips khat = 1.
+        assert khat_one > 0
 
-    def test_reused_stall_skips_saturated_rows(self, monkeypatch):
-        def stall_when_saturated(generator):
-            def stalling(residual, params):
-                if params.anchor_size == residual.n:
-                    return VertexSolution.from_vertices(residual, ())
-                return generator(residual, params)
-            return stalling
+    def test_stalled_cover_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        def stall_when_saturated(residual, params):
+            if params.anchor_size == residual.n:
+                return VertexSolution.from_vertices(residual, ())
+            return candidate_generator_3u(residual, params)
 
-        monkeypatch.setattr(
-            mpu3_module, "candidate_generator_3u", stall_when_saturated(candidate_generator_3u)
-        )
+        monkeypatch.setattr(mpu3_module, "candidate_generator_3u", stall_when_saturated)
         spec = PlantedSpec(n=20, noise_edges=15, block_size=6, block_edges=12, seed=1)
         h = generate_planted(spec).hypergraph
+        # 20^(2/5) > 3.3: guesses 1..5 are unsaturated, and guess 6 stalls.
         for p in (4, 12, 20):
-            trace = _assert_same_as_reference(
-                h, p, stall_when_saturated(reference_candidate_generator_3u)
-            )
-            # 20^(2/5) > 3.3: guesses 1..5 are unsaturated, 6..20 all stall.
-            assert [row["k"] for row in trace] == [1, 2, 3, 4, 5]
+            with pytest.raises(StalledGeneratorError):
+                mpu_3uniform(h, p)
+        path = tmp_path / "planted.txt"
+        path.write_text(serialize_hypergraph(h))
+        code = main(["solve", "mpu", "--algo", "three-uniform", "--p", "4", str(path)])
+        out = capsys.readouterr()
+        assert code == 5
+        assert out.out == ""
+        assert out.err == "internal error: generator covered no edge on a nonempty residual\n"
+
+
+TRIPLES_12 = list(combinations(range(12), 3))
+
+
+@st.composite
+def three_uniform_with_duplicates(draw):
+    """A 3-uniform instance on 3..12 vertices with at least one edge; some edges repeat."""
+    n = draw(st.integers(3, 12))
+    pool = [t for t in TRIPLES_12 if t[2] < n]
+    base = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=5))
+    return Hypergraph(n, tuple(draw(st.permutations(base + repeats))))
+
+
+class TestEveryRoundProgresses:
+    def test_rounds_beat_the_single_edge_and_solves_return(self):
+        # Every guess k is covered, saturated ones too, so no round is left
+        # out.  A round either ends at the three-layer short-cut, which
+        # covers p edges, or its best-of winner covers an edge at least as
+        # densely as the most repeated edge; the solve never stalls.
+        wins = Counter()
+
+        def checked(residual, params):
+            sol = candidate_generator_3u(residual, params)
+            covered = len(covered_edges(residual, sol.vertices))
+            assert covered >= 1
+            if sol.algorithm == "three-layer" and covered >= params.p:
+                wins["short-cut"] += 1
+            else:
+                single = Fraction(max(Counter(residual.edges).values()), 3)
+                assert Fraction(covered, len(sol.vertices)) >= single
+                wins[sol.algorithm] += 1
+            return sol
+
+        @settings(deadline=None, derandomize=True, max_examples=150, database=None)
+        @given(three_uniform_with_duplicates())
+        def every_guess(h):
+            ranked = sorted(degrees(h), reverse=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mpu3_module, "candidate_generator_3u", checked)
+                for p in sorted({1, (h.m + 1) // 2, h.m}):
+                    for k in range(1, h.n + 1):
+                        params = MpU3Params.for_guess(h, p, k, ranked)
+                        iterative_cover(
+                            h, p, params.anchor_size,
+                            lambda residual, _k: checked(residual, params),
+                        )
+                    assert len(mpu_3uniform(h, p).edge_indices) == p
+
+        every_guess()
+        print("round winners:", dict(wins))
+        # The single edge wins some best-of outright, so it is what bounds them.
+        assert wins["short-cut"] and wins["single-edge"]
+
+    def test_anchor_budget_above_n_is_rejected(self):
+        # for_guess caps the budget at n; a hand-built one above n fails the
+        # three-layer greedy's k check like any other k outside [3, n].
+        h = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
+        with pytest.raises(ValueError, match="k must be in"):
+            candidate_generator_3u(h, MpU3Params(1, 1, h.n, h.n + 1, 1, 1))
 
 
 class TestNoThrowawayWork:

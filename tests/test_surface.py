@@ -295,6 +295,19 @@ def test_anchored_scans_never_sweep():
     assert scans.k1_weighted_graph(blind, anchors) == reference_k1_weighted_graph(h, anchors)
 
 
+def test_probes_below_size_two_never_sweep():
+    # Below threshold 1 the walk yields nothing and reads no edge, so a round
+    # at khat = 1 probes without sweeping the residual.
+    spec = hyperdense.PlantedSpec(n=20, noise_edges=20, block_size=6, block_edges=12, seed=1)
+    h = hyperdense.generate_planted(spec).hypergraph
+    blind = hyperdense.core._trusted(hyperdense.Hypergraph, n=h.n, edges=_Unswept(h.edges))
+    for skip in ((), {0, 1}):
+        assert list(hyperdense.dksh3._link_graphs(blind, 0, skip)) == []
+        assert list(hyperdense.dksh3.probe_candidates(blind, 1, skip)) == []
+    # The same instance yields at threshold 1, so the walk has work to skip.
+    assert list(hyperdense.dksh3.probe_candidates(h, 2, ()))
+
+
 def test_frozen_references_live_in_one_module():
     # Each frozen reference is defined once, in tests/reference.py, so the next
     # speed change freezes its parent there, not in its own test file.
