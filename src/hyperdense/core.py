@@ -13,7 +13,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class HypergraphFormatError(ValueError):
@@ -263,18 +263,15 @@ def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:
     return tuple(sorted(_top_scoring(degrees(h), t)))
 
 
-def _pad_to_k(
-    n: int, base: Iterable[int], k: int, skip: Collection[int] = ()
-) -> tuple[int, ...]:
-    """``base`` plus the smallest ids in [0, n) outside ``skip`` until k are chosen."""
+def _pad_to_k(pads: Iterable[int], base: Iterable[int], k: int) -> tuple[int, ...]:
+    """``base`` plus the leading ids of ``pads`` until k are chosen, sorted."""
     chosen = set(base)
     if len(chosen) > k:
         raise ValueError("candidate exceeds the vertex budget")
-    for v in range(n):
+    for v in pads:
         if len(chosen) == k:
             break
-        if v not in skip:
-            chosen.add(v)
+        chosen.add(v)
     return tuple(sorted(chosen))
 
 

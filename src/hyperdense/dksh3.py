@@ -8,16 +8,19 @@ Several incomparable strategies run side by side and the densest output wins:
 - a per-vertex neighborhood search over iteratively pruned link graphs, run
   on the instance itself with the anchors skipped.  One walk
   (``_link_graphs``) sweeps the edges that miss the anchors once and yields
-  each vertex's link graph at every pruning threshold, pruned in place; at
-  each, the built-in greedy selection and a plugged subroutine pick from the
-  same graph, reading one degree order and one pull order (the default
-  subroutine builds no weighted graph unless the link repeats a pair).
+  each vertex's link graph at every pruning threshold, pruned in place; a
+  link graph without a cycle is a forest, whose 2-core is empty, so it is
+  yielded at threshold 1 only and never pruned.  At each yield the built-in
+  greedy selection and a plugged subroutine pick from the same graph,
+  reading one degree order and one pull order (the default subroutine builds
+  no weighted graph unless the link repeats a pair).
   mpu3's pruned-neighborhood probe (``probe_candidates``) reads the same
   walk and the same pull order,
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
 Every candidate is padded to exactly k vertices with the smallest unused ids,
-outside the anchors for the neighborhood searches (padding never uncovers an
+outside the anchors for the neighborhood searches, which pad every pick from
+one list of the k smallest ids outside the anchors (padding never uncovers an
 edge), and its covered count is recomputed from the instance's incidence
 index ``Hypergraph.edges_by_last``, which visits only the edges that end
 inside the candidate.  The anchored scans (both three-layer layers and both
@@ -128,7 +131,7 @@ def _anchor_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> set[int]:
 
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
     """The candidate ``base`` padded to exactly k vertices, with its cover recounted."""
-    return VertexSolution.from_vertices(h, _pad_to_k(h.n, base, k), algorithm)
+    return VertexSolution.from_vertices(h, _pad_to_k(range(h.n), base, k), algorithm)
 
 
 def dksh_best_of(candidates: Iterable[VertexSolution]) -> VertexSolution:
@@ -190,6 +193,26 @@ def greedy_three_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> VertexSoluti
     return _padded(h, k1set | k2set | set(k3), k, "greedy-three-layer")
 
 
+def _has_cycle(pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the graph on ``pairs`` has a cycle; a repeated pair counts as one.
+
+    Union-find with path halving: ``up`` maps a vertex to its parent, and a
+    root has no entry.
+    """
+    up: dict[int, int] = {}
+    for u, x in pairs:
+        while u in up:
+            up[u] = up.get(up[u], up[u])
+            u = up[u]
+        while x in up:
+            up[x] = up.get(up[x], up[x])
+            x = up[x]
+        if u == x:
+            return True
+        up[u] = x
+    return False
+
+
 def _link_graphs(
     h: Hypergraph, max_threshold: int, skip: Collection[int] = ()
 ) -> Iterator[tuple[int, list[tuple[int, int]], dict[int, set[int]]]]:
@@ -200,9 +223,11 @@ def _link_graphs(
     edge repeats its pair).  g is v's link graph, pruned in place to minimum
     degree >= the threshold, and is yielded while nonempty: each yield is
     the same dict, shrunk.  Threshold 1 yields g as built, since every vertex
-    of g has a neighbor, so its scan is skipped.  Vertices without pairs
-    (skipped ones among them) yield nothing.  Below threshold 1 nothing is
-    yielded and no edge is read.
+    of g has a neighbor, so its scan is skipped.  A forest's 2-core is empty,
+    so a g without a cycle (``_has_cycle``) is yielded at threshold 1 only
+    and never pruned; the check runs only when max_threshold >= 2.  Vertices
+    without pairs (skipped ones among them) yield nothing.  Below threshold 1
+    nothing is yielded and no edge is read.
     """
     if max_threshold < 1:
         return
@@ -221,6 +246,8 @@ def _link_graphs(
             g.setdefault(u, set()).add(x)
             g.setdefault(x, set()).add(u)
         yield v, pairs, g
+        if max_threshold < 2 or not _has_cycle(pairs):
+            continue
         for dhat in range(2, max_threshold + 1):
             stack = [u for u in g if len(g[u]) < dhat]
             while stack:
@@ -243,14 +270,16 @@ def _pull_order(g: dict[int, set[int]], size: int) -> tuple[list[int], list[int]
 
     A vertex's pull is its number of neighbors in the seed, summed by walking
     the seed vertices' neighbor sets (the graph is symmetric).  Both orders
-    break ties by the smaller id.
+    break ties by the smaller id: each is a stable descending sort, on the
+    bare score, of the ids sorted once.
     """
-    seed = sorted(g, key=lambda u: (-len(g[u]), u))[:size]
-    pull = dict.fromkeys(g, 0)
+    ids = sorted(g)
+    seed = sorted(ids, key=lambda u: len(g[u]), reverse=True)[:size]
+    pull = dict.fromkeys(ids, 0)
     for s in seed:
         for u in g[s]:
             pull[u] += 1
-    return seed, sorted(g, key=lambda u: (-pull[u], u))
+    return seed, sorted(ids, key=pull.__getitem__, reverse=True)
 
 
 def _weighted_from_link(
@@ -293,11 +322,13 @@ def neighborhood_searches(
     meet them are left out of every link graph, and candidates are padded
     with the smallest ids outside ``skip``.  One pass over the walk
     (``_link_graphs``) visits every vertex's link graph at each pruning
-    threshold, and at each both selectors pick k-1 companions from the same
-    pruned graph.  Each search lists its (covered count, padded k-set) pairs
-    in order of vertex, then threshold, for the best-of rule; a plugged pick
-    equal to the plain one reuses its count.  Only the two winners become
-    solutions.
+    threshold (a link graph without a cycle at threshold 1 only), and at each
+    both selectors pick k-1 companions from the same pruned graph.  Every
+    pick lies outside ``skip``, so both are padded from one list, built once:
+    the k smallest ids outside ``skip``.  Each search lists its (covered
+    count, padded k-set) pairs in order of vertex, then threshold, for the
+    best-of rule; a plugged pick equal to the plain one reuses its count.
+    Only the two winners become solutions.
 
     Both picks read one degree order and one pull order (``_pull_order``).
     When ``sub`` is ``greedy_weighted_dks`` and the vertex's pairs are
@@ -313,24 +344,25 @@ def neighborhood_searches(
         raise ValueError(f"k must be at most {h.n - len(skip)} outside the skipped vertices")
     kk = k - 1
     half = kk // 2
+    pads = [u for u in range(h.n) if u not in skip][:k]
     plain: list[tuple[int, tuple[int, ...]]] = []
     plugged: list[tuple[int, tuple[int, ...]]] = []
     for v, pairs, g in _link_graphs(h, kk, skip):
         seed, by_pull = _pull_order(g, half)
         pick = {v, *seed, *by_pull[:half]}
-        plain_set = _pad_to_k(h.n, pick, k, skip)
+        plain_set = _pad_to_k(pads, pick, k)
         plain_count = covered_count(h, plain_set)
         plain.append((plain_count, plain_set))
         if sub is greedy_weighted_dks and len(set(pairs)) == len(pairs):
             pick.update(by_pull[half : kk - half])
         else:
             pick = {v, *_checked_pick(sub, _weighted_from_link(g, Counter(pairs)), kk)}
-        plugged_set = _pad_to_k(h.n, pick, k, skip)
+        plugged_set = _pad_to_k(pads, pick, k)
         plugged_count = (
             plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
         )
         plugged.append((plugged_count, plugged_set))
-    empty = (0, _pad_to_k(h.n, (), k, skip))
+    empty = (0, tuple(pads))
     return tuple(
         VertexSolution.from_vertices(h, max(found, key=lambda c: c[0], default=empty)[1], tag)
         for found, tag in ((plain, "neighborhood"), (plugged, "neighborhood-plugged"))

@@ -310,4 +310,4 @@ def dksh_interval(inst: IntervalInstance, k: int) -> VertexSolution:
     table = fill_table(inst, k)
     p = next((p for p in range(len(table.values), 0, -1) if table.best_cell(p)[1] <= k), 0)
     span = _realize(h, table, p)[1] if p else ()
-    return VertexSolution.from_vertices(h, _pad_to_k(inst.n, span, k), "interval-dp")
+    return VertexSolution.from_vertices(h, _pad_to_k(range(inst.n), span, k), "interval-dp")

@@ -13,7 +13,8 @@ per-test time limit of ``conftest.py``.
 Prints one line per mutant: ``killed`` when pytest reports a failure,
 ``SURVIVED`` when the tests pass, ``ERROR`` for any other pytest exit code
 (a test id that names nothing, say), ``HUNG`` when the run outlasts
-``RUN_LIMIT_S``.  Exits 1 unless every mutant is killed.
+``RUN_LIMIT_S``.  A ``SURVIVED`` or ``ERROR`` line also names pytest's exit
+code.  Exits 1 unless every mutant is killed.
 Pytest does not collect this file.
 """
 
@@ -55,7 +56,8 @@ def mutated_copy(mutant, into):
 
 
 def run_mutant(mutant):
-    """Run the mutant's tests on a mutated copy; return (status, seconds, pytest's last line)."""
+    """Run the mutant's tests on a mutated copy; return (status, seconds, pytest's last
+    line, preceded by pytest's exit code unless the status is ``killed``)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         mutated_copy(mutant, Path(tmp))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
@@ -75,7 +77,10 @@ def run_mutant(mutant):
         seconds = time.monotonic() - start
     lines = proc.stdout.strip().splitlines()
     status = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
-    return status, seconds, lines[-1] if lines else proc.stderr.strip()
+    last = lines[-1] if lines else proc.stderr.strip()
+    if status != "killed":
+        last = f"exit code {proc.returncode}: {last}"
+    return status, seconds, last
 
 
 def main():

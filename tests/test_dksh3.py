@@ -1010,6 +1010,47 @@ class TestLinkGraphWalk:
         graphs = [g for v, _, g in walked(complete_3uniform(6), 6) if v == 0]
         assert graphs == [k5] * 4
 
+    def test_forest_skip_fires_and_is_exact(self, monkeypatch):
+        # Every link graph the cycle check calls acyclic prunes to empty at
+        # threshold 2 in the reference, so skipping its pruning loses nothing;
+        # one with distinct pairs that it calls cyclic keeps a 2-core.
+        verdicts = []
+        has_cycle = dksh3._has_cycle
+
+        def recorded(pairs):
+            verdicts.append((list(pairs), has_cycle(pairs)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(dksh3, "_has_cycle", recorded)
+        corpus = [planted_180(1), *planted_differential_instances()]
+        for h in corpus:
+            walked(h, 1, frozenset(top_by_degree(h, 4)))
+        # At threshold 1 nothing is pruned, so the check does not run.
+        assert verdicts == []
+        for h in corpus:
+            for skip in (frozenset(), frozenset(top_by_degree(h, 4))):
+                assert_walk_matches_frozen(h, 19, skip)
+        skipped = [pairs for pairs, cyclic in verdicts if not cyclic]
+        assert len(skipped) >= 100 and len(skipped) < len(verdicts)
+        for pairs, cyclic in verdicts:
+            cores = [g for _, g in reference_pruned_link_graphs(reference_link_graph(pairs), 2)]
+            if not cyclic:
+                assert len(cores) == 1
+            elif len(set(pairs)) == len(pairs):
+                assert len(cores) == 2
+
+    def test_duplicate_edge_as_the_only_cycle(self):
+        # Vertex 0's link graph is the path 1-2-3 with the pair (1, 2) twice.
+        # The repeated pair counts as a cycle, so the walk prunes the path at
+        # threshold 2, which deletes it: it yields what the reference yields.
+        h = Hypergraph(5, ((0, 1, 2), (0, 1, 2), (0, 2, 3), (1, 3, 4)))
+        assert dksh3._has_cycle([(1, 2), (1, 2), (2, 3)])
+        assert not dksh3._has_cycle([(1, 2), (2, 3)])
+        for max_threshold in range(5):
+            assert_walk_matches_frozen(h, max_threshold)
+        graphs = [g for v, _, g in walked(h, 4) if v == 0]
+        assert graphs == [{1: {2}, 2: {1, 3}, 3: {2}}]
+
 
 class _CountedEdges(tuple):
     """Edges that count how often they are iterated."""

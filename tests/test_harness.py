@@ -2,12 +2,15 @@
 
 import ast
 import signal
+import subprocess
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TimeLimitExceeded, time_limit
+import run_mutants
 from run_mutants import ROOT, load_mutants
 
 needs_timer = pytest.mark.skipif(
@@ -87,3 +90,17 @@ def test_every_mutant_applies_once_and_names_its_tests():
                 ]
                 assert len(found) == 1, test_id
                 scope = found[0].body
+
+
+def test_every_line_but_killed_names_pytest_exit_code(monkeypatch):
+    monkeypatch.setattr(run_mutants, "mutated_copy", lambda mutant, into: None)
+    for code, status in ((0, "SURVIVED"), (1, "killed"), (5, "ERROR")):
+        done = subprocess.CompletedProcess([], code, "..\nno tests ran in 61.02s\n", "")
+        fake = SimpleNamespace(run=lambda *args, **kwargs: done, TimeoutExpired=TimeoutError)
+        monkeypatch.setattr(run_mutants, "subprocess", fake)
+        got, _, last = run_mutants.run_mutant({"tests": ["tests/test_core.py"]})
+        assert got == status
+        if status == "killed":
+            assert last == "no tests ran in 61.02s"
+        else:
+            assert last == f"exit code {code}: no tests ran in 61.02s"
