@@ -72,17 +72,18 @@ class Hypergraph:
         return {v: tuple(group) for v, group in groups.items()}
 
     @cached_property
-    def edges_by_last(self) -> dict[int, tuple[int, ...]]:
-        """Incidence index: vertex -> ids of the edges it ends, in edge order.
+    def edges_by_last(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Incidence index: vertex -> (id, edge) of the edges it ends, in edge order.
 
-        An edge is listed once, under its largest vertex.  Only vertices that
-        end an edge are keys, so the index grows with m, not n.  The largest
-        vertex, not the smallest, because candidate sets are padded with the
-        smallest ids, and those end few edges.
+        An edge is listed once, under its largest vertex, as its id and the
+        tuple ``edges[id]`` itself, so a containment test reads no second index.
+        Only vertices that end an edge are keys, so the index grows with m, not
+        n.  The largest vertex, not the smallest, because candidate sets are
+        padded with the smallest ids, and those end few edges.
         """
-        groups: dict[int, list[int]] = {}
+        groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for i, e in enumerate(self.edges):
-            groups.setdefault(e[-1], []).append(i)
+            groups.setdefault(e[-1], []).append((i, e))
         return {v: tuple(group) for v, group in groups.items()}
 
     @cached_property
@@ -263,8 +264,8 @@ def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:
     return tuple(sorted(_top_scoring(degrees(h), t)))
 
 
-def _pad_to_k(pads: Iterable[int], base: Iterable[int], k: int) -> tuple[int, ...]:
-    """``base`` plus the leading ids of ``pads`` until k are chosen, sorted."""
+def _pad_to_k(pads: Iterable[int], base: Iterable[int], k: int) -> set[int]:
+    """``base`` plus the leading ids of ``pads`` until k are chosen, unsorted."""
     chosen = set(base)
     if len(chosen) > k:
         raise ValueError("candidate exceeds the vertex budget")
@@ -272,7 +273,7 @@ def _pad_to_k(pads: Iterable[int], base: Iterable[int], k: int) -> tuple[int, ..
         if len(chosen) == k:
             break
         chosen.add(v)
-    return tuple(sorted(chosen))
+    return chosen
 
 
 def _edge_ids(h: Hypergraph, edge_indices: Iterable[int]) -> list[int]:
@@ -291,8 +292,8 @@ def union_of(h: Hypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _contained(h: Hypergraph, vertices: Iterable[int]) -> list[int]:
-    """Ids of the edges inside the vertex set, in no particular order.
+def covered_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, ...]:
+    """Indices of all edges fully contained in the vertex set, ascending.
 
     An edge lies inside the set only if its largest vertex does, so only the
     set's groups of ``h.edges_by_last`` are visited.  Ids >= n end no edge and
@@ -301,22 +302,8 @@ def _contained(h: Hypergraph, vertices: Iterable[int]) -> list[int]:
     vs = set(map(operator.index, vertices))
     if vs and min(vs) < 0:
         raise ValueError("vertex ids must be nonnegative")
-    groups, edges = h.edges_by_last, h.edges
-    return [i for v in vs if v in groups for i in groups[v] if vs.issuperset(edges[i])]
-
-
-def covered_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Indices of all edges fully contained in the vertex set, ascending.
-
-    Costs the edges that end at a vertex of the set, not m: see
-    ``Hypergraph.edges_by_last``.
-    """
-    return tuple(sorted(_contained(h, vertices)))
-
-
-def covered_count(h: Hypergraph, vertices: Iterable[int]) -> int:
-    """``len(covered_edges(h, vertices))`` without sorting the ids."""
-    return len(_contained(h, vertices))
+    groups = h.edges_by_last
+    return tuple(sorted([i for v in vs if v in groups for i, e in groups[v] if vs.issuperset(e)]))
 
 
 def edge_subhypergraph(h: Hypergraph, edge_indices: Iterable[int]) -> Hypergraph:

@@ -18,18 +18,18 @@ Several incomparable strategies run side by side and the densest output wins:
   walk and the same pull order,
 - a trivial edge packing that guarantees at least floor(k/3) covered edges.
 
-Every candidate is padded to exactly k vertices with the smallest unused ids,
-outside the anchors for the neighborhood searches, which pad every pick from
-one list of the k smallest ids outside the anchors (padding never uncovers an
-edge), and its covered count is recomputed from the instance's incidence
-index ``Hypergraph.edges_by_last``, which visits only the edges that end
-inside the candidate.  The anchored scans (both three-layer layers and both
-pair-weight routes) read the per-vertex index ``Hypergraph.edges_at`` and
-visit only the edges that meet the anchors; one count (``_pair_counts``)
-serves the third layer and the pair weights, and one check (``_anchor_layer``)
-the anchors.  One best-of rule picks every winner: the builtin ``max`` over
-the covered count, which returns the earliest of equal candidates.  The
-neighborhood searches apply it to bare counts and build one solution each.
+Every candidate is padded to exactly k vertices with the smallest unused ids
+(padding never uncovers an edge); the neighborhood searches pad every pick
+from one list of the k smallest ids outside the anchors.  Covered counts visit
+only the edges that end inside the candidate (``Hypergraph.edges_by_last``);
+the neighborhood searches count their own unsorted sets with ``_covered_3u``,
+without the input checks.  The anchored scans (both three-layer layers and
+both pair-weight routes) read ``Hypergraph.edges_at`` and visit only the edges
+that meet the anchors; one count (``_pair_counts``) serves the third layer and
+the pair weights, and one check (``_anchor_layer``) the anchors.  One best-of
+rule picks every winner: the builtin ``max`` over the covered count, which
+returns the earliest of equal candidates.  The neighborhood searches apply it
+to bare counts and build one solution each.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from hyperdense.core import (
     _check_range,
     _pad_to_k,
     _top_scoring,
-    covered_count,
     induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
     top_by_degree,
 )
@@ -89,9 +88,8 @@ def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
     Both rankings come from one read of the adjacency: a vertex's pull is
     summed by walking the seed vertices' neighbors.  With every weight 1 the
     rankings are by degree and by seed neighbors, ties to the smaller id,
-    which ``_pull_order`` computes on a plain adjacency.  Where no link pair
-    repeats, ``neighborhood_searches`` reads this pick off that order for each
-    graph of the walk, without building a ``WeightedGraph``.
+    which ``_pull_order`` computes on a plain adjacency for
+    ``neighborhood_searches``.
     """
     if k <= 0 or not graph.vertices:
         return ()
@@ -127,6 +125,12 @@ def _anchor_layer(h: Hypergraph, k: int, k1: Iterable[int]) -> set[int]:
     if len(anchors) != k // 3:
         raise ValueError(f"anchor layer must have {k // 3} vertices")
     return anchors
+
+
+def _covered_3u(h: Hypergraph, vs: set[int]) -> int:
+    """``len(covered_edges(h, vs))`` for a 3-uniform ``h``, unchecked: a solver's own set."""
+    g = h.edges_by_last
+    return len([i for v in vs if v in g for i, (a, b, _) in g[v] if a in vs and b in vs])
 
 
 def _padded(h: Hypergraph, base: Iterable[int], k: int, algorithm: str) -> VertexSolution:
@@ -325,10 +329,10 @@ def neighborhood_searches(
     threshold (a link graph without a cycle at threshold 1 only), and at each
     both selectors pick k-1 companions from the same pruned graph.  Every
     pick lies outside ``skip``, so both are padded from one list, built once:
-    the k smallest ids outside ``skip``.  Each search lists its (covered
-    count, padded k-set) pairs in order of vertex, then threshold, for the
-    best-of rule; a plugged pick equal to the plain one reuses its count.
-    Only the two winners become solutions.
+    the k smallest ids outside ``skip``.  Each search lists its (covered count,
+    padded k-set) pairs in order of vertex, then threshold, for the best-of
+    rule; a set stays unsorted, and a plugged one equal to the plain one reuses
+    its count.  Only the two winners are sorted, as solutions.
 
     Both picks read one degree order and one pull order (``_pull_order``).
     When ``sub`` is ``greedy_weighted_dks`` and the vertex's pairs are
@@ -351,17 +355,16 @@ def neighborhood_searches(
         seed, by_pull = _pull_order(g, half)
         pick = {v, *seed, *by_pull[:half]}
         plain_set = _pad_to_k(pads, pick, k)
-        plain_count = covered_count(h, plain_set)
-        plain.append((plain_count, plain_set))
+        count = _covered_3u(h, plain_set)
+        plain.append((count, tuple(plain_set)))
         if sub is greedy_weighted_dks and len(set(pairs)) == len(pairs):
             pick.update(by_pull[half : kk - half])
         else:
             pick = {v, *_checked_pick(sub, _weighted_from_link(g, Counter(pairs)), kk)}
         plugged_set = _pad_to_k(pads, pick, k)
-        plugged_count = (
-            plain_count if plugged_set == plain_set else covered_count(h, plugged_set)
-        )
-        plugged.append((plugged_count, plugged_set))
+        if plugged_set != plain_set:
+            count = _covered_3u(h, plugged_set)
+        plugged.append((count, tuple(plugged_set)))
     empty = (0, tuple(pads))
     return tuple(
         VertexSolution.from_vertices(h, max(found, key=lambda c: c[0], default=empty)[1], tag)

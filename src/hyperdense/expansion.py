@@ -185,9 +185,10 @@ def max_flow_min_cut(net: ExpansionNetwork) -> tuple[int, list[int]]:
 def _core(h: Hypergraph, scope: Iterable[int], a: int, b: int) -> list[int]:
     """The scope's edges left after dropping, repeatedly, every edge e with a * priv(e) > b.
 
-    priv(e) counts e's vertices that no other live edge uses; no maximiser
-    of |X| - (a/b)|Gamma(X)| keeps such an edge (see the module docstring).
-    Keeps the scope's order.
+    priv(e) counts e's vertices that no other live edge uses; no maximiser of
+    |X| - (a/b)|Gamma(X)| keeps such an edge (see the module docstring).  Keeps
+    the scope's order.  A pass that finds edges to drop but keeps every live
+    edge would loop, so it raises RuntimeError.
     """
     edges = h.edges
     live = list(scope)
@@ -201,7 +202,10 @@ def _core(h: Hypergraph, scope: Iterable[int], a: int, b: int) -> list[int]:
         dropped = {i for i, count in private.items() if count > limit and i >= 0}
         if not dropped:
             return live
-        live = [i for i in live if i not in dropped]
+        kept = [i for i in live if i not in dropped]
+        if len(kept) == len(live):
+            raise RuntimeError("core pass found edges to drop but kept every live edge")
+        live = kept
 
 
 def _threshold_cut(

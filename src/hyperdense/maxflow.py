@@ -84,15 +84,19 @@ class FlowGraph:
         depth-first search from each edge of level 1.  ``path`` holds the
         positions of the arcs taken, even entries arcs edge -> vertex and odd
         ones vertex -> edge against an incidence's flow.  With current-arc
-        pointers and level 0 for dead ends, no arc is rescanned in a phase,
-        and path length is bounded only by the node count.  An augment that
-        leaves ``first`` room restarts the search at ``first``; the pointers
-        make that descent retrace only the path's unsaturated prefix.
+        pointers and level 0 for dead ends, no arc is rescanned in a phase, and
+        path length is bounded only by the node count.  An augment that leaves
+        ``first`` room restarts the search at ``first``; the pointers make that
+        descent retrace only the path's unsaturated prefix.  A phase that does
+        not raise the sink level, or an augment of no flow, would loop, so
+        either raises RuntimeError.
         """
         out, room, flow, head = self.out, self.room, self.flow, self.head
         tail, start, at = self.tail, self.start, self.at
-        value = self.value
+        value, last = self.value, 0
         while (levels := self._levels()) is not None:
+            if levels[2] <= last:  # a blocking flow lengthens every shortest s-t path
+                raise RuntimeError(f"max-flow phase at sink level {levels[2]} after {last}")
             elev, vlev, last = levels
             next_pos, next_at = start[:-1], [0] * len(at)
             for first in [i for i, lev in enumerate(elev) if lev == 1]:
@@ -129,6 +133,8 @@ class FlowGraph:
                             continue
                     elif room[u]:
                         push = min(out[first], room[u], *[flow[p] for p in path[1::2]])
+                        if push < 1:
+                            raise RuntimeError("max-flow augment pushed no flow")
                         out[first] -= push
                         room[u] -= push
                         value += push

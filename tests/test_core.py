@@ -27,7 +27,6 @@ import hyperdense.cli
 from hyperdense.mpu3 import MpU3Params
 from builds import assert_as_validated
 from hyperdense.core import (
-    covered_count,
     degrees,
     edge_subhypergraph,
     induced,
@@ -344,7 +343,7 @@ class TestSolutions:
     def test_covered_edges_ignores_ids_beyond_n(self):
         h = Hypergraph(4, ((0, 1, 2), (1, 2), (0, 3)))
         assert covered_edges(h, {0, 1, 2, 4, 60, 1 << 40}) == (0, 1)
-        assert covered_count(h, {0, 1, 2, 4, 1 << 40}) == 2
+        assert len(covered_edges(h, {0, 1, 2, 4, 1 << 40})) == 2
 
     def test_covered_edges_rejects_negative_id(self):
         h = Hypergraph(4, ((0, 1, 2),))
@@ -368,8 +367,8 @@ class TestSolutions:
 
 
 @st.composite
-def hypergraphs_with_duplicates(draw):
-    h = draw(hypergraphs(max_m=10))
+def hypergraphs_with_duplicates(draw, max_size=4):
+    h = draw(hypergraphs(max_m=10, max_size=max_size))
     if not h.edges:
         return h
     repeats = draw(st.lists(st.sampled_from(h.edges), max_size=4))
@@ -377,10 +376,10 @@ def hypergraphs_with_duplicates(draw):
 
 
 @st.composite
-def vertex_queries(draw):
+def vertex_queries(draw, max_size=4):
     """A hypergraph and a vertex set that may hold ids >= n; empty and full sets
     are drawn as often as random ones."""
-    h = draw(hypergraphs_with_duplicates())
+    h = draw(hypergraphs_with_duplicates(max_size))
     kind = draw(st.sampled_from(("empty", "full", "random")))
     if kind == "empty":
         vs = set()
@@ -419,7 +418,14 @@ class TestCoveredEdgesIndex:
         expected = reference_covered_edges(h, vs)
         assert covered_edges(h, vs) == expected
         assert covered_edges(h, iter(sorted(vs))) == expected
-        assert covered_count(h, vs) == len(expected)
+        assert len(covered_edges(h, vs)) == len(expected)
+
+    @settings(deadline=None, derandomize=True, max_examples=250)
+    @given(vertex_queries(max_size=5).filter(lambda case: not case[0].is_uniform(3)))
+    def test_matches_mask_scan_off_three_uniform(self, case):
+        # Edges of 1 to 5 vertices: the (id, edge) index is not size-specific.
+        h, vs = case
+        assert covered_edges(h, vs) == reference_covered_edges(h, vs)
 
     @settings(deadline=None, derandomize=True)
     @given(vertex_queries(), st.integers(-5, -1))
@@ -428,13 +434,14 @@ class TestCoveredEdgesIndex:
         with pytest.raises(ValueError):
             covered_edges(h, vs | {bad})
         with pytest.raises(ValueError):
-            covered_count(h, vs | {bad})
+            len(covered_edges(h, vs | {bad}))
 
     @settings(deadline=None, derandomize=True)
     @given(hypergraphs_with_duplicates())
     def test_index_lists_each_edge_once_under_its_last_vertex(self, h):
-        listed = sorted((i, v) for v, group in h.edges_by_last.items() for i in group)
+        listed = sorted((i, v) for v, group in h.edges_by_last.items() for i, _ in group)
         assert listed == [(i, e[-1]) for i, e in enumerate(h.edges)]
+        assert all(edge is h.edges[i] for group in h.edges_by_last.values() for i, edge in group)
         assert all(list(group) == sorted(group) for group in h.edges_by_last.values())
 
     @settings(deadline=None, derandomize=True)
@@ -478,7 +485,7 @@ class TestCoveredEdgesIndex:
         tracemalloc.start()
         try:
             covered = covered_edges(h, vs)
-            assert covered_count(h, vs) == len(covered) >= 20
+            assert len(covered_edges(h, vs)) == len(covered) >= 20
             sol = VertexSolution(tuple(sorted(vs)), covered)
             hyperdense.cli._reverify(h, solution_json("dksh", len(vs), sol))
             peak = tracemalloc.get_traced_memory()[1]

@@ -22,7 +22,7 @@ from hyperdense import (
 )
 from hyperdense import core, dksh3, mpu3
 from hyperdense.cli import main
-from hyperdense.core import _top_scoring, degrees, edge_subhypergraph, top_by_degree
+from hyperdense.core import _pad_to_k, _top_scoring, degrees, edge_subhypergraph, top_by_degree
 from hyperdense.dksh3 import (
     _link_graphs,
     _pull_order,
@@ -633,6 +633,38 @@ class TestCountFirstNeighborhood:
                 plain, plugged = neighborhood_searches(h, k, plain_pick_as_sub)
                 assert plain.vertices == plugged.vertices
                 assert plain.covered == plugged.covered
+
+
+@st.composite
+def kernel_cases(draw):
+    """(h, vs, k): a 3-uniform h that may repeat edges, and either a set padded
+    as ``neighborhood_searches`` pads one (a pick outside a skip set, then the
+    k smallest ids outside it, to exactly k) or any set, ids >= n allowed
+    (k is None)."""
+    h, k = draw(three_uniform_with_duplicates())
+    if draw(st.booleans()):
+        skip = draw(st.sets(st.integers(0, h.n - 1), max_size=h.n - k))
+        outside = [u for u in range(h.n) if u not in skip]
+        pick = draw(st.sets(st.sampled_from(outside), max_size=k))
+        return h, _pad_to_k(outside[:k], pick, k), k
+    vs = draw(st.sets(st.integers(0, h.n - 1)))
+    return h, vs | draw(st.sets(st.integers(h.n, h.n + 70), max_size=2)), None
+
+
+class TestCoveredCountKernel:
+    """``_covered_3u`` counts what the frozen edge-mask scan covers."""
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(kernel_cases())
+    def test_matches_reference(self, case):
+        h, vs, k = case
+        if k is not None:
+            assert isinstance(vs, set) and len(vs) == k
+        assert dksh3._covered_3u(h, vs) == len(reference_covered_edges(h, vs))
+
+    def test_counts_repeated_edges(self):
+        h = Hypergraph(5, ((0, 1, 2), (0, 1, 2), (2, 3, 4), (0, 1, 4)))
+        assert dksh3._covered_3u(h, {0, 1, 2, 4, 9}) == 3
 
 
 class TestGreedyWeightedDksOnePass:

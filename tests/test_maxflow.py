@@ -6,20 +6,30 @@ the package's ``FlowGraph`` against it on expansion networks: the value and
 the edges of both the smallest and the largest minimum-cut source side, which
 do not depend on which maximum flow either engine finds.  ``edge_half`` maps
 a frozen node set to its edges and checks that they fix it.
+
+``TestProgressGuards`` runs the looping faults of the mutant corpus through
+the command line: each must stop at a progress guard with exit 5.
 """
 
+import contextlib
+import io
 import random
+import types
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperdense.expansion
-from hyperdense import Hypergraph, mpu_sqrt_m
+import hyperdense.maxflow
+from hyperdense import Hypergraph, mpu_sqrt_m, serialize_hypergraph
+from hyperdense.cli import main
 from hyperdense.expansion import build_expansion_network, max_flow_min_cut
 from hyperdense.maxflow import FlowGraph
 from hyperdense.oracle import generate_uniform
+from conftest import time_limit
 from reference import ReferenceFlowGraph, cap_inf, edge_half, reference_max_flow_min_cut
+from run_mutants import load_mutants
 
 
 def path_graph(num_nodes, caps):
@@ -221,3 +231,40 @@ class TestThresholdNetwork:
         assert len(nets) == 746
         for net in nets:
             assert max_flow_min_cut(net) == edge_half(net, reference_max_flow_min_cut(net))
+
+
+def mutated_module(module, mutant):
+    """A fresh copy of ``module`` built from its source with ``mutant`` applied."""
+    with open(module.__file__, encoding="utf-8") as f:
+        source = f.read()
+    assert source.count(mutant["old"]) == 1
+    copy = types.ModuleType(module.__name__)
+    # Named after the mutant: its lines no longer match the file's.
+    code = compile(source.replace(mutant["old"], mutant["new"]), f"<{mutant['id']}>", "exec")
+    exec(code, copy.__dict__)
+    return copy
+
+
+class TestProgressGuards:
+    """A max-flow or core pass that stops making progress is an internal error."""
+
+    @pytest.mark.parametrize("mutant_id, module, name, message", [
+        ("dinic-restart-keeps-path", hyperdense.maxflow, "FlowGraph", "augment pushed no flow"),
+        ("dfs-vertex-step-ignores-flow", hyperdense.maxflow, "FlowGraph",
+         "augment pushed no flow"),
+        ("bfs-backward-without-flow", hyperdense.maxflow, "FlowGraph", "phase at sink level"),
+        ("core-counts-shared-marker", hyperdense.expansion, "_core",
+         "core pass found edges to drop but kept every live edge"),
+    ])
+    def test_looping_fault_exits_5(self, monkeypatch, tmp_path, mutant_id, module, name, message):
+        # Without the guards, each of these faults loops forever on this instance.
+        mutant = {m["id"]: m for m in load_mutants()}[mutant_id]
+        monkeypatch.setattr(hyperdense.expansion, name,
+                            getattr(mutated_module(module, mutant), name))
+        path = tmp_path / "flow.hg"
+        path.write_text(serialize_hypergraph(generate_uniform(60, 60, 11, sizes=(2, 4))))
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(1), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "mpu", "--p", "58", str(path)])
+        assert (code, out.getvalue()) == (5, "")
+        assert err.getvalue().startswith("internal error:") and message in err.getvalue()
