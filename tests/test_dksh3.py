@@ -662,10 +662,6 @@ class TestCoveredCountKernel:
             assert isinstance(vs, set) and len(vs) == k
         assert dksh3._covered_3u(h, vs) == len(reference_covered_edges(h, vs))
 
-    def test_counts_repeated_edges(self):
-        h = Hypergraph(5, ((0, 1, 2), (0, 1, 2), (2, 3, 4), (0, 1, 4)))
-        assert dksh3._covered_3u(h, {0, 1, 2, 4, 9}) == 3
-
 
 class TestGreedyWeightedDksOnePass:
     @settings(deadline=None, derandomize=True, max_examples=300)
