@@ -14,6 +14,7 @@ call; each parsed instance is validated once, row by row as it is read.
 One checker, ``_issues``, defines a valid answer: ``verify`` runs it on a
 solution file, and ``solve`` and ``oracle mpu|dksh`` run it on the exact line
 they are about to print, so no command prints a line ``verify`` would reject.
+The ``--trace`` and ``--explain`` rows are printed after that check too.
 """
 
 from __future__ import annotations
@@ -68,11 +69,10 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 
-def _emit(row: dict, fmt: str) -> None:
+def _format(row: dict, fmt: str) -> str:
     if fmt == "tsv":
-        print("\t".join(f"{k}={row[k]}" for k in sorted(row)))
-    else:
-        print(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        return "\t".join(f"{k}={row[k]}" for k in sorted(row))
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
 def _read(path: str) -> str:
@@ -106,11 +106,12 @@ def _reverify(h: Hypergraph, line: str) -> None:
         raise RuntimeError(f"solution failed re-verification: {'; '.join(issues)}")
 
 
-def _answer(h: Hypergraph, problem: str, parameter: int, sol) -> int:
-    """Print the solution line, once it passes re-verification against h."""
+def _answer(h: Hypergraph, problem: str, parameter: int, sol, rows: list[str]) -> int:
+    """Print the report ``rows``, then the solution line, once that line passes
+    re-verification against h; a line that fails it prints nothing."""
     line = solution_json(problem, parameter, sol)
     _reverify(h, line)
-    print(line)
+    print(*rows, line, sep="\n")
     return EXIT_OK
 
 
@@ -122,6 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         flag = "--explain" if args.explain else "--sub"
         raise ValueError(f"{flag} does not apply to --algo interval")
     text = _read(args.file)
+    rows = []
     if args.algo == "interval":
         inst = parse_intervals(text)
         solver = mpu_interval if args.problem == "mpu" else dksh_interval
@@ -134,8 +136,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         elif args.problem == "mpu":
             trace: list[dict] | None = [] if args.trace else None
             sol = mpu_3uniform(h, args.parameter, trace=trace)
-            for row in trace or ():
-                _emit(row, args.format)
+            rows = [_format(row, args.format) for row in trace or ()]
         else:
             sub = exact_weighted_dks if args.sub == "exact" else greedy_weighted_dks
             if args.explain:
@@ -145,14 +146,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     for cand in candidates
                 ]
                 if args.format == "tsv":
-                    for row in breakdown:
-                        _emit(row, "tsv")
+                    rows = [_format(row, "tsv") for row in breakdown]
                 else:
-                    print(json.dumps(breakdown, sort_keys=True, separators=(",", ":")))
+                    rows = [json.dumps(breakdown, sort_keys=True, separators=(",", ":"))]
                 sol = dksh_best_of(candidates)
             else:
                 sol = dksh_3uniform(h, args.parameter, sub)
-    return _answer(h, args.problem, args.parameter, sol)
+    return _answer(h, args.problem, args.parameter, sol, rows)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -161,7 +161,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(brute_min_expansion(h).to_json())
         return EXIT_OK
     brute = brute_mpu if args.problem == "mpu" else brute_dksh
-    return _answer(h, args.problem, args.parameter, brute(h, args.parameter))
+    return _answer(h, args.problem, args.parameter, brute(h, args.parameter), [])
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -261,8 +261,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         h = parse_hypergraph(text)
     problems = _issues(h, payload)
-    _emit({"valid": not problems, "problem": payload["problem"], "issues": problems},
-          args.format)
+    print(_format({"valid": not problems, "problem": payload["problem"], "issues": problems},
+                  args.format))
     return EXIT_INVALID if problems else EXIT_OK
 
 

@@ -13,7 +13,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class HypergraphFormatError(ValueError):
@@ -125,19 +125,19 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
 
 
-def _content_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, tokens) for non-blank, non-comment lines."""
+def _content_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of every non-blank, non-comment line, in order."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:  # numbered as splitlines numbers the text
             lineno = len((text[: exc.start].decode("utf-8") + ".").splitlines())
             raise HypergraphFormatError(f"line {lineno}: not UTF-8 text") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+    return [
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1)
+        if tokens and tokens[0][0] != "#"
+    ]
 
 
 def _int_tokens(tokens: list[str], lineno: int) -> list[int]:
@@ -158,43 +158,39 @@ def _int_tokens(tokens: list[str], lineno: int) -> list[int]:
 def _parse_rows(text: str | bytes, noun: str, row: Callable) -> tuple[int, list]:
     """The skeleton both instance formats share: header ``n m``, m rows, nothing after.
 
-    ``row(n, lineno, tokens)`` checks and converts each row as it is read, so a
-    bad row is reported before trailing content.  ``noun`` names a row.
+    ``row(n, lineno, tokens)`` checks and converts each row in line order, so a
+    bad row is reported before a shortfall or trailing content.  ``noun``
+    names a row.
     """
     lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
+    if not lines:
         raise HypergraphFormatError("line 1: missing 'n m' header")
-    lineno, tokens = header
+    lineno, tokens = lines[0]
     if len(tokens) != 2:
         raise HypergraphFormatError(f"line {lineno}: header must be 'n m'")
     n, m = _int_tokens(tokens, lineno)
     if n < 0 or m < 0:
         raise HypergraphFormatError(f"line {lineno}: header counts must be nonnegative")
-    rows = []
-    for _ in range(m):
-        line = next(lines, None)
-        if line is None:
-            raise HypergraphFormatError(
-                f"expected {m} {noun} lines, found only {len(rows)}"
-            )
-        rows.append(row(n, *line))
-    extra = next(lines, None)
-    if extra is not None:
+    rows = [row(n, lineno, tokens) for lineno, tokens in lines[1 : m + 1]]
+    if len(rows) < m:
+        raise HypergraphFormatError(f"expected {m} {noun} lines, found only {len(rows)}")
+    if len(lines) > m + 1:
         raise HypergraphFormatError(
-            f"line {extra[0]}: trailing content after {m} {noun}s"
+            f"line {lines[m + 1][0]}: trailing content after {m} {noun}s"
         )
     return n, rows
 
 
 def _edge_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, ...]:
-    vs = sorted(_int_tokens(tokens, lineno))
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise HypergraphFormatError(
-                f"line {lineno}: repeated vertex {a} within edge"
-            )
-    if vs and (vs[0] < 0 or vs[-1] >= n):
+    try:
+        vs = sorted(map(int, tokens))
+    except ValueError:
+        _int_tokens(tokens, lineno)  # raises, naming the first non-integer token
+        raise
+    if len(set(vs)) < len(vs):
+        a = next(a for a, b in zip(vs, vs[1:]) if a == b)
+        raise HypergraphFormatError(f"line {lineno}: repeated vertex {a} within edge")
+    if vs[0] < 0 or vs[-1] >= n:
         bad = vs[0] if vs[0] < 0 else vs[-1]
         raise HypergraphFormatError(
             f"line {lineno}: vertex id {bad} out of range [0, {n})"

@@ -896,3 +896,104 @@ def reference_dksh_interval(inst, k):
             vertices.append(v)
             span.add(v)
     return VertexSolution.from_vertices(h, vertices, "interval-dp")
+
+
+# -- Instance parse: the generator skeleton the one-list pass replaced --
+
+
+class ReferenceFormatError(ValueError):
+    """The frozen parse's error; the tests compare its message with the package's."""
+
+
+def _reference_content_lines(text):
+    """Yield (line number, tokens) for non-blank, non-comment lines."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:  # numbered as splitlines numbers the text
+            lineno = len((text[: exc.start].decode("utf-8") + ".").splitlines())
+            raise ReferenceFormatError(f"line {lineno}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
+
+def _reference_int_tokens(tokens, lineno):
+    """The tokens as integers; the first non-integer token is reported with its line."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                raise ReferenceFormatError(
+                    f"line {lineno}: non-integer token {token!r}"
+                ) from None
+        raise
+
+
+def _reference_parse_rows(text, noun, row):
+    """The skeleton both instance formats share: header ``n m``, m rows, nothing after."""
+    lines = _reference_content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise ReferenceFormatError("line 1: missing 'n m' header")
+    lineno, tokens = header
+    if len(tokens) != 2:
+        raise ReferenceFormatError(f"line {lineno}: header must be 'n m'")
+    n, m = _reference_int_tokens(tokens, lineno)
+    if n < 0 or m < 0:
+        raise ReferenceFormatError(f"line {lineno}: header counts must be nonnegative")
+    rows = []
+    for _ in range(m):
+        line = next(lines, None)
+        if line is None:
+            raise ReferenceFormatError(
+                f"expected {m} {noun} lines, found only {len(rows)}"
+            )
+        rows.append(row(n, *line))
+    extra = next(lines, None)
+    if extra is not None:
+        raise ReferenceFormatError(
+            f"line {extra[0]}: trailing content after {m} {noun}s"
+        )
+    return n, rows
+
+
+def _reference_edge_row(n, lineno, tokens):
+    vs = sorted(_reference_int_tokens(tokens, lineno))
+    for a, b in zip(vs, vs[1:]):
+        if a == b:
+            raise ReferenceFormatError(
+                f"line {lineno}: repeated vertex {a} within edge"
+            )
+    if vs and (vs[0] < 0 or vs[-1] >= n):
+        bad = vs[0] if vs[0] < 0 else vs[-1]
+        raise ReferenceFormatError(
+            f"line {lineno}: vertex id {bad} out of range [0, {n})"
+        )
+    return tuple(vs)
+
+
+def _reference_interval_row(n, lineno, tokens):
+    if len(tokens) != 2:
+        raise ReferenceFormatError(f"line {lineno}: interval line must be 'a b'")
+    a, b = _reference_int_tokens(tokens, lineno)
+    if not 0 <= a <= b < n:
+        raise ReferenceFormatError(
+            f"line {lineno}: interval ({a}, {b}) out of range for n={n}"
+        )
+    return a, b
+
+
+def reference_parse_hypergraph(text):
+    """(n, edge rows) of an instance text; a bad text raises ReferenceFormatError."""
+    return _reference_parse_rows(text, "edge", _reference_edge_row)
+
+
+def reference_parse_intervals(text):
+    """(n, interval rows) of an interval text; a bad text raises ReferenceFormatError."""
+    return _reference_parse_rows(text, "interval", _reference_interval_row)

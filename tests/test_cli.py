@@ -1,8 +1,13 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperdense.cli
 import hyperdense.core
@@ -12,6 +17,7 @@ from hyperdense import Hypergraph, VertexSolution, serialize_hypergraph, solutio
 from hyperdense.cli import main
 from hyperdense.oracle import PlantedSpec, generate_planted
 from builds import spy
+from texts import instance_texts
 
 SIMPLE = "3 2\n0 1\n1 2\n"
 THREE_UNIFORM = "6 4\n0 1 2\n0 1 2\n1 2 3\n3 4 5\n"
@@ -494,7 +500,12 @@ class TestAnswerCheck:
     @pytest.mark.parametrize(
         "argv",
         [("solve", "mpu", "--p", "2"), ("solve", "dksh", "--k", "4"),
-         ("oracle", "mpu", "--p", "2"), ("oracle", "dksh", "--k", "3")],
+         ("oracle", "mpu", "--p", "2"), ("oracle", "dksh", "--k", "3"),
+         # Report rows wait for the check too: no row of a failed answer leaks.
+         ("solve", "mpu", "--algo", "three-uniform", "--trace", "--p", "2"),
+         ("solve", "dksh", "--explain", "--k", "4"),
+         ("--format", "tsv", "solve", "mpu", "--algo", "three-uniform", "--trace", "--p", "2"),
+         ("--format", "tsv", "solve", "dksh", "--explain", "--k", "4")],
     )
     def test_a_tampered_line_is_never_printed(self, capsys, monkeypatch, uniform_file, argv):
         real = hyperdense.cli.solution_json
@@ -544,6 +555,40 @@ class TestAnswerCheck:
         assert (code, out) == (5, "")
         assert err.startswith("internal error: table value 3 disagrees with recomputed union 4")
         assert "Traceback" not in err
+
+
+# Every shape of solve and oracle that reads an instance file; the last two
+# read the interval format.
+ANY_BYTES_ARGV = [
+    ("solve", "mpu", "--p", "2"),
+    ("solve", "mpu", "--algo", "three-uniform", "--trace", "--p", "2"),
+    ("solve", "dksh", "--k", "3"),
+    ("--format", "tsv", "solve", "dksh", "--explain", "--k", "4"),
+    ("oracle", "mpu", "--p", "2"),
+    ("oracle", "dksh", "--k", "3"),
+    ("oracle", "minexp"),
+    ("solve", "mpu", "--algo", "interval", "--p", "1"),
+    ("solve", "dksh", "--algo", "interval", "--k", "2"),
+]
+
+
+class TestAnyBytes:
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @given(st.data())
+    def test_exits_0_2_3_or_4_and_prints_only_on_success(self, data):
+        # Valid and edited instance files, n <= 15: a run ends in an answer, a
+        # usage error, a parse error or an exceeded budget, never in an
+        # internal error or an exception, and a failed run prints nothing.
+        argv = data.draw(st.sampled_from(ANY_BYTES_ARGV))
+        text = data.draw(instance_texts(intervals="interval" in argv))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert code == 0 or out.getvalue() == ""
 
 
 class TestLongAugmentingPath:

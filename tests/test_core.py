@@ -32,7 +32,14 @@ from hyperdense.core import (
     induced,
     top_by_degree,
 )
-from reference import reference_covered_edges, reference_degrees
+from reference import (
+    ReferenceFormatError,
+    reference_covered_edges,
+    reference_degrees,
+    reference_parse_hypergraph,
+    reference_parse_intervals,
+)
+from texts import instance_texts
 
 
 @st.composite
@@ -93,6 +100,15 @@ class TestParse:
             (parse_hypergraph, "3 1\n0 a 1 b\n", "line 2: non-integer token 'a'"),
             (parse_hypergraph, "3 1\n5 0\n1 2\n", "line 2: vertex id 5 out of range [0, 3)"),
             (parse_hypergraph, b"2 1\n0 \xff\n", "line 2: not UTF-8 text"),
+            # The order of the checks: a bad row before a shortfall, a
+            # non-integer token before a repeat, a repeat before the range.
+            (parse_hypergraph, "3 2\n0 0\n", "line 2: repeated vertex 0 within edge"),
+            (parse_hypergraph, "3 1\n5 5\n", "line 2: repeated vertex 5 within edge"),
+            (parse_hypergraph, "3 1\n0 0 x\n", "line 2: non-integer token 'x'"),
+            (parse_hypergraph, "5 1\n0 3 3\n", "line 2: repeated vertex 3 within edge"),
+            (parse_hypergraph, "3 1\n-1 0\n", "line 2: vertex id -1 out of range [0, 3)"),
+            # Only a line whose first token starts with '#' is a comment.
+            (parse_hypergraph, "3 1\n0 #1\n", "line 2: non-integer token '#1'"),
             (parse_intervals, "", "line 1: missing 'n m' header"),
             (parse_intervals, "5 1 1\n", "line 1: header must be 'n m'"),
             (parse_intervals, "5 -2\n", "line 1: header counts must be nonnegative"),
@@ -119,6 +135,33 @@ class TestParse:
         parsed = parse_hypergraph(serialize_hypergraph(h))
         assert parsed == h
         assert_as_validated(parsed)
+
+
+def _parsed(parse, text):
+    """(n, rows) of a parse, or (error type, message) when it rejects the text."""
+    try:
+        inst = parse(text)
+    except (HypergraphFormatError, ReferenceFormatError) as exc:
+        return type(exc), str(exc)
+    if isinstance(inst, tuple):  # a frozen reference's (n, rows)
+        return inst[0], inst[1]
+    assert_as_validated(inst)
+    return inst.n, list(inst.edges if isinstance(inst, Hypergraph) else inst.intervals)
+
+
+class TestParseMatchesReference:
+    @settings(deadline=None, derandomize=True, max_examples=1000)
+    @given(instance_texts())
+    def test_same_rows_or_same_message(self, text):
+        # Over valid and edited texts, str and bytes, each read in both
+        # formats: the same n and rows as the generator parse, or the same
+        # error message.
+        for parse, reference in ((parse_hypergraph, reference_parse_hypergraph),
+                                 (parse_intervals, reference_parse_intervals)):
+            expected = _parsed(reference, text)
+            if expected[0] is ReferenceFormatError:
+                expected = (HypergraphFormatError, expected[1])
+            assert _parsed(parse, text) == expected
 
 
 class TestHypergraph:
