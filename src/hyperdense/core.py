@@ -140,8 +140,21 @@ def _content_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
     ]
 
 
-def _int_tokens(tokens: list[str], lineno: int) -> list[int]:
-    """The tokens as integers; the first non-integer token is reported with its line."""
+def _shown(token: str) -> str:
+    """``token`` quoted for a message: past 20 characters, its first 20 and its length."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
+def _int_tokens(tokens: list[str], lineno: int, too_long: str) -> list[int]:
+    """The tokens as integers; the first token ``int()`` refuses is reported with its line.
+
+    A digit string (a sign, then decimal digits with single underscores
+    between them) is refused only for having more digits than
+    ``sys.get_int_max_str_digits()``: it is an integer out of range, and
+    ``too_long``, with ``{}`` for the token, words the message.
+    """
     try:
         return list(map(int, tokens))
     except ValueError:
@@ -149,9 +162,12 @@ def _int_tokens(tokens: list[str], lineno: int) -> list[int]:
             try:
                 int(token)
             except ValueError:
-                raise HypergraphFormatError(
-                    f"line {lineno}: non-integer token {token!r}"
-                ) from None
+                body = token[1:] if token[0] in "+-" else token
+                if all(part.isdecimal() for part in body.split("_")):
+                    message = too_long.format(_shown(token))
+                else:
+                    message = f"non-integer token {_shown(token)}"
+                raise HypergraphFormatError(f"line {lineno}: {message}") from None
         raise
 
 
@@ -168,7 +184,7 @@ def _parse_rows(text: str | bytes, noun: str, row: Callable) -> tuple[int, list]
     lineno, tokens = lines[0]
     if len(tokens) != 2:
         raise HypergraphFormatError(f"line {lineno}: header must be 'n m'")
-    n, m = _int_tokens(tokens, lineno)
+    n, m = _int_tokens(tokens, lineno, "header count {} is too large")
     if n < 0 or m < 0:
         raise HypergraphFormatError(f"line {lineno}: header counts must be nonnegative")
     rows = [row(n, lineno, tokens) for lineno, tokens in lines[1 : m + 1]]
@@ -185,7 +201,7 @@ def _edge_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, ...]:
     try:
         vs = sorted(map(int, tokens))
     except ValueError:
-        _int_tokens(tokens, lineno)  # raises, naming the first non-integer token
+        _int_tokens(tokens, lineno, f"vertex id {{}} out of range [0, {n})")  # raises
         raise
     if len(set(vs)) < len(vs):
         a = next(a for a, b in zip(vs, vs[1:]) if a == b)
@@ -248,9 +264,14 @@ def degrees(h: Hypergraph) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _ranked(ids: Iterable[int], score: Callable[[int], int]) -> list[int]:
+    """The ids by descending score, ties to the smaller id: a stable sort of the sorted ids."""
+    return sorted(sorted(ids), key=score, reverse=True)
+
+
 def _top_scoring(scores: Sequence[int], t: int) -> list[int]:
-    """The min(t, len(scores)) highest-scoring ids, ranked by (-score, id)."""
-    return sorted(range(len(scores)), key=lambda v: (-scores[v], v))[:t]
+    """The min(t, len(scores)) highest-scoring ids, ranked by ``_ranked``."""
+    return _ranked(range(len(scores)), scores.__getitem__)[:t]
 
 
 def top_by_degree(h: Hypergraph, t: int) -> tuple[int, ...]:

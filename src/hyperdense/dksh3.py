@@ -44,6 +44,7 @@ from hyperdense.core import (
     VertexSolution,
     _check_range,
     _pad_to_k,
+    _ranked,
     _top_scoring,
     induced,  # unused; kept bound for perfbench/tracing.py (ROADMAP item 2, step 2a)
     top_by_degree,
@@ -84,27 +85,21 @@ def greedy_weighted_dks(graph: WeightedGraph, k: int) -> tuple[int, ...]:
     """Default dense-subgraph subroutine: two greedy stages, at most k vertices.
 
     Picks floor(k/2) vertices of highest weighted degree, then ceil(k/2)
-    vertices with the largest weight into that seed set (overlap allowed).
-    Both rankings come from one read of the adjacency: a vertex's pull is
-    summed by walking the seed vertices' neighbors.  With every weight 1 the
-    rankings are by degree and by seed neighbors, ties to the smaller id,
-    which ``_pull_order`` computes on a plain adjacency for
+    vertices with the largest weight into that seed set (overlap allowed),
+    both ranked by ``_ranked``.  A vertex's pull is summed by walking the seed
+    vertices' neighbors.  With every weight 1 the rankings are by degree and
+    by seed neighbors, which ``_pull_order`` computes on a plain adjacency for
     ``neighborhood_searches``.
     """
     if k <= 0 or not graph.vertices:
         return ()
-    s_size = k // 2
-    t_size = k - s_size
     adj = graph.adjacency
-    degree = {u: sum(nbrs.values()) for u, nbrs in adj.items()}
-    by_degree = sorted(graph.vertices, key=lambda u: (-degree[u], u))
-    seed = set(by_degree[:s_size])
+    seed = set(_ranked(adj, lambda u: sum(adj[u].values()))[: k // 2])
     pull = dict.fromkeys(adj, 0)
     for s in seed:
         for u, w in adj[s].items():
             pull[u] += w
-    by_pull = sorted(graph.vertices, key=lambda u: (-pull[u], u))
-    return tuple(sorted(seed | set(by_pull[:t_size])))
+    return tuple(sorted(seed | set(_ranked(adj, pull.__getitem__)[: k - k // 2])))
 
 
 def _require_three_uniform(h: Hypergraph) -> None:
@@ -274,16 +269,14 @@ def _pull_order(g: dict[int, set[int]], size: int) -> tuple[list[int], list[int]
 
     A vertex's pull is its number of neighbors in the seed, summed by walking
     the seed vertices' neighbor sets (the graph is symmetric).  Both orders
-    break ties by the smaller id: each is a stable descending sort, on the
-    bare score, of the ids sorted once.
+    come from ``_ranked``.
     """
-    ids = sorted(g)
-    seed = sorted(ids, key=lambda u: len(g[u]), reverse=True)[:size]
-    pull = dict.fromkeys(ids, 0)
+    seed = _ranked(g, lambda u: len(g[u]))[:size]
+    pull = dict.fromkeys(g, 0)
     for s in seed:
         for u in g[s]:
             pull[u] += 1
-    return seed, sorted(ids, key=pull.__getitem__, reverse=True)
+    return seed, _ranked(g, pull.__getitem__)
 
 
 def _weighted_from_link(

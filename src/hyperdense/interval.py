@@ -89,7 +89,11 @@ class IntervalInstance:
 def _interval_row(n: int, lineno: int, tokens: list[str]) -> tuple[int, int]:
     if len(tokens) != 2:
         raise HypergraphFormatError(f"line {lineno}: interval line must be 'a b'")
-    a, b = _int_tokens(tokens, lineno)
+    try:
+        a, b = map(int, tokens)
+    except ValueError:
+        _int_tokens(tokens, lineno, f"interval end {{}} out of range for n={n}")  # raises
+        raise
     if not 0 <= a <= b < n:
         raise HypergraphFormatError(
             f"line {lineno}: interval ({a}, {b}) out of range for n={n}"

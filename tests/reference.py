@@ -10,9 +10,10 @@ paper's LP route is the reference of acceptance criterion 2 and lives in
 
 A reference calls package code only where that code is not the stage under
 test: the data types, ``induced``, and the parts a stage composes (the mpu3
-round's candidate builders, the expansion network's capacities and
-``mpu_sqrt_m``).  ``tests/test_surface.py`` lists every package name this
-module imports.  The package leaves incidence arcs unbounded; the frozen
+round's pair-weight builders and ``greedy_weighted_spes``, the expansion
+network's capacities and ``mpu_sqrt_m``).  No reference ranks through the
+package: every top-t pick is ``reference_top_scoring``.
+``tests/test_surface.py`` lists every package name this module imports.  The package leaves incidence arcs unbounded; the frozen
 general network gives them ``cap_inf``.
 """
 
@@ -27,14 +28,12 @@ from hyperdense import (
     Hypergraph,
     VertexSolution,
     WeightedGraph,
-    greedy_weighted_dks,
     greedy_weighted_spes,
     mpu_sqrt_m,
 )
-from hyperdense.core import _top_scoring, covered_edges, degrees, induced, top_by_degree
+from hyperdense.core import covered_edges, degrees, induced
 from hyperdense.dksh3 import (
     _padded,
-    greedy_three_layer,
     k1_pair_weights,
     k1_weighted_graph,
 )
@@ -68,6 +67,21 @@ def reference_pad_to_k(n, base, k):
             break
         chosen.add(v)
     return tuple(sorted(chosen))
+
+
+# -- Top-t rankings: the (-score, id) tuple key before ``core._ranked`` --
+
+
+def reference_top_scoring(scores, t):
+    """The min(t, len(scores)) highest-scoring ids, ranked by (-score, id)."""
+    return sorted(range(len(scores)), key=lambda v: (-scores[v], v))[:t]
+
+
+def reference_top_by_degree(h, t):
+    """The min(t, n) largest-degree vertices, ties broken by smaller vertex id."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return tuple(sorted(reference_top_scoring(degrees(h), t)))
 
 
 # -- dksh3: the entry checks before ``_check_k`` ran the uniformity check --
@@ -185,7 +199,7 @@ def reference_greedy_weighted_dks(graph, k):
     return tuple(sorted(seed | set(by_pull[: k - s_size])))
 
 
-def reference_neighborhood_searches(h, k, sub=greedy_weighted_dks, skip=()):
+def reference_neighborhood_searches(h, k, sub=reference_greedy_weighted_dks, skip=()):
     """Both neighborhood searches outside ``skip``: (plain, plugged) solutions.
 
     They run on the induced copy without ``skip``.  Every vertex's link graph
@@ -276,7 +290,7 @@ def reference_greedy_three_layer(h, k, k1):
         if k1set.intersection(e):
             for v in e:
                 deg1[v] += 1
-    k2 = _top_scoring(deg1, k // 3)
+    k2 = reference_top_scoring(deg1, k // 3)
     k2set = set(k2)
 
     deg2 = [0] * h.n
@@ -284,7 +298,7 @@ def reference_greedy_three_layer(h, k, k1):
         for u, y, z in ((a, b, c), (b, a, c), (c, a, b)):
             if (y in k2set and z in k1set) or (z in k2set and y in k1set):
                 deg2[u] += 1
-    k3 = _top_scoring(deg2, k // 3)
+    k3 = reference_top_scoring(deg2, k // 3)
 
     base = k1set | k2set | set(k3)
     return _padded(h, base, k, "greedy-three-layer")
@@ -324,7 +338,7 @@ def reference_k1_weighted_graph(h, k1):
 # round's density pick and the final best-of are the hand-written first-best
 # loops that preceded the builtin min, so the reference shares no best-of
 # code with the module.  The guess loop runs every k, without reuse, with
-# delta from ``top_by_degree``.
+# delta from ``reference_top_by_degree``.
 
 
 def reference_greedy_weighted_spes(graph, target_weight):
@@ -380,12 +394,12 @@ def reference_candidate_generator_3u(residual, params):
         raise ValueError("generator needs a nonempty residual")
     reference_require_three_uniform(residual)
     n = residual.n
-    anchors = top_by_degree(residual, params.anchor_size)
+    anchors = reference_top_by_degree(residual, params.anchor_size)
     anchor_set = set(anchors)
     candidates = []
 
     pair_counts = k1_pair_weights(residual, anchors)
-    top = _top_scoring(pair_counts, params.k)
+    top = reference_top_scoring(pair_counts, params.k)
     candidates.append(("anchored-pairs", anchor_set | set(top)))
 
     graph = k1_weighted_graph(residual, anchors)
@@ -394,8 +408,8 @@ def reference_candidate_generator_3u(residual, params):
 
     budget = params.anchor_size
     if 3 <= budget <= n:
-        layer_anchors = top_by_degree(residual, budget // 3)
-        layered = greedy_three_layer(residual, budget, layer_anchors)
+        layer_anchors = reference_top_by_degree(residual, budget // 3)
+        layered = reference_greedy_three_layer(residual, budget, layer_anchors)
         if layered.covered_count >= params.p:
             return VertexSolution.from_vertices(residual, layered.vertices, "three-layer")
         candidates.append(("three-layer", set(layered.vertices)))
@@ -443,7 +457,7 @@ def reference_mpu_3uniform(h, p, trace, generator=reference_candidate_generator_
     for k in range(1, h.n + 1):
         anchor_size = min(math.ceil(k * h.n**0.4), h.n)
         deg = degrees(h)
-        delta = min((deg[v] for v in top_by_degree(h, anchor_size)), default=0)
+        delta = min((deg[v] for v in reference_top_by_degree(h, anchor_size)), default=0)
         khat = max(1, _ceil_sqrt_fraction(k**4 * delta, 9 * p))
         params = MpU3Params(k, p, h.n, anchor_size, delta, khat)
         try:

@@ -214,6 +214,25 @@ class TestErrors:
         assert code == 3
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "algo, text",
+        [
+            ("three-uniform", "3 1\n" + "1" * 5000 + " 0 2\n"),
+            ("three-uniform", "1" * 5000 + " 1\n0 1\n"),
+            ("three-uniform", "3 1\n0 " + "x" * 5000 + "\n"),
+            ("interval", "5 1\n0 " + "9" * 5000 + "\n"),
+        ],
+        ids=["vertex-id", "header-count", "non-integer", "interval-end"],
+    )
+    def test_over_long_token_exits_3_with_one_short_line(self, capsys, tmp_path, algo, text):
+        bad = tmp_path / "long.hg"
+        bad.write_text(text)
+        code, out, err = run(capsys, "solve", "mpu", "--algo", algo, "--p", "1", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("parse error: line ")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+
     def test_non_utf8_instance_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.hg"
         bad.write_bytes(b"\xff3 2\n0 1\n1 2\n")

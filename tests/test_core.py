@@ -27,6 +27,8 @@ import hyperdense.cli
 from hyperdense.mpu3 import MpU3Params
 from builds import assert_as_validated
 from hyperdense.core import (
+    _ranked,
+    _top_scoring,
     degrees,
     edge_subhypergraph,
     induced,
@@ -38,6 +40,8 @@ from reference import (
     reference_degrees,
     reference_parse_hypergraph,
     reference_parse_intervals,
+    reference_top_by_degree,
+    reference_top_scoring,
 )
 from texts import instance_texts
 
@@ -118,6 +122,33 @@ class TestParse:
             (parse_intervals, "5 1\n0 y\n0 1\n", "line 2: non-integer token 'y'"),
             (parse_intervals, "5 1\n3 2\n0 1\n", "line 2: interval (3, 2) out of range for n=5"),
             (parse_intervals, b"2 1\n0 \xff\n", "line 2: not UTF-8 text"),
+            # A token past int()'s digit limit: a digit string is out of range,
+            # and no message quotes more than 20 characters of a token.
+            pytest.param(
+                parse_hypergraph, "3 1\n" + "1" * 5000 + " 0 2\n",
+                "line 2: vertex id '11111111111111111111'... (5000 characters) out of range [0, 3)",
+                id="over-long-vertex-id",
+            ),
+            pytest.param(
+                parse_intervals, "5 1\n0 " + "9" * 5000 + "\n",
+                "line 2: interval end '99999999999999999999'... (5000 characters) out of range for n=5",
+                id="over-long-interval-end",
+            ),
+            pytest.param(
+                parse_hypergraph, "1" * 5000 + " 1\n0 1\n",
+                "line 1: header count '11111111111111111111'... (5000 characters) is too large",
+                id="over-long-header-count",
+            ),
+            pytest.param(
+                parse_hypergraph, "3 1\n0 " + "x" * 5000 + "\n",
+                "line 2: non-integer token 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)",
+                id="over-long-non-integer",
+            ),
+            pytest.param(
+                parse_intervals, "5 1\n" + "1" * 5000 + "x 0\n",
+                "line 2: non-integer token '11111111111111111111'... (5001 characters)",
+                id="over-long-digits-then-letter",
+            ),
         ],
     )
     def test_error_messages(self, parse, text, message):
@@ -321,10 +352,24 @@ class TestTopByDegree:
     @settings(max_examples=60, deadline=None)
     @given(h=hypergraphs(), t=st.integers(min_value=0, max_value=10))
     def test_matches_reference_ranking(self, h, t):
-        # The body before the ranking moved into the shared top-t helper.
-        deg = degrees(h)
-        order = sorted(range(h.n), key=lambda v: (-deg[v], v))
-        assert top_by_degree(h, t) == tuple(sorted(order[: min(t, h.n)]))
+        assert top_by_degree(h, t) == reference_top_by_degree(h, t)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(st.lists(st.integers(0, 3), max_size=12))
+    def test_top_scoring_matches_frozen_ranking(self, scores):
+        # Four score values, so most ids tie with another.
+        for t in range(len(scores) + 2):
+            assert _top_scoring(scores, t) == reference_top_scoring(scores, t)
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(
+        st.lists(st.integers(0, 3), max_size=12).flatmap(
+            lambda scores: st.tuples(st.just(scores), st.permutations(range(len(scores))))
+        )
+    )
+    def test_ranked_reads_ids_in_any_order(self, case):
+        scores, ids = case
+        assert _ranked(ids, scores.__getitem__) == reference_top_scoring(scores, len(scores))
 
 
 class TestUnionOf:

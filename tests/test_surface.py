@@ -1,7 +1,8 @@
 """The package's public names, the README example, the tracer's bindings and
 one traced op per solver path, what the interval table stores, unused
-imports, where bitmasks may live, that the anchored scans never sweep every
-edge, where frozen references live and what they import."""
+imports, where tie-breaking rankings and bitmasks may live, that the
+anchored scans never sweep every edge, where frozen references live and what
+they import."""
 
 import ast
 import contextlib
@@ -223,6 +224,33 @@ def test_every_import_is_used():
     assert UNUSED_IMPORT_ALLOWLIST <= wrapped
 
 
+def test_rankings_break_ties_in_one_place():
+    # ``core._ranked`` states the one top-t rule, ties to the smaller id, as a
+    # stable sort of the sorted ids on the bare score.  No other sort may
+    # spell the rule again as a (-score, id) key; the oracle is ground truth.
+    found = []
+    for path in sorted((ROOT / "src" / "hyperdense").glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not (
+                getattr(node.func, "id", None) == "sorted"
+                or getattr(node.func, "attr", None) == "sort"
+            ):
+                continue
+            for kw in node.keywords:
+                body = kw.value.body if isinstance(kw.value, ast.Lambda) else None
+                if (
+                    kw.arg == "key"
+                    and isinstance(body, ast.Tuple)
+                    and body.elts
+                    and isinstance(body.elts[0], ast.UnaryOp)
+                    and isinstance(body.elts[0].op, ast.USub)
+                ):
+                    found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_only_the_oracle_builds_bitmasks():
     # The solvers test containment with sets, so their memory never grows with
     # the largest vertex id; the exhaustive oracles union edges bit-parallel.
@@ -332,16 +360,12 @@ REFERENCE_IMPORTS = {
     ("hyperdense", "Hypergraph"),
     ("hyperdense", "VertexSolution"),
     ("hyperdense", "WeightedGraph"),
-    ("hyperdense", "greedy_weighted_dks"),
     ("hyperdense", "greedy_weighted_spes"),
     ("hyperdense", "mpu_sqrt_m"),
-    ("hyperdense.core", "_top_scoring"),
     ("hyperdense.core", "covered_edges"),
     ("hyperdense.core", "degrees"),
     ("hyperdense.core", "induced"),
-    ("hyperdense.core", "top_by_degree"),
     ("hyperdense.dksh3", "_padded"),
-    ("hyperdense.dksh3", "greedy_three_layer"),
     ("hyperdense.dksh3", "k1_pair_weights"),
     ("hyperdense.dksh3", "k1_weighted_graph"),
     ("hyperdense.expansion", "build_expansion_network"),
